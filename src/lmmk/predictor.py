@@ -9,6 +9,7 @@ kernels plus idle time) predicts the wall time of future decode steps.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,24 +84,44 @@ def _require_offset(trace: Trace) -> int:
     return trace.clock_offset_ns
 
 
-def extract_step_series(trace: Trace, kernel_name: str) -> StepSeries:
-    """Per-decode-step latency of one kernel, averaging multiple
-    invocations inside a step."""
-    offset = _require_offset(trace)
-    if not any(k.name == kernel_name for k in trace.kernels):
-        raise KernelNotFound(f"kernel {kernel_name!r} does not occur in the trace")
-    windows = _decode_windows(trace)
+def _kernel_ns_by_step(
+    trace: Trace, kernel_name: str, windows: dict[int, tuple[int, int]], offset: int
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Total execution time and invocation count of one kernel in each
+    window that holds an invocation, keyed by step.
+
+    A kernel belongs to the window whose closed interval [lo, hi] contains
+    its host-domain start (device start + ``offset``). Windows do not
+    overlap, so only windows sharing a boundary can both contain it; the
+    earliest one takes it, as in :func:`lmmk.timeline.phase_attribution`.
+    One bisect over the windows sorted by start: O(log W) per kernel.
+    """
+    ordered = sorted(windows.items(), key=lambda item: item[1][0])
+    starts = [lo for _, (lo, _) in ordered]
+    ends = [hi for _, (_, hi) in ordered]
     sums: dict[int, int] = {}
     counts: dict[int, int] = {}
     for k in trace.kernels:
         if k.name != kernel_name:
             continue
         t = k.t_start_ns + offset
-        for step, (lo, hi) in windows.items():
-            if lo <= t <= hi:
-                sums[step] = sums.get(step, 0) + k.execution_ns
-                counts[step] = counts.get(step, 0) + 1
-                break
+        j = bisect_right(starts, t) - 1
+        while j >= 1 and ends[j - 1] >= t:
+            j -= 1
+        if j >= 0 and ends[j] >= t:
+            step = ordered[j][0]
+            sums[step] = sums.get(step, 0) + k.execution_ns
+            counts[step] = counts.get(step, 0) + 1
+    return sums, counts
+
+
+def extract_step_series(trace: Trace, kernel_name: str) -> StepSeries:
+    """Per-decode-step latency of one kernel, averaging multiple
+    invocations inside a step."""
+    offset = _require_offset(trace)
+    if not any(k.name == kernel_name for k in trace.kernels):
+        raise KernelNotFound(f"kernel {kernel_name!r} does not occur in the trace")
+    sums, counts = _kernel_ns_by_step(trace, kernel_name, _decode_windows(trace), offset)
     if len(sums) < 2:
         raise InsufficientSteps(
             f"kernel {kernel_name!r} occurs in {len(sums)} decode steps; need at least 2"
@@ -163,16 +184,8 @@ def estimate_constant_floor(
         windows = {s: w for s, w in windows.items() if s < max_step}
     if not windows:
         raise InsufficientSteps("no decode steps in the requested range")
-    kernel_ns = {s: 0 for s in windows}
-    for k in trace.kernels:
-        if k.name != kernel_name:
-            continue
-        t = k.t_start_ns + offset
-        for step, (lo, hi) in windows.items():
-            if lo <= t <= hi:
-                kernel_ns[step] += k.execution_ns
-                break
-    floors = [(hi - lo) - kernel_ns[s] for s, (lo, hi) in windows.items()]
+    kernel_ns, _ = _kernel_ns_by_step(trace, kernel_name, windows, offset)
+    floors = [(hi - lo) - kernel_ns.get(s, 0) for s, (lo, hi) in windows.items()]
     return sum(floors) / len(floors)
 
 

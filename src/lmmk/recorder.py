@@ -144,6 +144,9 @@ class Trace:
     (host = device + offset); ``None`` means the domains were never
     aligned and cross-domain analyses must refuse to run. ``created_at``
     is incidental wall-clock metadata and excluded from equality.
+    :mod:`lmmk.timeline` caches a window index in the instance ``__dict__``
+    on the first window query; it is not a field, so equality and
+    serialization ignore it and ``dataclasses.replace`` starts without it.
     """
 
     device_label: str

@@ -5,12 +5,24 @@ Busy time is the measure of the union of kernel execution intervals
 the gaps reported here are the periods where the device sat idle between
 successive kernel executions. All functions are pure and safe to call
 from any number of threads.
+
+Window queries (:func:`idle_gaps` and :func:`aggregate_kernels` with a
+window) read a per-trace index instead of scanning every kernel. The
+first such query on a Trace builds it in O(K log K) for K kernels: the
+merged union of kernel executions with prefix sums of its lengths, and
+the kernels sorted by execution start. Every later query on the same
+Trace costs O(log K + gaps in the window) for idle gaps and
+O(log K + kernels in the window) for aggregates. The index is cached on
+the Trace instance; two threads racing on a fresh Trace may both build
+it, and since the builds are equal either one serves.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import attrgetter
 from typing import Optional, Union
 
 from .errors import UnalignedClocks
@@ -73,6 +85,57 @@ class PhaseUsage:
     kernel_count: int
 
 
+class _WindowIndex:
+    """Sorted views of one trace's kernels for window queries.
+
+    ``busy_starts``/``busy_ends`` hold the union of all positive-length
+    kernel executions as disjoint intervals in time order; touching
+    intervals are merged, so consecutive intervals leave a positive gap.
+    ``busy_before[i]`` is the total length of intervals ``0..i-1``.
+    ``by_start`` holds the kernels sorted by ``t_start_ns``, and
+    ``starts`` their start times.
+    """
+
+    __slots__ = ("busy_starts", "busy_ends", "busy_before", "starts", "by_start")
+
+    def __init__(self, kernels: tuple[KernelRecord, ...]) -> None:
+        by_start = tuple(sorted(kernels, key=attrgetter("t_start_ns")))
+        busy_starts: list[int] = []
+        busy_ends: list[int] = []
+        for k in by_start:
+            s, e = k.t_start_ns, k.t_end_ns
+            if e <= s:
+                continue
+            if busy_ends and s <= busy_ends[-1]:
+                if e > busy_ends[-1]:
+                    busy_ends[-1] = e
+            else:
+                busy_starts.append(s)
+                busy_ends.append(e)
+        self.busy_starts = busy_starts
+        self.busy_ends = busy_ends
+        self.busy_before = list(accumulate(
+            (e - s for s, e in zip(busy_starts, busy_ends)), initial=0
+        ))
+        self.starts = [k.t_start_ns for k in by_start]
+        self.by_start = by_start
+
+
+def _window_index(trace: Trace) -> _WindowIndex:
+    """The trace's window index, built on first use.
+
+    It is kept in the instance ``__dict__``, as ``functools.cached_property``
+    does, which works on the frozen dataclass. It is not a field, so
+    equality, repr and the trace writers never see it, and a
+    ``dataclasses.replace`` copy (such as :func:`filter_queue` returns)
+    starts without one.
+    """
+    index = trace.__dict__.get("_window_index")
+    if index is None:
+        index = trace.__dict__["_window_index"] = _WindowIndex(trace.kernels)
+    return index
+
+
 def lifecycle(record: KernelRecord) -> LifecycleBreakdown:
     """Split one kernel record into its three lifecycle stage durations."""
     return LifecycleBreakdown(
@@ -106,35 +169,39 @@ def filter_queue(trace: Trace, queue_id: int) -> Trace:
 
 
 def idle_gaps(trace: Trace, window: Interval) -> IdleReport:
-    """Sweep the window and report busy time, idle time and the idle gaps.
+    """Report busy time, idle time and the idle gaps inside the window.
 
     The device counts as busy while any queue executes. Conservation holds
     exactly in integer nanoseconds: busy + idle equals the window length.
     A zero-length window reports idle_fraction 0; a nonempty window with no
     kernels is fully idle.
+
+    The first window query on a trace builds its index in O(K log K);
+    each call after that costs O(log K + gaps in the window).
     """
     length = window.length_ns
     if length == 0:
         return IdleReport(window=window, busy_ns=0, idle_ns=0, idle_fraction=0.0, gaps=())
-    clipped = []
-    for k in trace.kernels:
-        s = max(k.t_start_ns, window.start_ns)
-        e = min(k.t_end_ns, window.end_ns)
-        if e > s:
-            clipped.append((s, e))
-    clipped.sort()
+    index = _window_index(trace)
+    lo, hi = window.start_ns, window.end_ns
+    starts, ends = index.busy_starts, index.busy_ends
+    # Busy intervals first..stop-1 are exactly those overlapping the window.
+    first = bisect_right(ends, lo)
+    stop = bisect_left(starts, hi)
     busy = 0
     gaps = []
-    cursor = window.start_ns
-    for s, e in clipped:
-        if s > cursor:
-            gaps.append(Interval(cursor, s))
-            cursor = s
-        if e > cursor:
-            busy += e - cursor
-            cursor = e
-    if cursor < window.end_ns:
-        gaps.append(Interval(cursor, window.end_ns))
+    cursor = lo
+    if first < stop:
+        busy = (
+            index.busy_before[stop] - index.busy_before[first]
+            - max(0, lo - starts[first]) - max(0, ends[stop - 1] - hi)
+        )
+        for i in range(first, stop):
+            if starts[i] > cursor:
+                gaps.append(Interval(cursor, starts[i]))
+            cursor = ends[i]
+    if cursor < hi:
+        gaps.append(Interval(cursor, hi))
     idle = length - busy
     return IdleReport(
         window=window,
@@ -152,12 +219,17 @@ def aggregate_kernels(trace: Trace, window: Optional[Interval] = None) -> list[K
     [window.start_ns, window.end_ns) are counted, at their full duration.
     Shares are normalized by the total busy time of the included kernels and
     sum to 1 whenever that total is positive. Results are ordered by total
-    execution time, largest first.
+    execution time, largest first. A windowed call reads the trace's window
+    index (see :func:`idle_gaps` for its cost).
     """
+    kernels = trace.kernels
+    if window is not None:
+        index = _window_index(trace)
+        kernels = index.by_start[
+            bisect_left(index.starts, window.start_ns):bisect_left(index.starts, window.end_ns)
+        ]
     totals: dict[str, list[int]] = {}
-    for k in trace.kernels:
-        if window is not None and not (window.start_ns <= k.t_start_ns < window.end_ns):
-            continue
+    for k in kernels:
         entry = totals.setdefault(k.name, [0, 0])
         entry[0] += 1
         entry[1] += k.execution_ns

@@ -98,10 +98,13 @@ def _parse_kernel(obj: Mapping) -> KernelRecord:
 
 def read_jsonl(path: str) -> Trace:
     """Parse a trace file, validating every record invariant, and return the
-    sealed (sorted, immutable) trace. Errors name the offending line."""
+    sealed (sorted, immutable) trace. Blank lines are skipped; the first
+    non-blank line must be the session header. Errors name the offending
+    line."""
     phases: list[PhaseRecord] = []
     kernels: list[KernelRecord] = []
     header: Optional[dict] = None
+    header_line = 0
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
@@ -113,13 +116,16 @@ def read_jsonl(path: str) -> Trace:
             if not isinstance(obj, dict) or "ev" not in obj:
                 raise ParseError(f"line {lineno}: expected an object with an 'ev' field")
             try:
-                if lineno == 1:
+                if header is None:
                     if obj["ev"] != "session":
-                        raise ParseError("first line must be the session header")
+                        raise ParseError("first non-blank line must be the session header")
                     version = obj.get("version")
                     if version != FILE_VERSION:
                         raise UnknownVersion(f"unsupported trace file version {version!r}")
                     header = obj
+                    header_line = lineno
+                elif obj["ev"] == "session":
+                    raise ParseError(f"repeated session header (first on line {header_line})")
                 elif obj["ev"] == "phase":
                     phases.append(_parse_phase(obj))
                 elif obj["ev"] == "kernel":
@@ -146,11 +152,11 @@ def read_jsonl(path: str) -> Trace:
 
     offset = header.get("clock_offset_ns")
     if offset is not None and (not isinstance(offset, int) or isinstance(offset, bool)):
-        raise ParseError("line 1: clock_offset_ns must be an integer or null")
+        raise ParseError(f"line {header_line}: clock_offset_ns must be an integer or null")
     for key in ("prompt_tokens", "output_tokens"):
         value = header.get(key)
         if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-            raise ParseError(f"line 1: {key} must be an integer when present")
+            raise ParseError(f"line {header_line}: {key} must be an integer when present")
     return Trace(
         device_label=str(header.get("device_label", "")),
         clock_offset_ns=offset,

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import single_kernel_workload
+from conftest import build_trace, single_kernel_workload
 from lmmk import predictor, sim_engine
 from lmmk.errors import InsufficientSteps, KernelNotFound
 from lmmk.predictor import LinearModel, StepSeries
+from lmmk.recorder import PhaseKind
 
 
 class TestStepSeries:
@@ -157,3 +160,92 @@ def test_constant_floor_on_preset_is_flat(preset_run_256):
     window = truth.decode_windows()[0]
     kv0 = 25_000
     assert floor == pytest.approx(window.wall_ns - kv0, rel=1e-12)
+
+
+# The per-kernel scans over every decode window that the bisect lookup
+# replaced, kept as the oracle for it.
+def loop_extract_step_series(trace, kernel_name):
+    offset = predictor._require_offset(trace)
+    if not any(k.name == kernel_name for k in trace.kernels):
+        raise KernelNotFound(f"kernel {kernel_name!r} does not occur in the trace")
+    windows = predictor._decode_windows(trace)
+    sums, counts = {}, {}
+    for k in trace.kernels:
+        if k.name != kernel_name:
+            continue
+        t = k.t_start_ns + offset
+        for step, (lo, hi) in windows.items():
+            if lo <= t <= hi:
+                sums[step] = sums.get(step, 0) + k.execution_ns
+                counts[step] = counts.get(step, 0) + 1
+                break
+    if len(sums) < 2:
+        raise InsufficientSteps(
+            f"kernel {kernel_name!r} occurs in {len(sums)} decode steps; need at least 2"
+        )
+    steps = sorted(sums)
+    return StepSeries(tuple(steps), tuple(sums[s] / counts[s] for s in steps))
+
+
+def loop_estimate_constant_floor(trace, kernel_name, max_step=None):
+    offset = predictor._require_offset(trace)
+    windows = predictor._decode_windows(trace)
+    if max_step is not None:
+        windows = {s: w for s, w in windows.items() if s < max_step}
+    if not windows:
+        raise InsufficientSteps("no decode steps in the requested range")
+    kernel_ns = {s: 0 for s in windows}
+    for k in trace.kernels:
+        if k.name != kernel_name:
+            continue
+        t = k.t_start_ns + offset
+        for step, (lo, hi) in windows.items():
+            if lo <= t <= hi:
+                kernel_ns[step] += k.execution_ns
+                break
+    floors = [(hi - lo) - kernel_ns[s] for s, (lo, hi) in windows.items()]
+    return sum(floors) / len(floors)
+
+
+@st.composite
+def decode_traces(draw):
+    """Decode windows that often touch or have zero length, with kernels
+    that often start exactly on a window boundary."""
+    offset = draw(st.integers(-100, 100))
+    t = 200
+    phases, boundaries = [], []
+    for step in range(draw(st.integers(1, 12))):
+        t += draw(st.sampled_from([0, 0, 3]))
+        length = draw(st.sampled_from([0, 1, 10, 25]))
+        phases.append((PhaseKind.DECODE, 0, step, t, t + length))
+        boundaries += [t, t + length]
+        t += length
+    kernels = []
+    for _ in range(draw(st.integers(0, 30))):
+        host = draw(st.one_of(st.sampled_from(boundaries), st.integers(150, t + 20)))
+        start = host - offset
+        name = draw(st.sampled_from(["paged", "paged", "ffn"]))
+        kernels.append((name, 0, start, start, start, start, start + draw(st.integers(0, 9))))
+    max_step = draw(st.one_of(st.none(), st.integers(0, 12)))
+    return build_trace(phases=phases, kernels=kernels, clock_offset_ns=offset), max_step
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(decode_traces())
+def test_step_lookup_matches_double_loop(case):
+    trace, max_step = case
+    for name in ("paged", "ffn", "absent"):
+        assert outcome(predictor.extract_step_series, trace, name) == outcome(
+            loop_extract_step_series, trace, name
+        )
+        assert outcome(predictor.estimate_constant_floor, trace, name, max_step) == outcome(
+            loop_estimate_constant_floor, trace, name, max_step
+        )
+

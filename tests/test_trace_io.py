@@ -108,6 +108,26 @@ class TestReadErrors:
         with pytest.raises(ParseError, match="line 2"):
             trace_io.read_jsonl(str(path))
 
+    def test_leading_blank_lines_before_header(self, tmp_path):
+        src = tmp_path / "t.jsonl"
+        trace_io.write_jsonl(golden_trace(), str(src))
+        path = tmp_path / "blank.jsonl"
+        path.write_text("\n  \n" + src.read_text())
+        assert trace_io.read_jsonl(str(path)) == golden_trace()
+
+    def test_header_errors_name_the_header_line(self, tmp_path):
+        path = tmp_path / "offset.jsonl"
+        path.write_text('\n{"ev":"session","version":1,"clock_offset_ns":"x"}\n')
+        with pytest.raises(ParseError, match="^line 2: clock_offset_ns"):
+            trace_io.read_jsonl(str(path))
+
+    def test_repeated_header_names_its_line(self, tmp_path):
+        path = tmp_path / "twice.jsonl"
+        phase = '{"ev":"phase","kind":"embedding","turn":0,"token":null,"t_start_ns":0,"t_end_ns":1}'
+        path.write_text("\n".join(["", self.header(), phase, self.header()]) + "\n")
+        with pytest.raises(ParseError, match=r"^line 4: repeated session header \(first on line 2\)"):
+            trace_io.read_jsonl(str(path))
+
     def test_float_timestamp_rejected(self, tmp_path):
         path = tmp_path / "float.jsonl"
         bad = ('{"ev":"kernel","name":"k","queue":0,"t_cpu_enqueue_ns":0,'
