@@ -111,14 +111,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     payload: dict = {}
     if "idle" in sections:
-        span = timeline.kernel_span(trace)
-        if span is None:
-            report = timeline.IdleReport(
-                window=timeline.Interval(0, 0), busy_ns=0, idle_ns=0,
-                idle_fraction=0.0, gaps=(),
-            )
-        else:
-            report = timeline.idle_gaps(trace, span)
+        span = timeline.kernel_span(trace) or timeline.Interval(0, 0)
+        report = timeline.idle_gaps(trace, span)
         payload["idle"] = {
             "window_start_ns": report.window.start_ns,
             "window_end_ns": report.window.end_ns,

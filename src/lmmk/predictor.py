@@ -9,12 +9,12 @@ kernels plus idle time) predicts the wall time of future decode steps.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DegenerateSeries, InsufficientSteps, KernelNotFound, UnalignedClocks
+from .errors import DegenerateSeries, InsufficientSteps, KernelNotFound
 from .recorder import PhaseKind, Trace
+from .timeline import assign_to_windows
 
 
 @dataclass(frozen=True)
@@ -78,37 +78,23 @@ def _decode_windows(trace: Trace) -> dict[int, tuple[int, int]]:
     return windows
 
 
-def _require_offset(trace: Trace) -> int:
-    if trace.clock_offset_ns is None:
-        raise UnalignedClocks("clocks unaligned: step extraction needs a clock offset")
-    return trace.clock_offset_ns
-
-
 def _kernel_ns_by_step(
-    trace: Trace, kernel_name: str, windows: dict[int, tuple[int, int]], offset: int
+    trace: Trace, kernel_name: str, windows: dict[int, tuple[int, int]]
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Total execution time and invocation count of one kernel in each
     window that holds an invocation, keyed by step.
 
-    A kernel belongs to the window whose closed interval [lo, hi] contains
-    its host-domain start (device start + ``offset``). Windows do not
-    overlap, so only windows sharing a boundary can both contain it; the
-    earliest one takes it, as in :func:`lmmk.timeline.phase_attribution`.
-    One bisect over the windows sorted by start: O(log W) per kernel.
+    Which window owns an invocation is decided by
+    :func:`lmmk.timeline.assign_to_windows`, the rule that
+    :func:`lmmk.timeline.phase_attribution` uses too.
     """
-    ordered = sorted(windows.items(), key=lambda item: item[1][0])
-    starts = [lo for _, (lo, _) in ordered]
-    ends = [hi for _, (_, hi) in ordered]
+    ordered = sorted(windows.items(), key=lambda item: item[1])
+    named = [k for k in trace.kernels if k.name == kernel_name]
+    owners = assign_to_windows(trace, named, [window for _, window in ordered])
     sums: dict[int, int] = {}
     counts: dict[int, int] = {}
-    for k in trace.kernels:
-        if k.name != kernel_name:
-            continue
-        t = k.t_start_ns + offset
-        j = bisect_right(starts, t) - 1
-        while j >= 1 and ends[j - 1] >= t:
-            j -= 1
-        if j >= 0 and ends[j] >= t:
+    for k, j in zip(named, owners):
+        if j is not None:
             step = ordered[j][0]
             sums[step] = sums.get(step, 0) + k.execution_ns
             counts[step] = counts.get(step, 0) + 1
@@ -118,10 +104,9 @@ def _kernel_ns_by_step(
 def extract_step_series(trace: Trace, kernel_name: str) -> StepSeries:
     """Per-decode-step latency of one kernel, averaging multiple
     invocations inside a step."""
-    offset = _require_offset(trace)
+    sums, counts = _kernel_ns_by_step(trace, kernel_name, _decode_windows(trace))
     if not any(k.name == kernel_name for k in trace.kernels):
         raise KernelNotFound(f"kernel {kernel_name!r} does not occur in the trace")
-    sums, counts = _kernel_ns_by_step(trace, kernel_name, _decode_windows(trace), offset)
     if len(sums) < 2:
         raise InsufficientSteps(
             f"kernel {kernel_name!r} occurs in {len(sums)} decode steps; need at least 2"
@@ -178,13 +163,12 @@ def estimate_constant_floor(
     """Mean over decode steps of (step wall time minus the target kernel's
     execution time in that step); captures all non-growing kernels and the
     idle overhead without enumerating them."""
-    offset = _require_offset(trace)
     windows = _decode_windows(trace)
     if max_step is not None:
         windows = {s: w for s, w in windows.items() if s < max_step}
+    kernel_ns, _ = _kernel_ns_by_step(trace, kernel_name, windows)
     if not windows:
         raise InsufficientSteps("no decode steps in the requested range")
-    kernel_ns, _ = _kernel_ns_by_step(trace, kernel_name, windows, offset)
     floors = [(hi - lo) - kernel_ns.get(s, 0) for s, (lo, hi) in windows.items()]
     return sum(floors) / len(floors)
 

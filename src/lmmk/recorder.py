@@ -5,8 +5,8 @@ monotonic clock read at begin/end; kernel timestamps are supplied by the
 backend (a real device runtime reports command-lifecycle times, the
 simulated engine computes them). A :class:`TraceSession` accumulates
 records into preallocated columnar buffers so the hot path performs no
-retained allocation once warmed up, then :func:`seal` freezes everything
-into an immutable, time-sorted :class:`Trace`.
+retained allocation once warmed up, then :meth:`TraceSession.seal`
+freezes everything into an immutable, time-sorted :class:`Trace`.
 
 Sessions accept an injectable ``clock`` callable. Real backends use the
 default :func:`now`; the simulated engine injects a virtual clock it
@@ -113,21 +113,28 @@ class KernelRecord:
     t_end_ns: int
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("kernel name must be non-empty")
-        if self.queue_id < 0:
-            raise ValueError("queue_id must be nonnegative")
-        if min(self.t_cpu_enqueue_ns, self.t_queued_ns) < 0:
-            raise ValueError("timestamps must be nonnegative")
-        _validate_lifecycle(self.t_queued_ns, self.t_submit_ns, self.t_start_ns, self.t_end_ns)
+        _check_kernel(
+            self.name, self.queue_id, self.t_cpu_enqueue_ns,
+            self.t_queued_ns, self.t_submit_ns, self.t_start_ns, self.t_end_ns,
+        )
 
     @property
     def execution_ns(self) -> int:
         return self.t_end_ns - self.t_start_ns
 
 
-def _validate_lifecycle(queued: int, submit: int, start: int, end: int) -> None:
-    """Raise TimestampOrderViolation naming the first violated inequality."""
+def _check_kernel(
+    name: str, queue_id: int, enqueue: int, queued: int, submit: int, start: int, end: int
+) -> None:
+    """Raise ValueError for an empty name, a negative queue id or a negative
+    host or queued timestamp, then TimestampOrderViolation naming the first
+    violated lifecycle inequality."""
+    if not name:
+        raise ValueError("kernel name must be non-empty")
+    if queue_id < 0:
+        raise ValueError("queue_id must be nonnegative")
+    if enqueue < 0 or queued < 0:
+        raise ValueError("timestamps must be nonnegative")
     if submit < queued:
         raise TimestampOrderViolation("t_submit_ns < t_queued_ns")
     if start < submit:
@@ -295,13 +302,9 @@ class TraceSession:
         violation raises :class:`TimestampOrderViolation` naming the first
         broken inequality and nothing is recorded.
         """
-        if not name:
-            raise ValueError("kernel name must be non-empty")
-        if queue_id < 0:
-            raise ValueError("queue_id must be nonnegative")
-        if t_cpu_enqueue_ns < 0 or t_queued_ns < 0:
-            raise ValueError("timestamps must be nonnegative")
-        _validate_lifecycle(t_queued_ns, t_submit_ns, t_start_ns, t_end_ns)
+        _check_kernel(
+            name, queue_id, t_cpu_enqueue_ns, t_queued_ns, t_submit_ns, t_start_ns, t_end_ns
+        )
         with self._lock:
             if self._sealed_trace is not None:
                 raise SessionSealed("cannot record a kernel on a sealed session")
@@ -391,37 +394,6 @@ class TraceSession:
         for col in ("_k_queue", "_k_enqueue", "_k_queued", "_k_submit", "_k_start", "_k_end"):
             grown = array("q", getattr(self, col).tobytes() + pad)
             setattr(self, col, grown)
-
-
-# -- module-level conveniences mirroring the recording API -------------------
-
-def begin_phase(
-    session: TraceSession, kind: PhaseKind, turn: int, token_index: Optional[int] = None
-) -> int:
-    return session.begin_phase(kind, turn, token_index)
-
-
-def end_phase(session: TraceSession, handle: int) -> PhaseRecord:
-    return session.end_phase(handle)
-
-
-def record_kernel(
-    session: TraceSession,
-    name: str,
-    queue_id: int,
-    t_cpu_enqueue_ns: int,
-    t_queued_ns: int,
-    t_submit_ns: int,
-    t_start_ns: int,
-    t_end_ns: int,
-) -> KernelRecord:
-    return session.record_kernel(
-        name, queue_id, t_cpu_enqueue_ns, t_queued_ns, t_submit_ns, t_start_ns, t_end_ns
-    )
-
-
-def seal(session: TraceSession) -> Trace:
-    return session.seal()
 
 
 def calibrate_timer(iterations: int = 10_000) -> TimerCalibration:

@@ -518,7 +518,7 @@ def workload_from_dict(data: dict) -> WorkloadSpec:
                 kind=kind, kernels=kernels, host_ns=int(phase_data.get("host_ns", 0))
             )
         spec = WorkloadSpec(name=str(data["name"]), scripts=scripts, jitter=jitter)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed workload config: {exc}") from exc
     validate_workload(spec)
     return spec

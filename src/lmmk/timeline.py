@@ -23,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import UnalignedClocks
 from .recorder import KernelRecord, PhaseKind, Trace
@@ -248,23 +248,60 @@ def aggregate_kernels(trace: Trace, window: Optional[Interval] = None) -> list[K
     return result
 
 
+def clock_offset(trace: Trace) -> int:
+    """The offset that maps the trace's device timestamps into the host
+    domain (host = device + offset).
+
+    Raises :class:`UnalignedClocks` when the domains were never aligned,
+    since no device instant can then be placed on the host timeline.
+    """
+    if trace.clock_offset_ns is None:
+        raise UnalignedClocks(
+            "clocks unaligned: mapping device timestamps into the host domain "
+            "needs a clock offset"
+        )
+    return trace.clock_offset_ns
+
+
+def assign_to_windows(
+    trace: Trace, kernels: Sequence[KernelRecord], windows: Sequence[tuple[int, int]]
+) -> list[Optional[int]]:
+    """Index of the window that owns each kernel's execution start, or None.
+
+    ``windows`` are closed host-domain intervals ``(start, end)``, sorted
+    by start and non-overlapping (as phases are), so their ends are sorted
+    too. Kernel starts are mapped with :func:`clock_offset`. The owner of
+    host instant t is the earliest window containing it: the first window
+    with end >= t, if that window starts at or before t. Only windows that
+    share the boundary t (zero-length ones included) can tie, and the
+    earliest of them wins. O(log W) per kernel.
+    """
+    offset = clock_offset(trace)
+    starts = [lo for lo, _ in windows]
+    ends = [hi for _, hi in windows]
+    count = len(ends)
+    owners: list[Optional[int]] = []
+    for k in kernels:
+        t = k.t_start_ns + offset
+        j = bisect_left(ends, t)
+        owners.append(j if j < count and starts[j] <= t else None)
+    return owners
+
+
 def phase_attribution(trace: Trace) -> dict[Union[PhaseKind, str], PhaseUsage]:
     """Attribute each kernel to the phase whose wall interval contains its
     execution start, and roll up wall/busy/count per phase kind.
 
-    Kernel starts are mapped into the host domain via the trace clock
-    offset; an unaligned trace raises :class:`UnalignedClocks`. A kernel
-    starting exactly on the boundary of two phases goes to the earlier one;
-    a kernel inside no phase lands in the ``UNATTRIBUTED`` bucket.
+    Ownership follows :func:`assign_to_windows`: kernel starts are mapped
+    into the host domain via the trace clock offset (an unaligned trace
+    raises :class:`UnalignedClocks`), and the earliest of several phases
+    sharing the boundary a kernel starts on, zero-length ones included,
+    takes it. A kernel inside no phase lands in the ``UNATTRIBUTED`` bucket.
     """
-    if trace.clock_offset_ns is None:
-        raise UnalignedClocks(
-            "clocks unaligned: phase attribution needs a clock offset to map "
-            "device timestamps into the host domain"
-        )
-    offset = trace.clock_offset_ns
-    phases = trace.phases  # already sorted by t_start_ns
-    starts = [p.t_start_ns for p in phases]
+    phases = trace.phases  # sorted by t_start_ns and non-overlapping
+    owners = assign_to_windows(
+        trace, trace.kernels, [(p.t_start_ns, p.t_end_ns) for p in phases]
+    )
 
     busy: dict[Union[PhaseKind, str], int] = {}
     count: dict[Union[PhaseKind, str], int] = {}
@@ -274,16 +311,8 @@ def phase_attribution(trace: Trace) -> dict[Union[PhaseKind, str], PhaseUsage]:
         busy.setdefault(p.kind, 0)
         count.setdefault(p.kind, 0)
 
-    for k in trace.kernels:
-        t = k.t_start_ns + offset
-        j = bisect_right(starts, t) - 1
-        owner: Union[PhaseKind, str] = UNATTRIBUTED
-        # Non-overlap means phases[j-1] can contain t only at an exact shared
-        # boundary; checking it first sends ties to the earlier phase.
-        if j >= 1 and phases[j - 1].t_end_ns >= t:
-            owner = phases[j - 1].kind
-        elif j >= 0 and phases[j].t_start_ns <= t <= phases[j].t_end_ns:
-            owner = phases[j].kind
+    for k, j in zip(trace.kernels, owners):
+        owner: Union[PhaseKind, str] = UNATTRIBUTED if j is None else phases[j].kind
         busy[owner] = busy.get(owner, 0) + k.execution_ns
         count[owner] = count.get(owner, 0) + 1
         wall.setdefault(owner, 0)

@@ -105,12 +105,15 @@ def read_jsonl(path: str) -> Trace:
     kernels: list[KernelRecord] = []
     header: Optional[dict] = None
     header_line = 0
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"line {lineno}: invalid UTF-8 ({exc.reason})") from None
             except json.JSONDecodeError as exc:
                 raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
             if not isinstance(obj, dict) or "ev" not in obj:

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from conftest import build_trace
 from lmmk import sim_engine, timeline, trace_io
 from lmmk.cli import main
+from lmmk.recorder import PhaseKind
 
 
 def run_cli(*argv):
@@ -90,6 +92,14 @@ class TestSimulate:
             "--output-tokens", "2", "--out", str(tmp_path / "t.jsonl"),
         ) == 0
 
+    @pytest.mark.parametrize("text", ["[]", '{"name":"x","phases":[1,2]}'])
+    def test_workload_file_of_wrong_shape_is_usage_error(self, tmp_path, capsys, text):
+        spec_path = tmp_path / "wl.json"
+        spec_path.write_text(text)
+        code = run_cli("simulate", "--workload", str(spec_path), "--out", str(tmp_path / "t.jsonl"))
+        assert code == 2
+        assert "malformed workload config" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_json_matches_library(self, sim_trace_path, capsys):
@@ -130,6 +140,29 @@ class TestAnalyze:
         )
         assert run_cli("analyze", str(bad)) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_non_utf8_trace_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(
+            b'{"ev":"session","version":1,"device_label":"x","clock_offset_ns":0}\n'
+            b'{"ev":"phase","kind":"\xff"}\n'
+        )
+        assert run_cli("analyze", str(bad)) == 1
+        assert "line 2: invalid UTF-8" in capsys.readouterr().err
+
+    def test_kernel_free_trace(self, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        trace_io.write_jsonl(build_trace(phases=[(PhaseKind.PREFILL, 0, None, 0, 50)]), str(path))
+        assert run_cli("analyze", str(path)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["idle"] == {
+            "window_start_ns": 0, "window_end_ns": 0, "busy_ns": 0,
+            "idle_ns": 0, "idle_fraction": 0.0, "gaps": [],
+        }
+        assert payload["aggregate"] == []
+        assert payload["phases"] == {
+            "prefill": {"wall_ms": 5e-05, "busy_ms": 0.0, "kernel_count": 0}
+        }
 
 
 class TestMetrics:

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_trace, single_kernel_workload
-from lmmk import predictor, sim_engine
+from lmmk import predictor, sim_engine, timeline
 from lmmk.errors import InsufficientSteps, KernelNotFound
 from lmmk.predictor import LinearModel, StepSeries
 from lmmk.recorder import PhaseKind
@@ -165,7 +165,7 @@ def test_constant_floor_on_preset_is_flat(preset_run_256):
 # The per-kernel scans over every decode window that the bisect lookup
 # replaced, kept as the oracle for it.
 def loop_extract_step_series(trace, kernel_name):
-    offset = predictor._require_offset(trace)
+    offset = timeline.clock_offset(trace)
     if not any(k.name == kernel_name for k in trace.kernels):
         raise KernelNotFound(f"kernel {kernel_name!r} does not occur in the trace")
     windows = predictor._decode_windows(trace)
@@ -188,7 +188,7 @@ def loop_extract_step_series(trace, kernel_name):
 
 
 def loop_estimate_constant_floor(trace, kernel_name, max_step=None):
-    offset = predictor._require_offset(trace)
+    offset = timeline.clock_offset(trace)
     windows = predictor._decode_windows(trace)
     if max_step is not None:
         windows = {s: w for s, w in windows.items() if s < max_step}

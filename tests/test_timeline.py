@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_trace
 from lmmk import timeline
 from lmmk.errors import UnalignedClocks
-from lmmk.recorder import KernelRecord, PhaseKind
-from lmmk.timeline import Interval, UNATTRIBUTED
+from lmmk.recorder import PER_TOKEN_KINDS, KernelRecord, PhaseKind
+from lmmk.timeline import Interval, PhaseUsage, UNATTRIBUTED
 
 
 def kernel(start, end, name="k", queue=0, queued=None, submit=None):
@@ -221,6 +223,21 @@ class TestPhaseAttribution:
         assert result[PhaseKind.DECODE].kernel_count == 1
         assert result[PhaseKind.SOFTMAX].kernel_count == 0
 
+    def test_zero_length_phase_between_touching_phases(self):
+        trace = build_trace(
+            phases=[
+                (PhaseKind.DECODE, 0, 0, 0, 10),
+                (PhaseKind.SOFTMAX, 0, 0, 10, 10),
+                (PhaseKind.SAMPLING, 0, 0, 10, 20),
+            ],
+            kernels=[kernel(10, 15)],
+            clock_offset_ns=0,
+        )
+        result = timeline.phase_attribution(trace)
+        assert result[PhaseKind.DECODE].kernel_count == 1
+        assert result[PhaseKind.SOFTMAX].kernel_count == 0
+        assert result[PhaseKind.SAMPLING].kernel_count == 0
+
     def test_clock_offset_applied(self):
         # Device clock runs 1000 ns behind host: kernel at device 50 is host 1050.
         trace = build_trace(
@@ -253,6 +270,57 @@ class TestPhaseAttribution:
         assert usage.phase_wall_ns == 250
         assert usage.device_busy_ns == 100
         assert usage.kernel_count == 2
+
+
+def loop_phase_attribution(trace):
+    """Brute-force oracle: each kernel goes to the first phase, in trace
+    order, whose closed interval holds its host-domain start."""
+    offset = trace.clock_offset_ns
+    wall, busy, count = {}, {}, {}
+    for p in trace.phases:
+        wall[p.kind] = wall.get(p.kind, 0) + p.duration_ns
+        busy.setdefault(p.kind, 0)
+        count.setdefault(p.kind, 0)
+    for k in trace.kernels:
+        t = k.t_start_ns + offset
+        owner = next(
+            (p.kind for p in trace.phases if p.t_start_ns <= t <= p.t_end_ns), UNATTRIBUTED
+        )
+        busy[owner] = busy.get(owner, 0) + k.execution_ns
+        count[owner] = count.get(owner, 0) + 1
+        wall.setdefault(owner, 0)
+    return {key: PhaseUsage(busy[key], wall[key], count[key]) for key in wall}
+
+
+@st.composite
+def attribution_traces(draw):
+    """Phases that often touch or have zero length (possibly none at all),
+    and kernels that often start exactly on a phase boundary."""
+    offset = draw(st.integers(-100, 100))
+    t = 200
+    phases, boundaries = [], []
+    for token in range(draw(st.integers(0, 10))):
+        t += draw(st.sampled_from([0, 0, 3]))
+        length = draw(st.sampled_from([0, 0, 1, 10]))
+        kind = draw(st.sampled_from(list(PhaseKind)))
+        index = token if kind in PER_TOKEN_KINDS else None
+        phases.append((kind, 0, index, t, t + length))
+        boundaries += [t, t + length]
+        t += length
+    hosts = st.integers(150, t + 20)
+    if boundaries:
+        hosts = st.one_of(st.sampled_from(boundaries), hosts)
+    kernels = [
+        kernel(host - offset, host - offset + draw(st.integers(0, 9)))
+        for host in draw(st.lists(hosts, max_size=20))
+    ]
+    return build_trace(phases=phases, kernels=kernels, clock_offset_ns=offset)
+
+
+@settings(max_examples=300, deadline=None)
+@given(attribution_traces())
+def test_phase_attribution_matches_brute_force(trace):
+    assert timeline.phase_attribution(trace) == loop_phase_attribution(trace)
 
 
 def test_interval_validation():
