@@ -91,8 +91,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     trace_io.write_jsonl(trace, args.out)
     with open(args.out + ".gt.json", "w", encoding="utf-8", newline="\n") as f:
-        json.dump(truth.to_dict(), f, separators=(",", ":"))
-        f.write("\n")
+        f.write(json.dumps(truth.to_dict(), separators=(",", ":")) + "\n")
     print(f"wrote {args.out} ({len(trace.kernels)} kernels, {len(trace.phases)} phases)")
     return EXIT_OK
 

@@ -106,6 +106,10 @@ class DegenerateSeries(LmmkError):
     """All step values are identical; a line cannot be fitted."""
 
 
+class RepeatedDecodeStep(LmmkError):
+    """Two decode phases carry the same token index (a multi-turn trace)."""
+
+
 # --- trace io ---------------------------------------------------------------
 
 class ParseError(LmmkError):

@@ -5,6 +5,10 @@ the step index (it scans one more KV-cache entry per generated token), and
 the growth is close to linear. Fitting a line to its per-step latency and
 adding a constant floor for everything else in the step (non-growing
 kernels plus idle time) predicts the wall time of future decode steps.
+
+Decode steps are keyed by token index, so every function here reads a
+single-turn trace: a trace whose decode phases repeat a token index (one
+per turn) raises :class:`~lmmk.errors.RepeatedDecodeStep`.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DegenerateSeries, InsufficientSteps, KernelNotFound
+from .errors import DegenerateSeries, InsufficientSteps, KernelNotFound, RepeatedDecodeStep
 from .recorder import PhaseKind, Trace
 from .timeline import assign_to_windows
 
@@ -69,12 +73,23 @@ class LinearModel:
 
 
 def _decode_windows(trace: Trace) -> dict[int, tuple[int, int]]:
-    """Host-domain wall interval of each decode step, keyed by token index."""
+    """Host-domain wall interval of each decode step, keyed by token index.
+
+    Raises RepeatedDecodeStep when two decode phases share a token index.
+    """
     windows = {}
+    turns = {}
     for p in trace.phases:
         if p.kind is PhaseKind.DECODE:
-            assert p.token_index is not None
-            windows[p.token_index] = (p.t_start_ns, p.t_end_ns)
+            token = p.token_index
+            assert token is not None
+            if token in turns:
+                raise RepeatedDecodeStep(
+                    f"decode token {token} occurs in turn {turns[token]} and again in "
+                    f"turn {p.turn}; the predictor needs a single-turn trace"
+                )
+            turns[token] = p.turn
+            windows[token] = (p.t_start_ns, p.t_end_ns)
     return windows
 
 

@@ -6,27 +6,78 @@ order, so identical traces serialize to identical bytes. The viewer
 export follows the trace-event JSON format (complete "X" events) and is
 the only place fractional microseconds appear, because that format
 requires them; nanosecond precision survives in the fraction.
+
+Both writers format each record from one template instead of a dict and
+the JSON encoder, so they require every integer field to be an exact
+``int``: a template would print a bool as ``True``. The reader matches a
+line exactly as :func:`write_jsonl` emits it with one pattern per record
+type and hands any other line to :func:`json.loads`; both routes end in
+the same record construction and the same error messages.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from typing import Mapping, Optional, Sequence
+import re
+from typing import Iterator, Mapping, Optional, Sequence
 
-from .errors import LmmkError, ParseError, TimestampOrderViolation, UnknownVersion
+from .errors import LmmkError, ParseError, UnknownVersion
 from .recorder import KernelRecord, PhaseKind, PhaseRecord, Trace
 
 FILE_VERSION = 1
 
+_PHASE_INTS = ("turn", "token_index", "t_start_ns", "t_end_ns")
+_KERNEL_INTS = (
+    "queue_id", "t_cpu_enqueue_ns", "t_queued_ns", "t_submit_ns", "t_start_ns", "t_end_ns"
+)
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+
+def _reject_non_int(record: object, fields: Sequence[str]) -> None:
+    """Raise TypeError naming the first of ``fields`` that is not an exact
+    int (a phase's token_index may also be None)."""
+    for field in fields:
+        value = getattr(record, field)
+        if type(value) is not int and not (field == "token_index" and value is None):
+            raise TypeError(f"{type(record).__name__}.{field} must be an int, got {value!r}")
+
+
+def _phase_rows(trace: Trace) -> Iterator[tuple]:
+    """(kind, turn, token, start, end) per phase, token "null" for None."""
+    for p in trace.phases:
+        turn, token, start, end = p.turn, p.token_index, p.t_start_ns, p.t_end_ns
+        if not (type(turn) is type(start) is type(end) is int) or (
+            token is not None and type(token) is not int
+        ):
+            _reject_non_int(p, _PHASE_INTS)
+        yield p.kind.value, turn, "null" if token is None else token, start, end
+
+
+def _kernel_rows(trace: Trace) -> Iterator[tuple]:
+    """(name, queue, enqueue, queued, submit, start, end) per kernel, the
+    name already JSON-quoted; ``json.dumps`` runs once per distinct name."""
+    quoted: dict[str, str] = {}
+    for k in trace.kernels:
+        q, enqueue, queued, submit, start, end = row = (
+            k.queue_id, k.t_cpu_enqueue_ns, k.t_queued_ns, k.t_submit_ns,
+            k.t_start_ns, k.t_end_ns,
+        )
+        if not (type(q) is type(enqueue) is type(queued) is type(submit)
+                is type(start) is type(end) is int):
+            _reject_non_int(k, _KERNEL_INTS)
+        name = quoted.get(k.name)
+        if name is None:
+            name = quoted[k.name] = json.dumps(k.name)
+        yield (name, *row)
 
 
 def write_jsonl(trace: Trace, path: str) -> None:
     """Write a sealed trace: one header line, then one line per record
-    (phases first, then kernels, each in trace order)."""
+    (phases first, then kernels, each in trace order).
+
+    Raises TypeError, naming the value, for a timestamp, queue id, turn,
+    token or header count that is not an exact int.
+    """
     header: dict = {
         "ev": "session",
         "version": FILE_VERSION,
@@ -37,28 +88,83 @@ def write_jsonl(trace: Trace, path: str) -> None:
         header["prompt_tokens"] = trace.prompt_tokens
     if trace.output_tokens is not None:
         header["output_tokens"] = trace.output_tokens
+    for key in ("clock_offset_ns", "prompt_tokens", "output_tokens"):
+        value = header.get(key)
+        if value is not None and type(value) is not int:
+            raise TypeError(f"Trace.{key} must be an int or None, got {value!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(_dump(header) + "\n")
-        for p in trace.phases:
-            f.write(_dump({
-                "ev": "phase",
-                "kind": p.kind.value,
-                "turn": p.turn,
-                "token": p.token_index,
-                "t_start_ns": p.t_start_ns,
-                "t_end_ns": p.t_end_ns,
-            }) + "\n")
-        for k in trace.kernels:
-            f.write(_dump({
-                "ev": "kernel",
-                "name": k.name,
-                "queue": k.queue_id,
-                "t_cpu_enqueue_ns": k.t_cpu_enqueue_ns,
-                "t_queued_ns": k.t_queued_ns,
-                "t_submit_ns": k.t_submit_ns,
-                "t_start_ns": k.t_start_ns,
-                "t_end_ns": k.t_end_ns,
-            }) + "\n")
+        write = f.write
+        write(json.dumps(header, separators=(",", ":")) + "\n")
+        for kind, turn, token, start, end in _phase_rows(trace):
+            write(
+                f'{{"ev":"phase","kind":"{kind}","turn":{turn},"token":{token},'
+                f'"t_start_ns":{start},"t_end_ns":{end}}}\n'
+            )
+        for name, q, enqueue, queued, submit, start, end in _kernel_rows(trace):
+            write(
+                f'{{"ev":"kernel","name":{name},"queue":{q},"t_cpu_enqueue_ns":{enqueue},'
+                f'"t_queued_ns":{queued},"t_submit_ns":{submit},'
+                f'"t_start_ns":{start},"t_end_ns":{end}}}\n'
+            )
+
+
+# A JSON integer of at most 19 digits (every int64 fits); longer literals
+# take the json.loads route, which reports CPython's digit limit itself.
+_INT = rb"(-?(?:0|[1-9][0-9]{0,18}))"
+_KIND_BY_BYTES = {kind.value.encode(): kind for kind in PhaseKind}
+_PHASE_LINE = re.compile(
+    rb'\{"ev":"phase","kind":"(' + b"|".join(_KIND_BY_BYTES) + rb')","turn":' + _INT
+    + rb',"token":(null|' + _INT[1:-1] + rb'),"t_start_ns":' + _INT
+    + rb',"t_end_ns":' + _INT + rb'\}\n?'
+)
+# Names are printable ASCII without '"' or '\', so the bytes are the text.
+_KERNEL_LINE = re.compile(
+    rb'\{"ev":"kernel","name":"([\x20\x21\x23-\x5b\x5d-\x7e]*)","queue":' + _INT
+    + rb',"t_cpu_enqueue_ns":' + _INT + rb',"t_queued_ns":' + _INT
+    + rb',"t_submit_ns":' + _INT + rb',"t_start_ns":' + _INT
+    + rb',"t_end_ns":' + _INT + rb'\}\n?'
+)
+
+
+def _canonical_fields(raw: bytes) -> Optional[tuple]:
+    """(record type, constructor arguments) for a line exactly as
+    :func:`write_jsonl` emits it, read straight from the pattern's groups;
+    None for any other line."""
+    m = _KERNEL_LINE.fullmatch(raw)
+    if m is not None:
+        name, q, enqueue, queued, submit, start, end = m.groups()
+        return KernelRecord, (
+            name.decode("ascii"), int(q), int(enqueue), int(queued), int(submit),
+            int(start), int(end),
+        )
+    m = _PHASE_LINE.fullmatch(raw)
+    if m is not None:
+        kind, turn, token, start, end = m.groups()
+        return PhaseRecord, (
+            _KIND_BY_BYTES[kind], int(turn), None if token == b"null" else int(token),
+            int(start), int(end),
+        )
+    return None
+
+
+def _load_object(raw: bytes) -> Optional[dict]:
+    """The JSON object on one line, or None for a blank line."""
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8 ({exc.reason})") from None
+    if not line.strip():
+        return None
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON ({exc.msg})") from None
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past CPython's digit limit, or nesting too deep
+        raise ParseError(f"invalid JSON ({exc})") from None
+    if not isinstance(obj, dict) or "ev" not in obj:
+        raise ParseError("expected an object with an 'ev' field")
+    return obj
 
 
 def _require_int(obj: Mapping, key: str) -> int:
@@ -68,32 +174,54 @@ def _require_int(obj: Mapping, key: str) -> int:
     return value
 
 
-def _parse_phase(obj: Mapping) -> PhaseRecord:
-    token = obj.get("token")
-    if token is not None and (not isinstance(token, int) or isinstance(token, bool)):
-        raise ValueError(f"field 'token' must be an integer or null, got {token!r}")
-    return PhaseRecord(
-        kind=PhaseKind(obj["kind"]),
-        turn=_require_int(obj, "turn"),
-        token_index=token,
-        t_start_ns=_require_int(obj, "t_start_ns"),
-        t_end_ns=_require_int(obj, "t_end_ns"),
-    )
+def _json_fields(obj: Mapping) -> tuple:
+    """(record type, constructor arguments) for a decoded phase or kernel
+    object, checking each field's JSON type."""
+    if obj["ev"] == "phase":
+        token = obj.get("token")
+        if token is not None and (not isinstance(token, int) or isinstance(token, bool)):
+            raise ValueError(f"field 'token' must be an integer or null, got {token!r}")
+        return PhaseRecord, (
+            PhaseKind(obj["kind"]), _require_int(obj, "turn"), token,
+            _require_int(obj, "t_start_ns"), _require_int(obj, "t_end_ns"),
+        )
+    if obj["ev"] == "kernel":
+        name = obj.get("name")
+        if not isinstance(name, str):
+            raise ValueError(f"field 'name' must be a string, got {name!r}")
+        return KernelRecord, (
+            name, _require_int(obj, "queue"), _require_int(obj, "t_cpu_enqueue_ns"),
+            _require_int(obj, "t_queued_ns"), _require_int(obj, "t_submit_ns"),
+            _require_int(obj, "t_start_ns"), _require_int(obj, "t_end_ns"),
+        )
+    raise ParseError(f"unknown record type {obj['ev']!r}")
 
 
-def _parse_kernel(obj: Mapping) -> KernelRecord:
-    name = obj.get("name")
-    if not isinstance(name, str):
-        raise ValueError(f"field 'name' must be a string, got {name!r}")
-    return KernelRecord(
-        name=name,
-        queue_id=_require_int(obj, "queue"),
-        t_cpu_enqueue_ns=_require_int(obj, "t_cpu_enqueue_ns"),
-        t_queued_ns=_require_int(obj, "t_queued_ns"),
-        t_submit_ns=_require_int(obj, "t_submit_ns"),
-        t_start_ns=_require_int(obj, "t_start_ns"),
-        t_end_ns=_require_int(obj, "t_end_ns"),
-    )
+def _header_fields(obj: Mapping) -> dict:
+    """Trace metadata from the session header object."""
+    if obj["ev"] != "session":
+        raise ParseError("first non-blank line must be the session header")
+    version = obj.get("version")
+    if type(version) is not int:
+        raise ParseError(f"field 'version' must be an integer, got {version!r}")
+    if version != FILE_VERSION:
+        raise UnknownVersion(f"unsupported trace file version {version!r}")
+    label = obj.get("device_label", "")
+    if not isinstance(label, str):
+        raise ParseError(f"device_label must be a string, got {label!r}")
+    offset = obj.get("clock_offset_ns")
+    if offset is not None and (not isinstance(offset, int) or isinstance(offset, bool)):
+        raise ParseError("clock_offset_ns must be an integer or null")
+    for key in ("prompt_tokens", "output_tokens"):
+        value = obj.get(key)
+        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ParseError(f"{key} must be an integer when present")
+    return {
+        "device_label": label,
+        "clock_offset_ns": offset,
+        "prompt_tokens": obj.get("prompt_tokens"),
+        "output_tokens": obj.get("output_tokens"),
+    }
 
 
 def read_jsonl(path: str) -> Trace:
@@ -108,39 +236,27 @@ def read_jsonl(path: str) -> Trace:
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
             try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"line {lineno}: invalid UTF-8 ({exc.reason})") from None
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict) or "ev" not in obj:
-                raise ParseError(f"line {lineno}: expected an object with an 'ev' field")
-            try:
-                if header is None:
-                    if obj["ev"] != "session":
-                        raise ParseError("first non-blank line must be the session header")
-                    version = obj.get("version")
-                    if version != FILE_VERSION:
-                        raise UnknownVersion(f"unsupported trace file version {version!r}")
-                    header = obj
-                    header_line = lineno
-                elif obj["ev"] == "session":
-                    raise ParseError(f"repeated session header (first on line {header_line})")
-                elif obj["ev"] == "phase":
-                    phases.append(_parse_phase(obj))
-                elif obj["ev"] == "kernel":
-                    kernels.append(_parse_kernel(obj))
+                fields = _canonical_fields(raw) if header is not None else None
+                if fields is None:
+                    obj = _load_object(raw)
+                    if obj is None:
+                        continue
+                    if header is None:
+                        header = _header_fields(obj)
+                        header_line = lineno
+                        continue
+                    if obj["ev"] == "session":
+                        raise ParseError(f"repeated session header (first on line {header_line})")
+                    fields = _json_fields(obj)
+                record_type, args = fields
+                if record_type is KernelRecord:
+                    kernels.append(KernelRecord(*args))
                 else:
-                    raise ParseError(f"unknown record type {obj['ev']!r}")
-            except TimestampOrderViolation as exc:
-                raise TimestampOrderViolation(f"line {lineno}: {exc}") from None
-            except (KeyError, ValueError) as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
+                    phases.append(PhaseRecord(*args))
             except LmmkError as exc:
                 raise type(exc)(f"line {lineno}: {exc}") from None
+            except (KeyError, ValueError) as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
     if header is None:
         raise ParseError("line 1: file is empty; expected a session header")
 
@@ -152,22 +268,7 @@ def read_jsonl(path: str) -> Trace:
                 f"and {b.kind.value} [{b.t_start_ns}, {b.t_end_ns}]"
             )
     kernels.sort(key=lambda k: k.t_queued_ns)
-
-    offset = header.get("clock_offset_ns")
-    if offset is not None and (not isinstance(offset, int) or isinstance(offset, bool)):
-        raise ParseError(f"line {header_line}: clock_offset_ns must be an integer or null")
-    for key in ("prompt_tokens", "output_tokens"):
-        value = header.get(key)
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-            raise ParseError(f"line {header_line}: {key} must be an integer when present")
-    return Trace(
-        device_label=str(header.get("device_label", "")),
-        clock_offset_ns=offset,
-        phases=tuple(phases),
-        kernels=tuple(kernels),
-        prompt_tokens=header.get("prompt_tokens"),
-        output_tokens=header.get("output_tokens"),
-    )
+    return Trace(phases=tuple(phases), kernels=tuple(kernels), **header)
 
 
 def export_chrome_trace(trace: Trace, path: str) -> None:
@@ -175,37 +276,30 @@ def export_chrome_trace(trace: Trace, path: str) -> None:
 
     Timestamps and durations are microseconds with the nanosecond part in
     the fraction. Kernels land on tid queue_id+1 with their queuing and
-    dispatch stage durations in args; phases land on tid 0.
+    dispatch stage durations in args; phases land on tid 0. Events are
+    streamed to the file; floats print as ``float.__repr__``, as the JSON
+    encoder prints them. Raises TypeError like :func:`write_jsonl`.
     """
-    events = []
-    for p in trace.phases:
-        events.append({
-            "name": p.kind.value,
-            "cat": "phase",
-            "ph": "X",
-            "ts": p.t_start_ns / 1000,
-            "dur": (p.t_end_ns - p.t_start_ns) / 1000,
-            "pid": 1,
-            "tid": 0,
-            "args": {"turn": p.turn, "token": p.token_index},
-        })
-    for k in trace.kernels:
-        events.append({
-            "name": k.name,
-            "cat": "kernel",
-            "ph": "X",
-            "ts": k.t_start_ns / 1000,
-            "dur": (k.t_end_ns - k.t_start_ns) / 1000,
-            "pid": 1,
-            "tid": k.queue_id + 1,
-            "args": {
-                "queuing_us": (k.t_submit_ns - k.t_queued_ns) / 1000,
-                "dispatch_us": (k.t_start_ns - k.t_submit_ns) / 1000,
-            },
-        })
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump({"traceEvents": events}, f, separators=(",", ":"))
-        f.write("\n")
+        write = f.write
+        write('{"traceEvents":[')
+        sep = ""
+        for kind, turn, token, start, end in _phase_rows(trace):
+            write(
+                f'{sep}{{"name":"{kind}","cat":"phase","ph":"X","ts":{start / 1000!r},'
+                f'"dur":{(end - start) / 1000!r},"pid":1,"tid":0,'
+                f'"args":{{"turn":{turn},"token":{token}}}}}'
+            )
+            sep = ","
+        for name, q, _, queued, submit, start, end in _kernel_rows(trace):
+            write(
+                f'{sep}{{"name":{name},"cat":"kernel","ph":"X","ts":{start / 1000!r},'
+                f'"dur":{(end - start) / 1000!r},"pid":1,"tid":{q + 1},'
+                f'"args":{{"queuing_us":{(submit - queued) / 1000!r},'
+                f'"dispatch_us":{(start - submit) / 1000!r}}}}}'
+            )
+            sep = ","
+        write("]}\n")
 
 
 def format_cell(column: str, value: object) -> str:

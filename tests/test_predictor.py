@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_trace, single_kernel_workload
-from lmmk import predictor, sim_engine, timeline
-from lmmk.errors import InsufficientSteps, KernelNotFound
+from lmmk import predictor, sim_engine, timeline, trace_io
+from lmmk.cli import main
+from lmmk.errors import InsufficientSteps, KernelNotFound, RepeatedDecodeStep
 from lmmk.predictor import LinearModel, StepSeries
 from lmmk.recorder import PhaseKind
 
@@ -249,3 +250,31 @@ def test_step_lookup_matches_double_loop(case):
             loop_estimate_constant_floor, trace, name, max_step
         )
 
+
+def two_turn_trace():
+    """Two turns of two decode steps each: both turns use token indices 0
+    and 1, with one paged kernel per step."""
+    phases, kernels = [], []
+    for turn, t0 in ((0, 0), (1, 100)):
+        for token in (0, 1):
+            start = t0 + 10 * token
+            phases.append((PhaseKind.DECODE, turn, token, start, start + 10))
+            kernels.append(("paged", 0, start, start, start, start + 1, start + 5 + turn))
+    return build_trace(phases=phases, kernels=kernels)
+
+
+@pytest.mark.parametrize("call", [
+    lambda trace: predictor.extract_step_series(trace, "paged"),
+    lambda trace: predictor.decode_wall_series(trace),
+    lambda trace: predictor.estimate_constant_floor(trace, "paged"),
+], ids=["extract_step_series", "decode_wall_series", "estimate_constant_floor"])
+def test_repeated_token_index_across_turns_rejected(call):
+    with pytest.raises(RepeatedDecodeStep, match=r"^decode token 0 occurs in turn 0 and again in turn 1"):
+        call(two_turn_trace())
+
+
+def test_repeated_token_index_is_predict_exit_1(tmp_path, capsys):
+    path = tmp_path / "two_turns.jsonl"
+    trace_io.write_jsonl(two_turn_trace(), str(path))
+    assert main(["predict", str(path), "--kernel", "paged", "--train-steps", "1"]) == 1
+    assert "decode token 0 occurs in turn 0 and again in turn 1" in capsys.readouterr().err

@@ -1,0 +1,390 @@
+"""Property tests for the trace writers and reader.
+
+The writers format records from templates and the reader matches canonical
+lines with one pattern per record type before falling back to
+``json.loads``. These tests hold them to the dict-and-encoder code they
+replaced (kept below as the reference), to the ``json.loads`` route, and
+to the rule that any input ends in a valid Trace or an ``LmmkError``.
+"""
+
+import json
+import re
+from itertools import pairwise
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import build_trace
+from lmmk import trace_io
+from lmmk.cli import main
+from lmmk.errors import LmmkError, ParseError
+from lmmk.recorder import PER_TOKEN_KINDS, KernelRecord, PhaseKind, PhaseRecord, Trace
+
+
+# -- reference writers: the dict + json.dumps code the templates replaced --
+
+def _dump(obj):
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def reference_write_jsonl(trace, path):
+    header = {
+        "ev": "session",
+        "version": 1,
+        "device_label": trace.device_label,
+        "clock_offset_ns": trace.clock_offset_ns,
+    }
+    if trace.prompt_tokens is not None:
+        header["prompt_tokens"] = trace.prompt_tokens
+    if trace.output_tokens is not None:
+        header["output_tokens"] = trace.output_tokens
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(_dump(header) + "\n")
+        for p in trace.phases:
+            f.write(_dump({
+                "ev": "phase",
+                "kind": p.kind.value,
+                "turn": p.turn,
+                "token": p.token_index,
+                "t_start_ns": p.t_start_ns,
+                "t_end_ns": p.t_end_ns,
+            }) + "\n")
+        for k in trace.kernels:
+            f.write(_dump({
+                "ev": "kernel",
+                "name": k.name,
+                "queue": k.queue_id,
+                "t_cpu_enqueue_ns": k.t_cpu_enqueue_ns,
+                "t_queued_ns": k.t_queued_ns,
+                "t_submit_ns": k.t_submit_ns,
+                "t_start_ns": k.t_start_ns,
+                "t_end_ns": k.t_end_ns,
+            }) + "\n")
+
+
+def reference_export_chrome_trace(trace, path):
+    events = []
+    for p in trace.phases:
+        events.append({
+            "name": p.kind.value,
+            "cat": "phase",
+            "ph": "X",
+            "ts": p.t_start_ns / 1000,
+            "dur": (p.t_end_ns - p.t_start_ns) / 1000,
+            "pid": 1,
+            "tid": 0,
+            "args": {"turn": p.turn, "token": p.token_index},
+        })
+    for k in trace.kernels:
+        events.append({
+            "name": k.name,
+            "cat": "kernel",
+            "ph": "X",
+            "ts": k.t_start_ns / 1000,
+            "dur": (k.t_end_ns - k.t_start_ns) / 1000,
+            "pid": 1,
+            "tid": k.queue_id + 1,
+            "args": {
+                "queuing_us": (k.t_submit_ns - k.t_queued_ns) / 1000,
+                "dispatch_us": (k.t_start_ns - k.t_submit_ns) / 1000,
+            },
+        })
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        json.dump({"traceEvents": events}, f, separators=(",", ":"))
+        f.write("\n")
+
+
+# -- strategies ------------------------------------------------------------
+
+SPECIAL_NAMES = ['q"uote', "back\\slash", "tab\there", "nl\nx", "\x00", "\x7f", "ü-kernel",
+                 "日本", "\U0001f600", "\\u0041", " ", "plain_kernel"]
+names = st.one_of(st.sampled_from(SPECIAL_NAMES), st.text(min_size=1, max_size=12))
+big = st.integers(0, 2**62)
+
+
+@st.composite
+def phase_records(draw):
+    kind = draw(st.sampled_from(list(PhaseKind)))
+    token = draw(st.integers(0, 2**62)) if kind in PER_TOKEN_KINDS else None
+    start, end = sorted(draw(st.lists(big, min_size=2, max_size=2)))
+    return PhaseRecord(kind, draw(st.integers(0, 2**62)), token, start, end)
+
+
+@st.composite
+def kernel_records(draw):
+    queued, submit, start, end = sorted(draw(st.lists(big, min_size=4, max_size=4)))
+    return KernelRecord(draw(names), draw(st.integers(0, 2**62)), draw(big),
+                        queued, submit, start, end)
+
+
+@st.composite
+def traces(draw):
+    return Trace(
+        device_label=draw(st.text(max_size=8)),
+        clock_offset_ns=draw(st.one_of(st.none(), st.integers(-2**62, 2**62))),
+        phases=tuple(draw(st.lists(phase_records(), max_size=6))),
+        kernels=tuple(draw(st.lists(kernel_records(), max_size=6))),
+        prompt_tokens=draw(st.one_of(st.none(), st.integers(0, 2**62))),
+        output_tokens=draw(st.one_of(st.none(), st.integers(0, 2**62))),
+    )
+
+
+# Integer fields as JSON text: small, near 2**62, the int64 range and -0;
+# and text that is not a JSON integer or has more than 19 digits.
+int_text = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.integers(-2**63, 2**63).map(str),
+    st.integers(2**62 - 3, 2**62 + 3).map(str),
+    st.just("-0"),
+)
+odd_text = st.one_of(
+    st.sampled_from(["null", "true", "1.0", "1e3", "01", "00", "-01", "-", "+1", " 1",
+                     '"7"', "[1]", "99999999999999999999"]),
+    st.integers(10**19, 10**25).map(str),
+)
+plain_names = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e), min_size=1,
+                      max_size=12)
+
+
+@st.composite
+def record_lines(draw):
+    """One phase or kernel line in the canonical layout, with any name and
+    integer fields that may break any rule; sometimes one field is not a
+    JSON integer, and sometimes one byte is inserted, dropped or replaced."""
+    if draw(st.booleans()):
+        name = draw(st.one_of(plain_names, names))
+        fields = [json.dumps(name, ensure_ascii=draw(st.booleans()))]
+        fields += [draw(int_text) for _ in range(6)]
+        template = ('{"ev":"kernel","name":%s,"queue":%s,"t_cpu_enqueue_ns":%s,'
+                    '"t_queued_ns":%s,"t_submit_ns":%s,"t_start_ns":%s,"t_end_ns":%s}')
+    else:
+        fields = [draw(st.sampled_from([k.value for k in PhaseKind] + ["bogus"]))]
+        fields += [draw(int_text) for _ in range(4)]
+        if draw(st.booleans()):
+            fields[2] = "null"
+        template = ('{"ev":"phase","kind":"%s","turn":%s,"token":%s,"t_start_ns":%s,'
+                    '"t_end_ns":%s}')
+    if draw(st.booleans()):
+        fields[draw(st.integers(1, len(fields) - 1))] = draw(odd_text)
+    line = template % tuple(fields)
+    data = bytearray(line.encode("utf-8"))
+    op = draw(st.sampled_from(["none", "none", "none", "insert", "delete", "replace"]))
+    if op != "none":
+        i = draw(st.integers(0, len(data) - 1))
+        byte = draw(st.integers(0, 255))
+        if op == "insert":
+            data.insert(i, byte)
+        elif op == "delete":
+            del data[i]
+        else:
+            data[i] = byte
+    return bytes(data)
+
+
+HEADER = b'{"ev":"session","version":1,"device_label":"x","clock_offset_ns":0}'
+
+
+def read_outcome(path):
+    try:
+        return trace_io.read_jsonl(str(path))
+    except LmmkError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("props")
+
+
+# -- writers ---------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(traces())
+def test_write_jsonl_matches_reference_bytes(scratch, trace):
+    trace_io.write_jsonl(trace, str(scratch / "new.jsonl"))
+    reference_write_jsonl(trace, str(scratch / "ref.jsonl"))
+    assert (scratch / "new.jsonl").read_bytes() == (scratch / "ref.jsonl").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(traces())
+def test_export_chrome_trace_matches_reference_bytes(scratch, trace):
+    trace_io.export_chrome_trace(trace, str(scratch / "new.json"))
+    reference_export_chrome_trace(trace, str(scratch / "ref.json"))
+    assert (scratch / "new.json").read_bytes() == (scratch / "ref.json").read_bytes()
+
+
+@pytest.mark.parametrize("writer", [trace_io.write_jsonl, trace_io.export_chrome_trace])
+@pytest.mark.parametrize("bad", [True, 2.0, np.int64(2)], ids=["bool", "float", "numpy"])
+@pytest.mark.parametrize("field", ["turn", "token_index", "t_end_ns"])
+def test_writers_reject_non_int_fields(tmp_path, writer, bad, field):
+    if field == "t_end_ns":
+        trace = build_trace(kernels=[("k", 0, 0, 0, 0, 0, bad)])
+        owner = "KernelRecord"
+    else:
+        turn, token = (bad, 0) if field == "turn" else (0, bad)
+        trace = build_trace(phases=[(PhaseKind.DECODE, turn, token, 0, 3)])
+        owner = "PhaseRecord"
+    message = f"{owner}.{field} must be an int, got {bad!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        writer(trace, str(tmp_path / "out"))
+
+
+def test_write_jsonl_rejects_non_int_header_field(tmp_path):
+    trace = build_trace(clock_offset_ns=True)
+    with pytest.raises(TypeError, match=r"^Trace\.clock_offset_ns must be an int or None, got True$"):
+        trace_io.write_jsonl(trace, str(tmp_path / "out"))
+
+
+# -- reader ----------------------------------------------------------------
+
+KERNEL_LINE = (b'{"ev":"kernel","name":"%s","queue":%s,"t_cpu_enqueue_ns":0,"t_queued_ns":0,'
+               b'"t_submit_ns":1,"t_start_ns":2,"t_end_ns":3}')
+
+
+@settings(max_examples=400, deadline=None)
+@given(record_lines(), st.sampled_from([b"\n", b"\r\n", b""]))
+@example(KERNEL_LINE % (b"a\\\\b", b"0"), b"\n")
+@example(KERNEL_LINE % (b"a\\u0041", b"0"), b"\n")
+@example(KERNEL_LINE % (b"k", b"01"), b"\n")
+@example(KERNEL_LINE % (b"k", b"-0"), b"")
+@example(KERNEL_LINE % (b"k", str(2**62).encode()), b"\r\n")
+@example(KERNEL_LINE % (b"k", str(2**64).encode()), b"\n")
+@example(b'{"ev":"phase","kind":"decode","turn":0,"token":null,"t_start_ns":0,"t_end_ns":1}',
+         b"\n")
+def test_fast_path_matches_json_path(scratch, line, ending):
+    """Every line reads the same with the canonical-line patterns as
+    through json.loads alone: equal traces, or the same error and message."""
+    path = scratch / "line.jsonl"
+    path.write_bytes(HEADER + b"\n" + line + ending)
+    fast = read_outcome(path)
+    with mock.patch.object(trace_io, "_canonical_fields", lambda raw: None):
+        slow = read_outcome(path)
+    assert fast == slow
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(kernel_records(), min_size=1, max_size=3),
+       st.lists(phase_records(), min_size=1, max_size=3),
+       st.sampled_from([b"\n", b""]))
+def test_fast_path_takes_every_line_the_writer_emits_for_plain_names(
+    scratch, kernels, phases, ending
+):
+    trace = Trace("x", 0, tuple(phases), tuple(kernels))
+    trace_io.write_jsonl(trace, str(scratch / "w.jsonl"))
+    lines = (scratch / "w.jsonl").read_bytes().splitlines()[1:]
+    for line, record in zip(lines, list(phases) + list(kernels)):
+        fields = trace_io._canonical_fields(line + ending)
+        escaped = isinstance(record, KernelRecord) and json.dumps(record.name) != f'"{record.name}"'
+        if escaped:
+            assert fields is None
+        else:
+            assert fields is not None
+            assert fields[0](*fields[1]) == record
+
+
+def assert_trace_invariants(trace):
+    assert isinstance(trace.device_label, str)
+    for value in (trace.clock_offset_ns, trace.prompt_tokens, trace.output_tokens):
+        assert value is None or type(value) is int
+    for p in trace.phases:
+        assert isinstance(p.kind, PhaseKind)
+        assert all(type(v) is int for v in (p.turn, p.t_start_ns, p.t_end_ns))
+        assert p.turn >= 0 and 0 <= p.t_start_ns <= p.t_end_ns
+        if p.kind in PER_TOKEN_KINDS:
+            assert type(p.token_index) is int and p.token_index >= 0
+        else:
+            assert p.token_index is None
+    for a, b in pairwise(trace.phases):
+        assert a.t_end_ns <= b.t_start_ns
+    for k in trace.kernels:
+        assert isinstance(k.name, str) and k.name
+        ints = (k.queue_id, k.t_cpu_enqueue_ns, k.t_queued_ns, k.t_submit_ns,
+                k.t_start_ns, k.t_end_ns)
+        assert all(type(v) is int for v in ints)
+        assert k.queue_id >= 0 and k.t_cpu_enqueue_ns >= 0
+        assert 0 <= k.t_queued_ns <= k.t_submit_ns <= k.t_start_ns <= k.t_end_ns
+    for a, b in pairwise(trace.kernels):
+        assert a.t_queued_ns <= b.t_queued_ns
+
+
+edits = st.lists(
+    st.tuples(st.integers(0, 10**6), st.integers(0, 3), st.binary(max_size=3)), max_size=4
+)
+
+
+@st.composite
+def fuzzed_files(draw):
+    """Canonical-layout lines with broken fields, or arbitrary bytes."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    header = draw(st.one_of(st.just(HEADER), st.binary(max_size=40)))
+    body = draw(st.lists(st.one_of(record_lines(), st.binary(max_size=30)), max_size=5))
+    return b"\n".join([header, *body])
+
+
+def check_reader(path):
+    try:
+        trace = trace_io.read_jsonl(str(path))
+    except LmmkError:
+        return
+    assert_trace_invariants(trace)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzzed_files())
+def test_reader_returns_valid_trace_or_lmmk_error(scratch, data):
+    path = scratch / "fuzz.jsonl"
+    path.write_bytes(data)
+    check_reader(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(traces(), edits)
+def test_edited_trace_file_reads_as_valid_trace_or_lmmk_error(scratch, trace, changes):
+    """A written trace with bytes spliced in or cut out at random places."""
+    path = scratch / "edited.jsonl"
+    trace_io.write_jsonl(trace, str(path))
+    data = bytearray(path.read_bytes())
+    for at, cut, insert in changes:
+        at %= len(data) + 1
+        data[at:at + cut] = insert
+    path.write_bytes(bytes(data))
+    check_reader(path)
+
+
+@pytest.mark.parametrize("line2, message", [
+    (b'{"ev":"kernel","name":"k","queue":0,"t_cpu_enqueue_ns":0,"t_queued_ns":0,'
+     b'"t_submit_ns":0,"t_start_ns":0,"t_end_ns":' + b"1" * 5000 + b"}",
+     "line 2: invalid JSON (Exceeds the limit"),
+    (b"[" * 100_000 + b"]" * 100_000, "line 2: invalid JSON (maximum recursion depth"),
+], ids=["5000-digit-integer", "nested-100k-deep"])
+def test_oversized_lines_are_parse_errors(tmp_path, capsys, line2, message):
+    path = tmp_path / "big.jsonl"
+    path.write_bytes(HEADER + b"\n" + line2 + b"\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+        trace_io.read_jsonl(str(path))
+    assert main(["analyze", str(path)]) == 1
+    assert f"lmmk: error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header, message", [
+    (b'{"ev":"session","version":1,"device_label":[1],"clock_offset_ns":0}',
+     "line 2: device_label must be a string, got [1]"),
+    (b'{"ev":"session","version":true,"clock_offset_ns":0}',
+     "line 2: field 'version' must be an integer, got True"),
+    (b'{"ev":"session","version":1.0,"clock_offset_ns":0}',
+     "line 2: field 'version' must be an integer, got 1.0"),
+    (b'{"ev":"session","version":1,"prompt_tokens":' + b"9" * 4400 + b"}",
+     "line 2: invalid JSON (Exceeds the limit"),
+], ids=["list-label", "bool-version", "float-version", "4400-digit-count"])
+def test_malformed_header_fields_are_parse_errors(tmp_path, capsys, header, message):
+    path = tmp_path / "header.jsonl"
+    path.write_bytes(b"\n" + header + b"\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+        trace_io.read_jsonl(str(path))
+    assert main(["analyze", str(path)]) == 1
+    assert f"lmmk: error: {message}" in capsys.readouterr().err
