@@ -148,11 +148,14 @@ def throughput(trace: Trace) -> ThroughputReport:
     """
     if trace.prompt_tokens is None or trace.output_tokens is None:
         raise MissingTokenCounts("trace carries no prompt/output token counts")
-    prefill_ns = sum(p.duration_ns for p in trace.phases if p.kind is PhaseKind.PREFILL)
-    decode_ns = sum(p.duration_ns for p in trace.phases if p.kind is PhaseKind.DECODE)
-    if not any(p.kind is PhaseKind.PREFILL for p in trace.phases):
+    phases = trace.phases
+    duration = phases.t_end_ns - phases.t_start_ns
+    prefill, decode = phases.of_kind(PhaseKind.PREFILL), phases.of_kind(PhaseKind.DECODE)
+    prefill_ns = sum(duration[prefill].tolist())
+    decode_ns = sum(duration[decode].tolist())
+    if not prefill.any():
         raise MissingPhase("trace has no prefill phase")
-    if not any(p.kind is PhaseKind.DECODE for p in trace.phases):
+    if not decode.any():
         raise MissingPhase("trace has no decode phase")
     if prefill_ns <= 0 or decode_ns <= 0:
         raise MissingPhase("phase wall time is zero; cannot compute throughput")

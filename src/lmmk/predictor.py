@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import DegenerateSeries, InsufficientSteps, KernelNotFound, RepeatedDecodeStep
-from .recorder import PhaseKind, Trace
+from .recorder import PhaseKind, Trace, int_rows
 from .timeline import assign_to_windows
 
 
@@ -77,19 +79,21 @@ def _decode_windows(trace: Trace) -> dict[int, tuple[int, int]]:
 
     Raises RepeatedDecodeStep when two decode phases share a token index.
     """
+    phases = trace.phases
+    decode = phases.of_kind(PhaseKind.DECODE)
     windows = {}
     turns = {}
-    for p in trace.phases:
-        if p.kind is PhaseKind.DECODE:
-            token = p.token_index
-            assert token is not None
-            if token in turns:
-                raise RepeatedDecodeStep(
-                    f"decode token {token} occurs in turn {turns[token]} and again in "
-                    f"turn {p.turn}; the predictor needs a single-turn trace"
-                )
-            turns[token] = p.turn
-            windows[token] = (p.t_start_ns, p.t_end_ns)
+    for token, turn, start, end in int_rows(*(
+        column[decode]
+        for column in (phases.token_index, phases.turn, phases.t_start_ns, phases.t_end_ns)
+    )):
+        if token in turns:
+            raise RepeatedDecodeStep(
+                f"decode token {token} occurs in turn {turns[token]} and again in "
+                f"turn {turn}; the predictor needs a single-turn trace"
+            )
+        turns[token] = turn
+        windows[token] = (start, end)
     return windows
 
 
@@ -104,14 +108,17 @@ def _kernel_ns_by_step(
     :func:`lmmk.timeline.phase_attribution` uses too.
     """
     ordered = sorted(windows.items(), key=lambda item: item[1])
-    named = [k for k in trace.kernels if k.name == kernel_name]
-    owners = assign_to_windows(trace, named, [window for _, window in ordered])
+    bounds = np.array([window for _, window in ordered], dtype=np.int64).reshape(-1, 2)
+    kernels = trace.kernels
+    named = kernels.name_mask(kernel_name)
+    starts = kernels.t_start_ns[named]
+    owners = assign_to_windows(trace, starts, bounds[:, 0], bounds[:, 1])
     sums: dict[int, int] = {}
     counts: dict[int, int] = {}
-    for k, j in zip(named, owners):
-        if j is not None:
+    for j, ns in zip(owners.tolist(), (kernels.t_end_ns[named] - starts).tolist()):
+        if j >= 0:
             step = ordered[j][0]
-            sums[step] = sums.get(step, 0) + k.execution_ns
+            sums[step] = sums.get(step, 0) + ns
             counts[step] = counts.get(step, 0) + 1
     return sums, counts
 
@@ -120,7 +127,7 @@ def extract_step_series(trace: Trace, kernel_name: str) -> StepSeries:
     """Per-decode-step latency of one kernel, averaging multiple
     invocations inside a step."""
     sums, counts = _kernel_ns_by_step(trace, kernel_name, _decode_windows(trace))
-    if not any(k.name == kernel_name for k in trace.kernels):
+    if not trace.kernels.name_mask(kernel_name).any():
         raise KernelNotFound(f"kernel {kernel_name!r} does not occur in the trace")
     if len(sums) < 2:
         raise InsufficientSteps(

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidSpec, UnknownKernel
-from .recorder import PhaseKind, Trace, TraceSession
+from .recorder import INT64_MAX, INT64_MIN, PhaseKind, Trace, TraceSession
 
 QUEUE_ID = 0  # single in-order device queue
 
@@ -102,8 +102,10 @@ class JitterModel:
     sigma_rel: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.sigma_rel < 0:
-            raise ValueError("sigma_rel must be nonnegative")
+        if not math.isfinite(self.sigma_rel) or self.sigma_rel < 0:
+            raise ValueError(f"sigma_rel must be finite and nonnegative, got {self.sigma_rel!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -363,13 +365,20 @@ def _run(
     engine = _Engine(spec, session, plan, truth)
 
     turn = 0
-    engine.emit_phase(PhaseKind.EMBEDDING, turn, None, 0)
-    engine.emit_phase(PhaseKind.PREFILL, turn, None, 0)
-    for step in range(output_tokens):
-        engine.emit_phase(PhaseKind.DECODE, turn, step, step)
-        engine.emit_phase(PhaseKind.SOFTMAX, turn, step, step)
-        engine.emit_phase(PhaseKind.COPY_PROBS_TO_CPU, turn, step, step)
-        engine.emit_phase(PhaseKind.SAMPLING, turn, step, step)
+    try:
+        engine.emit_phase(PhaseKind.EMBEDDING, turn, None, 0)
+        engine.emit_phase(PhaseKind.PREFILL, turn, None, 0)
+        for step in range(output_tokens):
+            engine.emit_phase(PhaseKind.DECODE, turn, step, step)
+            engine.emit_phase(PhaseKind.SOFTMAX, turn, step, step)
+            engine.emit_phase(PhaseKind.COPY_PROBS_TO_CPU, turn, step, step)
+            engine.emit_phase(PhaseKind.SAMPLING, turn, step, step)
+    except OverflowError as exc:
+        # a timestamp past the recorder's int64 columns, or a jitter factor
+        # past the float range
+        raise InvalidSpec(
+            f"workload {spec.name!r} overflows the simulated nanosecond timeline ({exc})"
+        ) from None
 
     session.prompt_tokens = prompt_tokens
     session.output_tokens = output_tokens
@@ -495,39 +504,66 @@ def workload_to_dict(spec: WorkloadSpec) -> dict:
     }
 
 
+def _int_field(obj: dict, key: str, default: Optional[int] = None) -> int:
+    """The JSON integer under ``key`` (``default`` when absent and given),
+    within int64."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if type(value) is not int or not INT64_MIN <= value <= INT64_MAX:
+        raise ValueError(f"field {key!r} must be an integer within int64, got {value!r}")
+    return value
+
+
+def _str_field(obj: dict, key: str) -> str:
+    value = obj[key]
+    if not isinstance(value, str):
+        raise ValueError(f"field {key!r} must be a string, got {value!r}")
+    return value
+
+
 def workload_from_dict(data: dict) -> WorkloadSpec:
+    """Build a workload from its JSON form (schema in docs/).
+
+    Names must be strings, integer fields JSON integers within int64 and
+    ``sigma_rel`` a finite number; anything else raises
+    :class:`InvalidSpec`.
+    """
     try:
         jitter_data = data.get("jitter", {})
-        jitter = JitterModel(
-            seed=int(jitter_data.get("seed", 0)),
-            sigma_rel=float(jitter_data.get("sigma_rel", 0.0)),
-        )
+        sigma_rel = jitter_data.get("sigma_rel", 0.0)
+        if type(sigma_rel) not in (int, float):
+            raise ValueError(f"field 'sigma_rel' must be a number, got {sigma_rel!r}")
+        jitter = JitterModel(seed=_int_field(jitter_data, "seed", 0), sigma_rel=float(sigma_rel))
         scripts = {}
         for kind_name, phase_data in data["phases"].items():
             kind = PhaseKind(kind_name)
             kernels = tuple(
                 KernelSpec(
-                    name=k["name"],
-                    base_latency_ns=int(k["base_latency_ns"]),
-                    **{f: int(k.get(f, 1 if f == "invocations_per_phase" else 0))
+                    name=_str_field(k, "name"),
+                    base_latency_ns=_int_field(k, "base_latency_ns"),
+                    **{f: _int_field(k, f, 1 if f == "invocations_per_phase" else 0)
                        for f in _KERNEL_FIELDS},
                 )
                 for k in phase_data.get("kernels", [])
             )
             scripts[kind] = PhaseScript(
-                kind=kind, kernels=kernels, host_ns=int(phase_data.get("host_ns", 0))
+                kind=kind, kernels=kernels, host_ns=_int_field(phase_data, "host_ns", 0)
             )
-        spec = WorkloadSpec(name=str(data["name"]), scripts=scripts, jitter=jitter)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        spec = WorkloadSpec(name=_str_field(data, "name"), scripts=scripts, jitter=jitter)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed workload config: {exc}") from exc
     validate_workload(spec)
     return spec
 
 
 def load_workload(path: str) -> WorkloadSpec:
-    """Load a workload from a JSON config file (schema in docs/)."""
+    """Load a workload from a JSON config file (schema in docs/). A file
+    that is not UTF-8 JSON, or nests too deep to decode, raises
+    :class:`InvalidSpec`."""
     with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
+        try:
+            data = json.load(f)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidSpec(f"malformed workload file: {exc}") from None
     return workload_from_dict(data)
 
 

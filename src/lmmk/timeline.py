@@ -6,13 +6,14 @@ the gaps reported here are the periods where the device sat idle between
 successive kernel executions. All functions are pure and safe to call
 from any number of threads.
 
+Every function reads the trace's int64 columns rather than record rows.
 Window queries (:func:`idle_gaps` and :func:`aggregate_kernels` with a
 window) read a per-trace index instead of scanning every kernel. The
 first such query on a Trace builds it in O(K log K) for K kernels: the
 merged union of kernel executions with prefix sums of its lengths, and
-the kernels sorted by execution start. Every later query on the same
-Trace costs O(log K + gaps in the window) for idle gaps and
-O(log K + kernels in the window) for aggregates. The index is cached on
+the kernels' names and execution times ordered by execution start.
+Every later query on the same Trace costs O(log K + gaps in the window)
+for idle gaps and O(log K + kernels in the window) for aggregates. The index is cached on
 the Trace instance; two threads racing on a fresh Trace may both build
 it, and since the builds are equal either one serves.
 """
@@ -20,13 +21,13 @@ it, and since the builds are equal either one serves.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from itertools import accumulate
-from operator import attrgetter
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Optional, Union
+
+import numpy as np
 
 from .errors import UnalignedClocks
-from .recorder import KernelRecord, PhaseKind, Trace
+from .recorder import INT64_MAX, INT64_MIN, KernelRecord, KernelTable, PhaseKind, Trace
 
 #: Attribution bucket for kernels whose start falls inside no phase window.
 UNATTRIBUTED = "unattributed"
@@ -91,34 +92,37 @@ class _WindowIndex:
     ``busy_starts``/``busy_ends`` hold the union of all positive-length
     kernel executions as disjoint intervals in time order; touching
     intervals are merged, so consecutive intervals leave a positive gap.
-    ``busy_before[i]`` is the total length of intervals ``0..i-1``.
-    ``by_start`` holds the kernels sorted by ``t_start_ns``, and
-    ``starts`` their start times.
+    ``busy_before[i]`` is the total length of intervals ``0..i-1``. These
+    are lists of Python ints, for exact sums and ``bisect``. ``starts``
+    holds the kernels' start times in ascending order (a list too), and
+    ``name_code``/``execution_ns`` the same kernels' columns in that order.
     """
 
-    __slots__ = ("busy_starts", "busy_ends", "busy_before", "starts", "by_start")
+    __slots__ = ("busy_starts", "busy_ends", "busy_before", "starts", "name_code",
+                 "execution_ns")
 
-    def __init__(self, kernels: tuple[KernelRecord, ...]) -> None:
-        by_start = tuple(sorted(kernels, key=attrgetter("t_start_ns")))
-        busy_starts: list[int] = []
-        busy_ends: list[int] = []
-        for k in by_start:
-            s, e = k.t_start_ns, k.t_end_ns
-            if e <= s:
-                continue
-            if busy_ends and s <= busy_ends[-1]:
-                if e > busy_ends[-1]:
-                    busy_ends[-1] = e
-            else:
-                busy_starts.append(s)
-                busy_ends.append(e)
-        self.busy_starts = busy_starts
-        self.busy_ends = busy_ends
-        self.busy_before = list(accumulate(
-            (e - s for s, e in zip(busy_starts, busy_ends)), initial=0
-        ))
-        self.starts = [k.t_start_ns for k in by_start]
-        self.by_start = by_start
+    def __init__(self, kernels: KernelTable) -> None:
+        order = np.argsort(kernels.t_start_ns, kind="stable")
+        starts = kernels.t_start_ns[order]
+        ends = kernels.t_end_ns[order]
+        busy = ends > starts
+        s, e = starts[busy], ends[busy]
+        if len(s):
+            # An execution opens a new busy interval when it starts after
+            # every earlier one has ended; the interval ends at the running
+            # maximum of the ends.
+            reach = np.maximum.accumulate(e)
+            opens = np.flatnonzero(np.concatenate(([True], s[1:] > reach[:-1])))
+            closes = np.append(opens[1:] - 1, len(s) - 1)
+            busy_starts, busy_ends = s[opens], reach[closes]
+        else:
+            busy_starts = busy_ends = s
+        self.busy_starts = busy_starts.tolist()
+        self.busy_ends = busy_ends.tolist()
+        self.busy_before = [0, *np.cumsum(busy_ends - busy_starts).tolist()]
+        self.starts = starts.tolist()
+        self.name_code = kernels.name_code[order]
+        self.execution_ns = ends - starts
 
 
 def _window_index(trace: Trace) -> _WindowIndex:
@@ -147,12 +151,10 @@ def lifecycle(record: KernelRecord) -> LifecycleBreakdown:
 
 def kernel_span(trace: Trace) -> Optional[Interval]:
     """Tightest interval covering every kernel execution, or None."""
-    if not trace.kernels:
+    kernels = trace.kernels
+    if not len(kernels):
         return None
-    return Interval(
-        min(k.t_start_ns for k in trace.kernels),
-        max(k.t_end_ns for k in trace.kernels),
-    )
+    return Interval(int(kernels.t_start_ns.min()), int(kernels.t_end_ns.max()))
 
 
 def filter_queue(trace: Trace, queue_id: int) -> Trace:
@@ -161,11 +163,7 @@ def filter_queue(trace: Trace, queue_id: int) -> Trace:
     idle_gaps on an unfiltered trace treats the device as busy while any
     queue executes; filter first to analyze a single queue.
     """
-    from dataclasses import replace
-
-    return replace(
-        trace, kernels=tuple(k for k in trace.kernels if k.queue_id == queue_id)
-    )
+    return replace(trace, kernels=trace.kernels.take(trace.kernels.queue_id == queue_id))
 
 
 def idle_gaps(trace: Trace, window: Interval) -> IdleReport:
@@ -223,26 +221,33 @@ def aggregate_kernels(trace: Trace, window: Optional[Interval] = None) -> list[K
     index (see :func:`idle_gaps` for its cost).
     """
     kernels = trace.kernels
-    if window is not None:
+    if window is None:
+        codes, execution = kernels.name_code, kernels.t_end_ns - kernels.t_start_ns
+    else:
         index = _window_index(trace)
-        kernels = index.by_start[
-            bisect_left(index.starts, window.start_ns):bisect_left(index.starts, window.end_ns)
-        ]
-    totals: dict[str, list[int]] = {}
-    for k in kernels:
-        entry = totals.setdefault(k.name, [0, 0])
-        entry[0] += 1
-        entry[1] += k.execution_ns
+        rows = slice(
+            bisect_left(index.starts, window.start_ns), bisect_left(index.starts, window.end_ns)
+        )
+        codes, execution = index.name_code[rows], index.execution_ns[rows]
+    # Python ints keep the sums exact where int64 sums could wrap.
+    totals: dict[int, list[int]] = {}
+    for code, ns in zip(codes.tolist(), execution.tolist()):
+        entry = totals.get(code)
+        if entry is None:
+            totals[code] = [1, ns]
+        else:
+            entry[0] += 1
+            entry[1] += ns
     busy_total = sum(total for _, total in totals.values())
     result = [
         KernelAggregate(
-            name=name,
+            name=kernels.names[code],
             invocation_count=count,
             total_execution_ns=total,
             mean_execution_ns=total / count,
             share_of_busy=(total / busy_total) if busy_total > 0 else 0.0,
         )
-        for name, (count, total) in totals.items()
+        for code, (count, total) in totals.items()
     ]
     result.sort(key=lambda a: (-a.total_execution_ns, a.name))
     return result
@@ -264,28 +269,35 @@ def clock_offset(trace: Trace) -> int:
 
 
 def assign_to_windows(
-    trace: Trace, kernels: Sequence[KernelRecord], windows: Sequence[tuple[int, int]]
-) -> list[Optional[int]]:
-    """Index of the window that owns each kernel's execution start, or None.
+    trace: Trace, starts: np.ndarray, window_starts: np.ndarray, window_ends: np.ndarray
+) -> np.ndarray:
+    """Index of the window that owns each device-domain kernel start in
+    ``starts``, or -1.
 
-    ``windows`` are closed host-domain intervals ``(start, end)``, sorted
-    by start and non-overlapping (as phases are), so their ends are sorted
-    too. Kernel starts are mapped with :func:`clock_offset`. The owner of
-    host instant t is the earliest window containing it: the first window
-    with end >= t, if that window starts at or before t. Only windows that
-    share the boundary t (zero-length ones included) can tie, and the
-    earliest of them wins. O(log W) per kernel.
+    The windows are closed host-domain intervals
+    ``[window_starts[j], window_ends[j]]``, sorted by start and
+    non-overlapping (as phases are), so their ends are sorted too. Kernel
+    starts are mapped with :func:`clock_offset`. The owner of host instant
+    t is the earliest window containing it: the first window with end >= t
+    (``np.searchsorted(ends, t, "left")``, as ``bisect_left``), if that
+    window starts at or before t. Only windows that share the boundary t
+    (zero-length ones included) can tie, and the earliest of them wins.
+    O(log W) per kernel.
     """
     offset = clock_offset(trace)
-    starts = [lo for lo, _ in windows]
-    ends = [hi for _, hi in windows]
-    count = len(ends)
-    owners: list[Optional[int]] = []
-    for k in kernels:
-        t = k.t_start_ns + offset
-        j = bisect_left(ends, t)
-        owners.append(j if j < count and starts[j] <= t else None)
-    return owners
+    t = starts + offset if _fits_int64(starts, offset) else starts.astype(object) + offset
+    j = np.searchsorted(window_ends, t, "left")
+    inside = j < len(window_ends)
+    inside[inside] = window_starts[j[inside]] <= t[inside]
+    return np.where(inside, j, -1)
+
+
+def _fits_int64(values: np.ndarray, offset: int) -> bool:
+    """Whether values + offset stays within int64 for every value."""
+    if not len(values):
+        return True
+    lo, hi = int(values.min()) + offset, int(values.max()) + offset
+    return INT64_MIN <= offset <= INT64_MAX and INT64_MIN <= lo and hi <= INT64_MAX
 
 
 def phase_attribution(trace: Trace) -> dict[Union[PhaseKind, str], PhaseUsage]:
@@ -297,27 +309,27 @@ def phase_attribution(trace: Trace) -> dict[Union[PhaseKind, str], PhaseUsage]:
     raises :class:`UnalignedClocks`), and the earliest of several phases
     sharing the boundary a kernel starts on, zero-length ones included,
     takes it. A kernel inside no phase lands in the ``UNATTRIBUTED`` bucket.
+    Keys are the phase kinds in order of first occurrence, then
+    ``UNATTRIBUTED`` if any kernel landed there.
     """
-    phases = trace.phases  # sorted by t_start_ns and non-overlapping
-    owners = assign_to_windows(
-        trace, trace.kernels, [(p.t_start_ns, p.t_end_ns) for p in phases]
-    )
+    phases, kernels = trace.phases, trace.kernels  # phases sorted by start, non-overlapping
+    owners = assign_to_windows(trace, kernels.t_start_ns, phases.t_start_ns, phases.t_end_ns)
+    kinds = tuple(PhaseKind)
+    # owner -1 picks the appended code len(kinds), the unattributed bucket
+    owner_code = np.append(phases.kind_code, len(kinds))[owners]
+    execution = kernels.t_end_ns - kernels.t_start_ns
+    duration = phases.t_end_ns - phases.t_start_ns
+    _, first = np.unique(phases.kind_code, return_index=True)
+    codes = phases.kind_code[np.sort(first)].tolist()
+    if (owner_code == len(kinds)).any():
+        codes.append(len(kinds))
 
-    busy: dict[Union[PhaseKind, str], int] = {}
-    count: dict[Union[PhaseKind, str], int] = {}
-    wall: dict[Union[PhaseKind, str], int] = {}
-    for p in phases:
-        wall[p.kind] = wall.get(p.kind, 0) + p.duration_ns
-        busy.setdefault(p.kind, 0)
-        count.setdefault(p.kind, 0)
-
-    for k, j in zip(trace.kernels, owners):
-        owner: Union[PhaseKind, str] = UNATTRIBUTED if j is None else phases[j].kind
-        busy[owner] = busy.get(owner, 0) + k.execution_ns
-        count[owner] = count.get(owner, 0) + 1
-        wall.setdefault(owner, 0)
-
-    return {
-        key: PhaseUsage(device_busy_ns=busy[key], phase_wall_ns=wall[key], kernel_count=count[key])
-        for key in wall
-    }
+    usage: dict[Union[PhaseKind, str], PhaseUsage] = {}
+    for code in codes:
+        owned = owner_code == code
+        usage[UNATTRIBUTED if code == len(kinds) else kinds[code]] = PhaseUsage(
+            device_busy_ns=sum(execution[owned].tolist()),
+            phase_wall_ns=sum(duration[phases.kind_code == code].tolist()),
+            kernel_count=int(owned.sum()),
+        )
+    return usage

@@ -7,12 +7,15 @@ export follows the trace-event JSON format (complete "X" events) and is
 the only place fractional microseconds appear, because that format
 requires them; nanosecond precision survives in the fraction.
 
-Both writers format each record from one template instead of a dict and
-the JSON encoder, so they require every integer field to be an exact
-``int``: a template would print a bool as ``True``. The reader matches a
-line exactly as :func:`write_jsonl` emits it with one pattern per record
-type and hands any other line to :func:`json.loads`; both routes end in
-the same record construction and the same error messages.
+Both writers zip a trace's int64 columns, converted to Python ints a
+chunk at a time, into one template per record type instead of a dict and
+the JSON encoder. The columns hold nothing but int64 values (a
+:class:`~lmmk.recorder.Trace` built from records rejects any other value),
+so no record can make a writer fail after it has opened its file. The
+reader matches a line exactly as :func:`write_jsonl` emits it with one
+pattern per record type and hands any other line to :func:`json.loads`;
+both routes fill the same columns the recorder fills, through the same
+checks and error messages, and seal them with the recorder's argsort.
 """
 
 from __future__ import annotations
@@ -22,61 +25,60 @@ import json
 import re
 from typing import Iterator, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .errors import LmmkError, ParseError, UnknownVersion
-from .recorder import KernelRecord, PhaseKind, PhaseRecord, Trace
+from .recorder import (
+    INT64_MAX,
+    INT64_MIN,
+    KernelRecord,
+    PhaseKind,
+    PhaseRecord,
+    PhaseTable,
+    RecordColumns,
+    Trace,
+    _check_kernel,
+    _check_phase,
+    int_rows,
+)
 
 FILE_VERSION = 1
 
-_PHASE_INTS = ("turn", "token_index", "t_start_ns", "t_end_ns")
-_KERNEL_INTS = (
-    "queue_id", "t_cpu_enqueue_ns", "t_queued_ns", "t_submit_ns", "t_start_ns", "t_end_ns"
+_KIND_VALUES = tuple(kind.value for kind in PhaseKind)  # by PhaseTable.kind_code
+# JSON keys of the constructor arguments _canonical_fields/_json_fields return
+_PHASE_KEYS = ("kind", "turn", "token", "t_start_ns", "t_end_ns")
+_KERNEL_KEYS = (
+    "name", "queue", "t_cpu_enqueue_ns", "t_queued_ns", "t_submit_ns", "t_start_ns", "t_end_ns"
 )
-
-
-def _reject_non_int(record: object, fields: Sequence[str]) -> None:
-    """Raise TypeError naming the first of ``fields`` that is not an exact
-    int (a phase's token_index may also be None)."""
-    for field in fields:
-        value = getattr(record, field)
-        if type(value) is not int and not (field == "token_index" and value is None):
-            raise TypeError(f"{type(record).__name__}.{field} must be an int, got {value!r}")
 
 
 def _phase_rows(trace: Trace) -> Iterator[tuple]:
     """(kind, turn, token, start, end) per phase, token "null" for None."""
-    for p in trace.phases:
-        turn, token, start, end = p.turn, p.token_index, p.t_start_ns, p.t_end_ns
-        if not (type(turn) is type(start) is type(end) is int) or (
-            token is not None and type(token) is not int
-        ):
-            _reject_non_int(p, _PHASE_INTS)
-        yield p.kind.value, turn, "null" if token is None else token, start, end
+    p = trace.phases
+    for code, turn, token, start, end in int_rows(
+        p.kind_code, p.turn, p.token_index, p.t_start_ns, p.t_end_ns
+    ):
+        yield _KIND_VALUES[code], turn, "null" if token < 0 else token, start, end
 
 
 def _kernel_rows(trace: Trace) -> Iterator[tuple]:
     """(name, queue, enqueue, queued, submit, start, end) per kernel, the
     name already JSON-quoted; ``json.dumps`` runs once per distinct name."""
-    quoted: dict[str, str] = {}
-    for k in trace.kernels:
-        q, enqueue, queued, submit, start, end = row = (
-            k.queue_id, k.t_cpu_enqueue_ns, k.t_queued_ns, k.t_submit_ns,
-            k.t_start_ns, k.t_end_ns,
-        )
-        if not (type(q) is type(enqueue) is type(queued) is type(submit)
-                is type(start) is type(end) is int):
-            _reject_non_int(k, _KERNEL_INTS)
-        name = quoted.get(k.name)
-        if name is None:
-            name = quoted[k.name] = json.dumps(k.name)
-        yield (name, *row)
+    k = trace.kernels
+    quoted = [json.dumps(name) for name in k.names]
+    for code, *row in int_rows(
+        k.name_code, k.queue_id, k.t_cpu_enqueue_ns, k.t_queued_ns, k.t_submit_ns,
+        k.t_start_ns, k.t_end_ns,
+    ):
+        yield (quoted[code], *row)
 
 
 def write_jsonl(trace: Trace, path: str) -> None:
     """Write a sealed trace: one header line, then one line per record
     (phases first, then kernels, each in trace order).
 
-    Raises TypeError, naming the value, for a timestamp, queue id, turn,
-    token or header count that is not an exact int.
+    Raises TypeError, naming the value, for a header offset or count that
+    is not an exact int, before the file is opened.
     """
     header: dict = {
         "ev": "session",
@@ -108,8 +110,9 @@ def write_jsonl(trace: Trace, path: str) -> None:
             )
 
 
-# A JSON integer of at most 19 digits (every int64 fits); longer literals
-# take the json.loads route, which reports CPython's digit limit itself.
+# A JSON integer of at most 19 digits (every int64 fits; the columns reject
+# a 19-digit value past int64); longer literals take the json.loads route,
+# which reports CPython's digit limit itself.
 _INT = rb"(-?(?:0|[1-9][0-9]{0,18}))"
 _KIND_BY_BYTES = {kind.value.encode(): kind for kind in PhaseKind}
 _PHASE_LINE = re.compile(
@@ -129,7 +132,8 @@ _KERNEL_LINE = re.compile(
 def _canonical_fields(raw: bytes) -> Optional[tuple]:
     """(record type, constructor arguments) for a line exactly as
     :func:`write_jsonl` emits it, read straight from the pattern's groups;
-    None for any other line."""
+    None for any other line. The record type only tags the row; no record
+    is built."""
     m = _KERNEL_LINE.fullmatch(raw)
     if m is not None:
         name, q, enqueue, queued, submit, start, end = m.groups()
@@ -224,13 +228,43 @@ def _header_fields(obj: Mapping) -> dict:
     }
 
 
+def _append_row(columns: RecordColumns, record_type: type, args: tuple) -> None:
+    """Append one parsed row to ``columns``: a value outside int64 raises
+    first, then the record's own checks. A failed row is left in the
+    columns; the caller abandons them."""
+    if record_type is KernelRecord:
+        add, check, keys = columns.add_kernel, _check_kernel, _KERNEL_KEYS
+    else:
+        add, check, keys = columns.add_phase, _check_phase, _PHASE_KEYS
+    try:
+        add(*args)
+    except OverflowError:
+        key = next(key for key, value in zip(keys, args) if type(value) is int
+                   and not INT64_MIN <= value <= INT64_MAX)
+        raise ParseError(f"field {key!r} out of int64 range") from None
+    check(*args)
+
+
+def _reject_overlap(phases: PhaseTable) -> None:
+    """ParseError naming the first two phases, in start order, that overlap."""
+    overlaps = np.flatnonzero(phases.t_start_ns[1:] < phases.t_end_ns[:-1])
+    if len(overlaps):
+        pair = slice(overlaps[0], overlaps[0] + 2)
+        (kind_a, kind_b), (start_a, start_b), (end_a, end_b) = (
+            column[pair].tolist() for column in (phases.kind_code, phases.t_start_ns, phases.t_end_ns)
+        )
+        raise ParseError(
+            f"phase records overlap: {_KIND_VALUES[kind_a]} [{start_a}, {end_a}] "
+            f"and {_KIND_VALUES[kind_b]} [{start_b}, {end_b}]"
+        )
+
+
 def read_jsonl(path: str) -> Trace:
     """Parse a trace file, validating every record invariant, and return the
     sealed (sorted, immutable) trace. Blank lines are skipped; the first
     non-blank line must be the session header. Errors name the offending
-    line."""
-    phases: list[PhaseRecord] = []
-    kernels: list[KernelRecord] = []
+    line. Integers must fit in int64."""
+    columns = RecordColumns()
     header: Optional[dict] = None
     header_line = 0
     with open(path, "rb") as f:
@@ -248,11 +282,7 @@ def read_jsonl(path: str) -> Trace:
                     if obj["ev"] == "session":
                         raise ParseError(f"repeated session header (first on line {header_line})")
                     fields = _json_fields(obj)
-                record_type, args = fields
-                if record_type is KernelRecord:
-                    kernels.append(KernelRecord(*args))
-                else:
-                    phases.append(PhaseRecord(*args))
+                _append_row(columns, *fields)
             except LmmkError as exc:
                 raise type(exc)(f"line {lineno}: {exc}") from None
             except (KeyError, ValueError) as exc:
@@ -260,15 +290,9 @@ def read_jsonl(path: str) -> Trace:
     if header is None:
         raise ParseError("line 1: file is empty; expected a session header")
 
-    phases.sort(key=lambda p: p.t_start_ns)
-    for a, b in zip(phases, phases[1:]):
-        if b.t_start_ns < a.t_end_ns:
-            raise ParseError(
-                f"phase records overlap: {a.kind.value} [{a.t_start_ns}, {a.t_end_ns}] "
-                f"and {b.kind.value} [{b.t_start_ns}, {b.t_end_ns}]"
-            )
-    kernels.sort(key=lambda k: k.t_queued_ns)
-    return Trace(phases=tuple(phases), kernels=tuple(kernels), **header)
+    phases, kernels = columns.tables()
+    _reject_overlap(phases)
+    return Trace(phases=phases, kernels=kernels, **header)
 
 
 def export_chrome_trace(trace: Trace, path: str) -> None:
@@ -278,7 +302,7 @@ def export_chrome_trace(trace: Trace, path: str) -> None:
     the fraction. Kernels land on tid queue_id+1 with their queuing and
     dispatch stage durations in args; phases land on tid 0. Events are
     streamed to the file; floats print as ``float.__repr__``, as the JSON
-    encoder prints them. Raises TypeError like :func:`write_jsonl`.
+    encoder prints them.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         write = f.write

@@ -12,6 +12,10 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def decode_kernel(workload: dict) -> dict:
+    return workload["phases"]["decode"]["kernels"][0]
+
+
 @pytest.fixture()
 def sim_trace_path(tmp_path):
     path = tmp_path / "trace.jsonl"
@@ -91,6 +95,35 @@ class TestSimulate:
             "simulate", "--workload", str(spec_path),
             "--output-tokens", "2", "--out", str(tmp_path / "t.jsonl"),
         ) == 0
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: decode_kernel(d).update(base_latency_ns=float("inf")),
+         "field 'base_latency_ns' must be an integer within int64, got inf"),
+        (lambda d: decode_kernel(d).update(name=5), "field 'name' must be a string, got 5"),
+        (lambda d: d["phases"]["sampling"].update(host_ns=1.5),
+         "field 'host_ns' must be an integer within int64, got 1.5"),
+        (lambda d: d["jitter"].update(sigma_rel=float("nan")),
+         "sigma_rel must be finite and nonnegative, got nan"),
+        (lambda d: decode_kernel(d).update(base_latency_ns=2**62),
+         "overflows the simulated nanosecond timeline"),
+    ], ids=["infinite-latency", "numeric-name", "fractional-host-ns", "nan-sigma",
+            "timeline-overflow"])
+    def test_workload_field_errors_are_usage_errors(self, tmp_path, capsys, edit, message):
+        data = sim_engine.workload_to_dict(sim_engine.preset_gemma_decode())
+        edit(data)
+        spec_path = tmp_path / "wl.json"
+        spec_path.write_text(json.dumps(data))
+        out = tmp_path / "t.jsonl"
+        assert run_cli("simulate", "--workload", str(spec_path), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_deeply_nested_workload_file_is_usage_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "wl.json"
+        spec_path.write_text("[" * 100_000 + "]" * 100_000)
+        code = run_cli("simulate", "--workload", str(spec_path), "--out", str(tmp_path / "t.jsonl"))
+        assert code == 2
+        assert "malformed workload file: maximum recursion depth" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["[]", '{"name":"x","phases":[1,2]}'])
     def test_workload_file_of_wrong_shape_is_usage_error(self, tmp_path, capsys, text):

@@ -68,7 +68,8 @@ class TestPhases:
     def test_begin_end_roundtrip(self):
         session = TraceSession()
         handle = session.begin_phase(PhaseKind.DECODE, turn=0, token_index=5)
-        record = session.end_phase(handle)
+        assert session.end_phase(handle) is None
+        (record,) = session.seal().phases
         assert record.kind is PhaseKind.DECODE
         assert record.token_index == 5
         assert record.t_end_ns >= record.t_start_ns
@@ -117,7 +118,8 @@ class TestPhases:
             t_anchor = now()
             while now() < t_anchor + 2_000_000:
                 pass
-            record = session.end_phase(handle)
+            session.end_phase(handle)
+            (record,) = session.seal().phases
             last = record.duration_ns
             assert last >= 2_000_000
             if last <= upper:
@@ -137,12 +139,14 @@ class TestPhases:
 class TestKernels:
     def test_accept(self):
         session = TraceSession()
-        record = session.record_kernel("k", 0, 100, 110, 115, 122, 160)
+        assert session.record_kernel("k", 0, 100, 110, 115, 122, 160) is None
+        (record,) = session.seal().kernels
         assert record.execution_ns == 38
 
     def test_zero_duration_accepted(self):
         session = TraceSession()
-        record = session.record_kernel("k", 0, 50, 70, 70, 70, 70)
+        session.record_kernel("k", 0, 50, 70, 70, 70, 70)
+        (record,) = session.seal().kernels
         assert record.execution_ns == 0
 
     @pytest.mark.parametrize(
@@ -259,5 +263,6 @@ def test_virtual_clock_session_uses_injected_time():
     session, clock = manual_session(start_ns=1_000, clock_offset_ns=0)
     handle = session.begin_phase(PhaseKind.EMBEDDING, turn=0)
     clock.advance_to(5_000)
-    record = session.end_phase(handle)
+    session.end_phase(handle)
+    (record,) = session.seal().phases
     assert (record.t_start_ns, record.t_end_ns) == (1_000, 5_000)

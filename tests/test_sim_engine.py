@@ -1,10 +1,14 @@
 import dataclasses
+import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import single_kernel_workload
 from lmmk import sim_engine, timeline, trace_io
-from lmmk.errors import InvalidSpec, UnknownKernel
+from lmmk.errors import InvalidSpec, LmmkError, UnknownKernel
 from lmmk.recorder import PhaseKind
 from lmmk.sim_engine import (
     DuplicationPlan,
@@ -244,3 +248,98 @@ def test_jitter_model_validation():
         KernelSpec("k", base_latency_ns=0)
     with pytest.raises(ValueError):
         DuplicationPlan(kernel_name="k", n=0)
+
+
+# -- workload loader fuzz -----------------------------------------------------
+
+json_leaves = (
+    st.none() | st.booleans() | st.integers(-2**64, 2**64)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6)
+    | st.sampled_from(["decode", "prefill", "sampling", "k", ""])
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=12,
+)
+
+
+def _containers(node, path=()):
+    """Paths of every dict and list inside a decoded JSON value."""
+    if isinstance(node, (dict, list)):
+        yield path
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _containers(child, path + (key,))
+
+
+@st.composite
+def workload_dicts(draw):
+    """A valid workload's JSON form with a few values replaced, keys
+    deleted or entries added anywhere in it, or any JSON value at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(json_values)
+    data = sim_engine.workload_to_dict(single_kernel_workload(sigma_rel=0.01))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_containers(data))))
+        node = data
+        for key in path:
+            node = node[key]
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        action = draw(st.sampled_from(["replace", "replace", "delete", "add"]))
+        if action == "add" or not keys:
+            if isinstance(node, dict):
+                node[draw(st.text(max_size=6))] = draw(json_values)
+            else:
+                node.append(draw(json_values))
+        elif action == "delete":
+            del node[draw(st.sampled_from(keys))]
+        else:
+            node[draw(st.sampled_from(keys))] = draw(json_values)
+    return data
+
+
+def assert_valid_spec(spec):
+    sim_engine.validate_workload(spec)
+    assert isinstance(spec.name, str)
+    assert type(spec.jitter.seed) is int and spec.jitter.seed >= 0
+    assert type(spec.jitter.sigma_rel) is float and math.isfinite(spec.jitter.sigma_rel)
+    for script in spec.scripts.values():
+        assert type(script.host_ns) is int
+        for ks in script.kernels:
+            assert isinstance(ks.name, str) and ks.name
+            for value in (ks.base_latency_ns, ks.per_step_slope_ns, ks.dispatch_gap_ns,
+                          ks.queue_delay_ns, ks.submit_delay_ns, ks.invocations_per_phase):
+                assert type(value) is int and -(2**63) <= value < 2**63
+    if all(ks.invocations_per_phase <= 3 for s in spec.scripts.values() for ks in s.kernels):
+        try:
+            sim_engine.run(spec, 1, 1)
+        except LmmkError:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(workload_dicts())
+def test_workload_from_dict_yields_valid_spec_or_lmmk_error(data):
+    try:
+        spec = sim_engine.workload_from_dict(data)
+    except LmmkError:
+        return
+    assert_valid_spec(spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    workload_dicts().map(lambda d: json.dumps(d).encode()),
+    st.binary(max_size=60),
+    st.integers(1, 3).map(lambda k: b"[" * 10**k * 100 + b"]" * 10**k * 100),
+))
+def test_load_workload_yields_valid_spec_or_lmmk_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("wl") / "wl.json"
+    path.write_bytes(raw)
+    try:
+        spec = sim_engine.load_workload(str(path))
+    except LmmkError:
+        return
+    assert_valid_spec(spec)

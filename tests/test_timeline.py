@@ -323,6 +323,20 @@ def test_phase_attribution_matches_brute_force(trace):
     assert timeline.phase_attribution(trace) == loop_phase_attribution(trace)
 
 
+@pytest.mark.parametrize("offset", [2**62, 2**63, -(2**62), -(2**63) - 5])
+def test_phase_attribution_with_host_times_past_int64(offset):
+    """Host-domain starts that leave the int64 range still go to the
+    phase that holds them, or to no phase, exactly."""
+    phases = [(PhaseKind.PREFILL, 0, None, 0, 10), (PhaseKind.DECODE, 0, 0, 2**62, 2**63 - 1)]
+    starts = [0, 5, 2**62 - 1, 2**62, 2**63 - 2]
+    trace = build_trace(
+        phases=phases, kernels=[kernel(s, s + 1) for s in starts], clock_offset_ns=offset
+    )
+    got = timeline.phase_attribution(trace)
+    want = loop_phase_attribution(trace)
+    assert got == want and list(got) == list(want)
+
+
 def test_interval_validation():
     with pytest.raises(ValueError):
         Interval(10, 5)

@@ -221,16 +221,18 @@ def test_export_chrome_trace_matches_reference_bytes(scratch, trace):
 @pytest.mark.parametrize("bad", [True, 2.0, np.int64(2)], ids=["bool", "float", "numpy"])
 @pytest.mark.parametrize("field", ["turn", "token_index", "t_end_ns"])
 def test_writers_reject_non_int_fields(tmp_path, writer, bad, field):
-    if field == "t_end_ns":
-        trace = build_trace(kernels=[("k", 0, 0, 0, 0, 0, bad)])
-        owner = "KernelRecord"
-    else:
-        turn, token = (bad, 0) if field == "turn" else (0, bad)
-        trace = build_trace(phases=[(PhaseKind.DECODE, turn, token, 0, 3)])
-        owner = "PhaseRecord"
+    """The Trace rejects the field when it is built, so no writer ever
+    opens a file for it."""
+    owner = "KernelRecord" if field == "t_end_ns" else "PhaseRecord"
     message = f"{owner}.{field} must be an int, got {bad!r}"
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        if field == "t_end_ns":
+            trace = build_trace(kernels=[("k", 0, 0, 0, 0, 0, bad)])
+        else:
+            turn, token = (bad, 0) if field == "turn" else (0, bad)
+            trace = build_trace(phases=[(PhaseKind.DECODE, turn, token, 0, 3)])
         writer(trace, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_write_jsonl_rejects_non_int_header_field(tmp_path):
@@ -253,6 +255,9 @@ KERNEL_LINE = (b'{"ev":"kernel","name":"%s","queue":%s,"t_cpu_enqueue_ns":0,"t_q
 @example(KERNEL_LINE % (b"k", b"-0"), b"")
 @example(KERNEL_LINE % (b"k", str(2**62).encode()), b"\r\n")
 @example(KERNEL_LINE % (b"k", str(2**64).encode()), b"\n")
+@example(KERNEL_LINE % (b"k", str(2**63).encode()), b"\n")
+@example(KERNEL_LINE % (b"k", str(-(2**63)).encode()), b"\n")
+@example(KERNEL_LINE % (b"k", str(-(2**63) - 1).encode()), b"\n")
 @example(b'{"ev":"phase","kind":"decode","turn":0,"token":null,"t_start_ns":0,"t_end_ns":1}',
          b"\n")
 def test_fast_path_matches_json_path(scratch, line, ending):
@@ -264,6 +269,43 @@ def test_fast_path_matches_json_path(scratch, line, ending):
     with mock.patch.object(trace_io, "_canonical_fields", lambda raw: None):
         slow = read_outcome(path)
     assert fast == slow
+
+
+PHASE_LINE = b'{"ev":"phase","kind":"decode","turn":%s,"token":%s,"t_start_ns":%s,"t_end_ns":%s}'
+
+
+@pytest.mark.parametrize("line, field", [
+    (KERNEL_LINE % (b"k", str(2**63).encode()), "queue"),
+    (KERNEL_LINE.replace(b'"t_end_ns":3', b'"t_end_ns":%d' % 2**63) % (b"k", b"0"), "t_end_ns"),
+    (KERNEL_LINE.replace(b'"t_queued_ns":0', b'"t_queued_ns":%d' % 2**63) % (b"k", b"0"),
+     "t_queued_ns"),
+    (KERNEL_LINE % (b"k", str(-(2**63) - 1).encode()), "queue"),
+    (PHASE_LINE % (b"0", str(2**63).encode(), b"0", b"1"), "token"),
+    (PHASE_LINE % (str(-(2**63) - 1).encode(), b"0", b"0", b"1"), "turn"),
+    (PHASE_LINE % (b"0", b"0", b"0", b"9" * 19), "t_end_ns"),
+], ids=["queue-2**63", "end-2**63", "queued-2**63", "queue-below", "token-2**63",
+        "turn-below", "end-19-nines"])
+def test_values_outside_int64_are_parse_errors(tmp_path, line, field):
+    """On the canonical-line fast path and the json.loads path alike, and
+    before the record's own checks (a queued time of 2**63 also breaks
+    queued <= submit)."""
+    path = tmp_path / "range.jsonl"
+    path.write_bytes(HEADER + b"\n" + line + b"\n")
+    message = f"line 2: field {field!r} out of int64 range"
+    assert trace_io._canonical_fields(line + b"\n") is not None
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        trace_io.read_jsonl(str(path))
+    with mock.patch.object(trace_io, "_canonical_fields", lambda raw: None):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            trace_io.read_jsonl(str(path))
+
+
+def test_int64_extremes_round_trip(tmp_path):
+    line = KERNEL_LINE.replace(b'"t_end_ns":3', b'"t_end_ns":%d' % (2**63 - 1)) % (b"k", b"0")
+    path = tmp_path / "edge.jsonl"
+    path.write_bytes(HEADER + b"\n" + line + b"\n")
+    (kernel,) = trace_io.read_jsonl(str(path)).kernels
+    assert kernel.t_end_ns == 2**63 - 1
 
 
 @settings(max_examples=100, deadline=None)
