@@ -6,10 +6,12 @@ backend (a real device runtime reports command-lifecycle times, the
 simulated engine computes them). A :class:`TraceSession` writes each
 record into preallocated int64 columns; record calls return nothing but
 a phase handle, so the hot path builds no object and retains no
-allocation once warmed up. :meth:`TraceSession.seal` orders the rows
-with a stable argsort (phases by start, kernels by queued time, ties in
-recording order) and hands the reordered columns to an immutable
-:class:`Trace` without building a record. The trace's
+allocation once warmed up. A backend that computes whole columns, as the
+simulated engine does, appends them in one checked bulk call.
+:meth:`TraceSession.seal` orders the rows with a stable argsort (phases
+by start, kernels by queued time, ties in recording order) and hands the
+reordered columns to an immutable :class:`Trace` without building a
+record. The trace's
 :class:`PhaseTable` and :class:`KernelTable` yield :class:`PhaseRecord`
 and :class:`KernelRecord` rows lazily for callers that want rows; the
 analyses and the trace writers read the columns.
@@ -170,6 +172,30 @@ _ROW_CHUNK = 4096  # rows converted to Python ints at a time
 
 _KIND_BY_INDEX = tuple(PhaseKind)
 _INDEX_BY_KIND = {kind: i for i, kind in enumerate(_KIND_BY_INDEX)}
+_PER_TOKEN_CODES = [_INDEX_BY_KIND[kind] for kind in PER_TOKEN_KINDS]
+Columns = Sequence[np.ndarray]  # equal-length int64 columns
+
+
+def check_columns(phases: Columns, names: Sequence[str], kernels: Columns) -> None:
+    """Check phase and kernel rows given as int64 columns in the order of
+    :class:`PhaseTable` and :class:`KernelTable` (name codes index
+    ``names``). Raises what :func:`_check_phase`, then :func:`_check_kernel`,
+    raises for the first row that breaks a rule: the lowest row, and in it
+    the first broken rule."""
+    kind, turn, token, start, end = phases
+    per_token = np.isin(kind, _PER_TOKEN_CODES)
+    bad = ((turn < 0) | np.where(per_token, token < 0, token != _NO_TOKEN) | (start < 0)
+           | (end < start))
+    if bad.any():
+        kind, turn, token, start, end = (int(c[bad.argmax()]) for c in phases)
+        _check_phase(_KIND_BY_INDEX[kind], turn, None if token == _NO_TOKEN else token, start, end)
+    code, queue, enqueue, queued, submit, start, end = kernels
+    unnamed = np.array([not name for name in names], dtype=bool)[code]
+    bad = (unnamed | (queue < 0) | (enqueue < 0) | (queued < 0) | (submit < queued)
+           | (start < submit) | (end < start))
+    if bad.any():
+        i = bad.argmax()
+        _check_kernel(names[code[i]], *(int(c[i]) for c in kernels[1:]))
 
 
 def int_rows(*columns: np.ndarray) -> Iterator[tuple]:
@@ -412,8 +438,8 @@ class RecordColumns:
     :class:`TraceSession` records into them and
     :func:`lmmk.trace_io.read_jsonl` parses into them; both seal through
     :meth:`tables`. Kernel names are interned: the name column holds
-    codes into a list of distinct names. Appends check nothing;
-    a value outside int64 raises OverflowError.
+    codes into the distinct names. Appends check nothing; a value outside
+    int64 raises OverflowError.
     """
 
     _PHASE_COLUMNS = ("_p_kind", "_p_turn", "_p_token", "_p_start", "_p_end")
@@ -426,8 +452,7 @@ class RecordColumns:
             setattr(self, name, array("q", empty))
         self._p_len = 0
         self._k_len = 0
-        self._names: list[str] = []
-        self._name_codes: dict[str, int] = {}
+        self._name_codes: dict[str, int] = {}  # distinct names in interning order
 
     def add_phase(
         self, kind: PhaseKind, turn: int, token_index: Optional[int], start: int, end: int
@@ -454,8 +479,7 @@ class RecordColumns:
             self._grow(self._KERNEL_COLUMNS)
         code = self._name_codes.get(name)
         if code is None:
-            code = self._name_codes[name] = len(self._names)
-            self._names.append(name)
+            code = self._name_codes[name] = len(self._name_codes)
         self._k_name[i] = code
         self._k_queue[i] = queue_id
         self._k_enqueue[i] = enqueue
@@ -464,6 +488,22 @@ class RecordColumns:
         self._k_start[i] = start
         self._k_end[i] = end
         self._k_len = i + 1
+
+    def extend(self, phases: Columns, names: Sequence[str], kernels: Columns) -> None:
+        """Append rows given as columns in the order of :class:`PhaseTable`
+        and :class:`KernelTable`; name codes index ``names``, which are
+        interned in the order given."""
+        codes = self._name_codes
+        remap = np.array([codes.setdefault(name, len(codes)) for name in names], dtype=np.int64)
+        for group, columns, length in ((self._PHASE_COLUMNS, phases, "_p_len"),
+                                       (self._KERNEL_COLUMNS, [remap[kernels[0]], *kernels[1:]],
+                                        "_k_len")):
+            i, n = getattr(self, length), len(columns[0])
+            if i + n > len(getattr(self, group[0])):
+                self._grow(group, i + n)
+            for name, column in zip(group, columns):
+                np.frombuffer(getattr(self, name), dtype=np.int64)[i:i + n] = column
+            setattr(self, length, i + n)
 
     def tables(self) -> tuple[PhaseTable, KernelTable]:
         """The rows as tables ordered by a stable argsort: phases by
@@ -476,11 +516,13 @@ class RecordColumns:
         k_order = np.argsort(kernels[3], kind="stable")
         return (
             PhaseTable(*(column[order] for column in phases)),
-            KernelTable(self._names, *(column[k_order] for column in kernels)),
+            KernelTable(self._name_codes, *(column[k_order] for column in kernels)),
         )
 
-    def _grow(self, columns: tuple[str, ...]) -> None:
-        pad = bytes(8 * len(getattr(self, columns[0])))
+    def _grow(self, columns: tuple[str, ...], need: int = 0) -> None:
+        """Double the columns, or grow them to ``need`` rows if that is more."""
+        size = len(getattr(self, columns[0]))
+        pad = bytes(8 * max(size, need - size))
         for name in columns:
             setattr(self, name, array("q", getattr(self, name).tobytes() + pad))
 
@@ -582,6 +624,19 @@ class TraceSession:
             self._rows.add_kernel(
                 name, queue_id, t_cpu_enqueue_ns, t_queued_ns, t_submit_ns, t_start_ns, t_end_ns
             )
+
+    def record_columns(self, phases: Columns, names: Sequence[str], kernels: Columns) -> None:
+        """Append closed phases and kernels given as columns (see
+        :meth:`RecordColumns.extend`). Raises :class:`SessionSealed` or
+        :class:`PhaseOverlap` as the record calls do, then what
+        :func:`check_columns` raises; nothing is appended unless all pass."""
+        with self._lock:
+            if self._sealed_trace is not None:
+                raise SessionSealed("cannot record columns on a sealed session")
+            if self._open_handle != -1:
+                raise PhaseOverlap("a phase is open; phase records must not overlap")
+            check_columns(phases, names, kernels)
+            self._rows.extend(phases, names, kernels)
 
     # -- sealing --------------------------------------------------------
 

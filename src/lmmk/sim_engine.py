@@ -8,12 +8,19 @@ kernel starts at the later of its host-driven ready time and the moment
 the device frees up. That is what produces the idle gaps a real mobile
 GPU shows between kernel launches.
 
-Events are emitted through the recorder API against a virtual clock, and
-the engine keeps exact ground truth (realized durations, per-phase busy
+A turn is computed as arrays. Every phase of one kind has the same kernel
+slots, so each kind is one (phases x slots) block. With ready_i a
+kernel's submit-ready time and D_i the running sum of durations, both
+from the phase start, the queue gives end_i = D_i + max over j <= i of
+(ready_j - D_(j-1)): one ``np.maximum.accumulate`` per block. A phase
+lasts max(host cursor, last end) + host_ns, and phases follow each other
+from the session clock's reading. The rows reach the recorder session in
+one checked bulk append, and the virtual clock ends at the turn's end.
+The engine keeps exact ground truth (realized durations, per-phase busy
 and wall time, per-window idle) so analyses can be verified bit-exactly.
 With jitter disabled a run is a pure function of the workload; with
 jitter enabled, a counter-based generator seeded from the workload makes
-replays reproducible.
+replays reproducible (draw order in docs/workload_schema.md).
 """
 
 from __future__ import annotations
@@ -235,18 +242,6 @@ def make_session(device_label: str = "sim-device") -> TraceSession:
     return TraceSession(device_label=device_label, clock_offset_ns=0, clock=VirtualClock())
 
 
-class _Jitter:
-    def __init__(self, model: JitterModel) -> None:
-        self.sigma = model.sigma_rel
-        self.rng = np.random.Generator(np.random.Philox(model.seed))
-
-    def __call__(self, value_ns: int) -> int:
-        if self.sigma == 0.0 or value_ns == 0:
-            return value_ns
-        scaled = value_ns * math.exp(self.sigma * self.rng.standard_normal())
-        return max(1, int(round(scaled)))
-
-
 def run(
     spec: WorkloadSpec,
     prompt_tokens: int,
@@ -272,78 +267,118 @@ def run_with_duplication(
     return _run(spec, prompt_tokens, output_tokens, session, plan=plan)
 
 
-class _Engine:
-    def __init__(
-        self,
-        spec: WorkloadSpec,
-        session: TraceSession,
-        plan: Optional[DuplicationPlan],
-        truth: GroundTruth,
-    ) -> None:
-        self.spec = spec
-        self.session = session
-        self.clock: VirtualClock = session.clock  # type: ignore[assignment]
-        self.plan = plan
-        self.truth = truth
-        self.jitter = _Jitter(spec.jitter)
-        self.device_free = self.clock()
-        self.cursor = self.clock()
+def _slots(script: PhaseScript, plan: Optional[DuplicationPlan]) -> list[tuple[KernelSpec, bool]]:
+    """The kernel and duplicate flag of each kernel slot of one phase: every
+    invocation, then the copies the plan inserts after it."""
+    copies = {} if plan is None else {plan.kernel_name: plan.n}
+    return [(ks, copy > 0) for ks in script.kernels for _ in range(ks.invocations_per_phase)
+            for copy in range(1 + copies.get(ks.name, 0))]
 
-    def emit_kernel(self, ks: KernelSpec, step: int, host: int, duplicate: bool) -> tuple[int, int, int]:
-        jit = self.jitter
-        if not duplicate:
-            host += jit(ks.dispatch_gap_ns)
-        enqueue = host
-        queued = enqueue  # unified clock domain: the device sees the enqueue time
-        submit = queued + jit(ks.queue_delay_ns)
-        ready = submit + jit(ks.submit_delay_ns)
-        start = max(ready, self.device_free)
-        true_duration = ks.base_latency_ns + ks.per_step_slope_ns * step
-        duration = jit(true_duration)
-        end = start + duration
-        self.session.record_kernel(ks.name, QUEUE_ID, enqueue, queued, submit, start, end)
-        self.device_free = end
-        t = self.truth
-        t.kernel_total_ns[ks.name] = t.kernel_total_ns.get(ks.name, 0) + duration
-        t.kernel_true_total_ns[ks.name] = t.kernel_true_total_ns.get(ks.name, 0) + true_duration
-        t.kernel_invocations[ks.name] = t.kernel_invocations.get(ks.name, 0) + 1
-        return host, end, duration
 
-    def emit_phase(self, kind: PhaseKind, turn: int, token_index: Optional[int], step: int) -> None:
-        script = self.spec.scripts[kind]
-        phase_start = self.cursor
-        self.clock.advance_to(phase_start)
-        handle = self.session.begin_phase(kind, turn, token_index)
-        host = phase_start
-        device_end = phase_start
-        busy = 0
-        for ks in script.kernels:
-            for _ in range(ks.invocations_per_phase):
-                host, device_end, duration = self.emit_kernel(ks, step, host, duplicate=False)
-                busy += duration
-                if self.plan is not None and ks.name == self.plan.kernel_name:
-                    for _ in range(self.plan.n):
-                        host, device_end, duration = self.emit_kernel(
-                            ks, step, host, duplicate=True
-                        )
-                        busy += duration
-        phase_end = max(host, device_end) + script.host_ns
-        self.clock.advance_to(phase_end)
-        self.session.end_phase(handle)
-        t = self.truth
-        t.windows.append(
-            PhaseWindowTruth(
-                kind=kind,
-                turn=turn,
-                token_index=token_index,
-                start_ns=phase_start,
-                end_ns=phase_end,
-                busy_ns=busy,
-            )
-        )
-        t.phase_busy_ns[kind] = t.phase_busy_ns.get(kind, 0) + busy
-        t.phase_wall_ns[kind] = t.phase_wall_ns.get(kind, 0) + (phase_end - phase_start)
-        self.cursor = phase_end
+def _terms(spec: WorkloadSpec, layouts: list, tokens: int) -> list:
+    """Each kind's (phases, slots, 4) int64 block of jittered dispatch gap,
+    queue delay, submit delay and duration, with the jitter drawn in the
+    order docs/workload_schema.md gives."""
+    sigma = spec.jitter.sigma_rel
+    tables = [np.array([(0 if dup else ks.dispatch_gap_ns, ks.queue_delay_ns, ks.submit_delay_ns,
+                         ks.base_latency_ns, ks.per_step_slope_ns) for ks, dup in slots],
+                       dtype=np.int64).reshape(-1, 5) for slots in layouts]
+    draws = [(table[:, :4] != 0) & (sigma > 0) for table in tables]  # [slot, term] draws
+    # draws run embedding, prefill, then per token decode..sampling: edges[k] is where
+    # kind k's draws start, counting the first token's
+    edges = np.cumsum([0] + [draw.sum() for draw in draws])
+    count = edges[2] + tokens * (edges[6] - edges[2])
+    rng = np.random.Generator(np.random.Philox(spec.jitter.seed))
+    # math.exp, not np.exp: the two differ in the last bit on some inputs
+    factors = np.fromiter(map(math.exp, sigma * rng.standard_normal(count)), np.float64, count)
+    per_token = factors[edges[2]:].reshape(tokens, edges[6] - edges[2])  # a row per token
+    blocks = []
+    for k, (slots, table, draw) in enumerate(zip(layouts, tables, draws)):
+        steps = np.arange(tokens if k >= 2 else 1)[:, None]  # embedding and prefill: step 0
+        longest = max((ks.base_latency_ns + ks.per_step_slope_ns * int(steps[-1, 0])
+                       for ks, _ in slots), default=0)
+        if longest > INT64_MAX and not sigma:
+            raise OverflowError("a kernel duration passes int64")
+        steps = steps.astype(object if longest > INT64_MAX else np.int64)  # object: exact ints
+        block = np.empty((len(steps), len(slots), 4), dtype=steps.dtype)
+        block[..., :3] = table[:, :3]
+        block[..., 3] = table[:, 3] + table[:, 4] * steps
+        if draw.any():
+            scaled = block[:, draw].astype(np.float64)
+            with np.errstate(over="ignore"):
+                scaled *= (factors[None, edges[k]:edges[k + 1]] if k < 2
+                           else per_token[:, edges[k] - edges[2]:edges[k + 1] - edges[2]])
+            if not scaled.max() < 2.0**63:
+                raise OverflowError("a jittered term is not a finite float within int64")
+            block[:, draw] = np.maximum(np.rint(scaled, out=scaled), 1, out=scaled)
+        blocks.append(block.astype(np.int64))
+    return blocks
+
+
+def _simulate(spec: WorkloadSpec, plan: Optional[DuplicationPlan], prompt_tokens: int,
+              output_tokens: int, t0: int) -> tuple[tuple, list[str], tuple, GroundTruth]:
+    """The columns :meth:`TraceSession.record_columns` takes for a turn
+    that starts at ``t0``, and the turn's ground truth."""
+    # kind codes are positions in PhaseKind, whose order is also the turn's phase order
+    kind_code = np.concatenate(([0, 1], np.tile(np.arange(2, 6), output_tokens)))
+    token = np.concatenate(([-1, -1], np.repeat(np.arange(output_tokens), 4)))  # -1: none
+    step = np.maximum(token, 0)
+    layouts = [_slots(spec.scripts[kind], plan) for kind in PhaseKind]
+    blocks = _terms(spec, layouts, output_tokens)
+    host_ns = [spec.scripts[kind].host_ns for kind in PhaseKind]
+    bound = t0 + sum(float(b.sum(dtype=np.float64)) + h * len(b) for b, h in zip(blocks, host_ns))
+    if bound >= 2.0**62:  # a sum could pass int64: add as exact Python ints
+        blocks = [block.astype(object) for block in blocks]
+    lengths = np.empty(len(kind_code), dtype=blocks[0].dtype)
+    busy = np.empty_like(lengths)
+    relative = []  # per kind: enqueue, submit, start and end from the phase start
+    for k, block in enumerate(blocks):
+        gap, queue, submit, duration = np.moveaxis(block, 2, 0)
+        host = np.cumsum(gap, axis=1)
+        done = np.cumsum(duration, axis=1)
+        end = done + np.maximum.accumulate(host + queue + submit - done + duration, axis=1)
+        tail = block.shape[1] > 0
+        lengths[kind_code == k] = (np.maximum(host[:, -1], end[:, -1]) if tail else 0) + host_ns[k]
+        busy[kind_code == k] = done[:, -1] if tail else 0
+        relative.append((host, host + queue, end - duration, end))
+    ends = t0 + np.cumsum(lengths)
+    if ends[-1] > INT64_MAX:
+        raise OverflowError("the last phase ends past int64")
+    ends = ends.astype(np.int64)
+    starts = ends - lengths.astype(np.int64)
+
+    names = list(dict.fromkeys(ks.name for slots in layouts for ks, _ in slots))
+    codes = {name: i for i, name in enumerate(names)}
+    per_phase = np.array([len(slots) for slots in layouts])[kind_code]
+    first = np.cumsum(per_phase) - per_phase  # each phase's first kernel row
+    kernels = np.empty((5, per_phase.sum()), dtype=np.int64)  # name code, then `relative`
+    truth = GroundTruth(prompt_tokens=prompt_tokens, output_tokens=output_tokens)
+    totals = (truth.kernel_total_ns, truth.kernel_true_total_ns, truth.kernel_invocations)
+    for k, (kind, slots, block) in enumerate(zip(PhaseKind, layouts, blocks)):
+        pos = np.flatnonzero(kind_code == k)
+        rows = first[pos, None] + np.arange(len(slots))
+        kernels[0, rows] = [codes[ks.name] for ks, _ in slots]
+        for column, values in zip(kernels[1:], relative[k]):
+            column[rows] = starts[pos, None] + values
+        truth.phase_busy_ns[kind] = int(busy[pos].sum())
+        truth.phase_wall_ns[kind] = int(lengths[pos].sum())
+        step_sum = int(step[pos].sum())
+        for (ks, _), total in zip(slots, block[..., 3].sum(axis=0).tolist()):
+            true_total = len(pos) * ks.base_latency_ns + ks.per_step_slope_ns * step_sum
+            for by_name, value in zip(totals, (total, true_total, len(pos))):
+                by_name[ks.name] = by_name.get(ks.name, 0) + value
+    # one int object per token and per phase boundary keeps the ground truth small
+    kinds, end_ns = tuple(PhaseKind), ends.tolist()
+    tokens = [None, None] + [t for t in range(output_tokens) for _ in range(4)]
+    truth.windows = [
+        PhaseWindowTruth(kinds[k], 0, t, start, end, b)
+        for k, t, start, end, b in zip(kind_code.tolist(), tokens, [t0] + end_ns[:-1], end_ns,
+                                       busy.tolist())
+    ]
+    code, enqueue, submit, start, end = kernels
+    queue = np.broadcast_to(np.int64(QUEUE_ID), enqueue.shape)
+    kernels = (code, queue, enqueue, enqueue, submit, start, end)  # queued = enqueue: one clock
+    return (kind_code, np.zeros_like(token), token, starts, ends), names, kernels, truth
 
 
 def _run(
@@ -360,30 +395,19 @@ def _run(
         session = make_session(spec.name)
     if not isinstance(session.clock, VirtualClock):
         raise TypeError("simulation sessions must use a VirtualClock (see make_session)")
-
-    truth = GroundTruth(prompt_tokens=prompt_tokens, output_tokens=output_tokens)
-    engine = _Engine(spec, session, plan, truth)
-
-    turn = 0
     try:
-        engine.emit_phase(PhaseKind.EMBEDDING, turn, None, 0)
-        engine.emit_phase(PhaseKind.PREFILL, turn, None, 0)
-        for step in range(output_tokens):
-            engine.emit_phase(PhaseKind.DECODE, turn, step, step)
-            engine.emit_phase(PhaseKind.SOFTMAX, turn, step, step)
-            engine.emit_phase(PhaseKind.COPY_PROBS_TO_CPU, turn, step, step)
-            engine.emit_phase(PhaseKind.SAMPLING, turn, step, step)
-    except OverflowError as exc:
-        # a timestamp past the recorder's int64 columns, or a jitter factor
-        # past the float range
+        phases, names, kernels, truth = _simulate(spec, plan, prompt_tokens, output_tokens,
+                                                  session.clock())
+    except OverflowError as exc:  # a value past int64, or a factor past the float range
         raise InvalidSpec(
             f"workload {spec.name!r} overflows the simulated nanosecond timeline ({exc})"
         ) from None
-
+    session.record_columns(phases, names, kernels)
+    session.clock.advance_to(int(phases[4][-1]))
+    del phases, kernels  # the session holds a copy, and sealing makes another
     session.prompt_tokens = prompt_tokens
     session.output_tokens = output_tokens
-    trace = session.seal()
-    return trace, truth
+    return session.seal(), truth
 
 
 # -- presets ------------------------------------------------------------------
