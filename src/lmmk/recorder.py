@@ -172,7 +172,7 @@ _ROW_CHUNK = 4096  # rows converted to Python ints at a time
 
 _KIND_BY_INDEX = tuple(PhaseKind)
 _INDEX_BY_KIND = {kind: i for i, kind in enumerate(_KIND_BY_INDEX)}
-_PER_TOKEN_CODES = [_INDEX_BY_KIND[kind] for kind in PER_TOKEN_KINDS]
+_PER_TOKEN_BY_CODE = np.array([kind in PER_TOKEN_KINDS for kind in _KIND_BY_INDEX])
 Columns = Sequence[np.ndarray]  # equal-length int64 columns
 
 
@@ -183,7 +183,7 @@ def check_columns(phases: Columns, names: Sequence[str], kernels: Columns) -> No
     raises for the first row that breaks a rule: the lowest row, and in it
     the first broken rule."""
     kind, turn, token, start, end = phases
-    per_token = np.isin(kind, _PER_TOKEN_CODES)
+    per_token = _PER_TOKEN_BY_CODE[kind]
     bad = ((turn < 0) | np.where(per_token, token < 0, token != _NO_TOKEN) | (start < 0)
            | (end < start))
     if bad.any():

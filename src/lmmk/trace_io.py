@@ -12,15 +12,21 @@ chunk at a time, into one template per record type instead of a dict and
 the JSON encoder. The columns hold nothing but int64 values (a
 :class:`~lmmk.recorder.Trace` built from records rejects any other value),
 so no record can make a writer fail after it has opened its file. The
-reader matches a line exactly as :func:`write_jsonl` emits it with one
-pattern per record type and hands any other line to :func:`json.loads`;
-both routes fill the same columns the recorder fills, through the same
-checks and error messages, and seal them with the recorder's argsort.
+reader reads blocks of about 64 KiB that end on LF. A block of lines
+exactly as :func:`write_jsonl` emits them is taken in bulk: one
+``findall`` per record type, int64 columns, one
+:func:`~lmmk.recorder.check_columns` and one append. Any other block goes
+line by line, matching a canonical line with one pattern per record type
+and handing any other line to :func:`json.loads`; after refused blocks in
+a row, the bulk route is tried at doubling intervals. Every route fills the
+same columns the recorder fills, with the same records and the same error
+messages, and seals them with the recorder's argsort.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from typing import Iterator, Mapping, Optional, Sequence
@@ -37,8 +43,11 @@ from .recorder import (
     PhaseTable,
     RecordColumns,
     Trace,
+    _INDEX_BY_KIND,
+    _NO_TOKEN,
     _check_kernel,
     _check_phase,
+    check_columns,
     int_rows,
 )
 
@@ -115,18 +124,31 @@ def write_jsonl(trace: Trace, path: str) -> None:
 # which reports CPython's digit limit itself.
 _INT = rb"(-?(?:0|[1-9][0-9]{0,18}))"
 _KIND_BY_BYTES = {kind.value.encode(): kind for kind in PhaseKind}
-_PHASE_LINE = re.compile(
+_KIND_CODE = {raw: _INDEX_BY_KIND[kind] for raw, kind in _KIND_BY_BYTES.items()}
+
+
+def _line_patterns(fields: bytes) -> tuple[re.Pattern, re.Pattern]:
+    """The pattern of one canonical line, for ``fullmatch`` (its LF
+    optional), and of every such line in LF + block, for ``findall``: a
+    match runs from the LF before a line up to the LF that ends it. (A
+    leading ``(?m)^`` would anchor the same lines, but it stops ``re``
+    from scanning for the literal prefix and doubles the search time.)"""
+    return re.compile(fields + rb"\n?"), re.compile(rb"\n" + fields + rb"(?=\n)")
+
+
+_PHASE_LINE, _PHASE_LINES = _line_patterns(
     rb'\{"ev":"phase","kind":"(' + b"|".join(_KIND_BY_BYTES) + rb')","turn":' + _INT
     + rb',"token":(null|' + _INT[1:-1] + rb'),"t_start_ns":' + _INT
-    + rb',"t_end_ns":' + _INT + rb'\}\n?'
+    + rb',"t_end_ns":' + _INT + rb'\}'
 )
 # Names are printable ASCII without '"' or '\', so the bytes are the text.
-_KERNEL_LINE = re.compile(
+_KERNEL_LINE, _KERNEL_LINES = _line_patterns(
     rb'\{"ev":"kernel","name":"([\x20\x21\x23-\x5b\x5d-\x7e]*)","queue":' + _INT
     + rb',"t_cpu_enqueue_ns":' + _INT + rb',"t_queued_ns":' + _INT
     + rb',"t_submit_ns":' + _INT + rb',"t_start_ns":' + _INT
-    + rb',"t_end_ns":' + _INT + rb'\}\n?'
+    + rb',"t_end_ns":' + _INT + rb'\}'
 )
+_BLOCK_BYTES = 1 << 16  # the reader reads this many bytes at a time, then up to the next LF
 
 
 def _canonical_fields(raw: bytes) -> Optional[tuple]:
@@ -220,6 +242,9 @@ def _header_fields(obj: Mapping) -> dict:
         value = obj.get(key)
         if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
             raise ParseError(f"{key} must be an integer when present")
+    for key in ("clock_offset_ns", "prompt_tokens", "output_tokens"):
+        if obj.get(key) is not None and not INT64_MIN <= obj[key] <= INT64_MAX:
+            raise ParseError(f"{key} out of int64 range")
     return {
         "device_label": label,
         "clock_offset_ns": offset,
@@ -259,6 +284,38 @@ def _reject_overlap(phases: PhaseTable) -> None:
         )
 
 
+def _bulk_rows(columns: RecordColumns, block: bytes, lines: int) -> bool:
+    """Append the rows of a block of ``lines`` canonical lines, each ending
+    in LF, to ``columns`` at once and return True; return False, appending
+    nothing, for any block the per-line route must read: one with another
+    line or no final LF, a value outside int64, a row that breaks a rule,
+    or a token of -1 (the column's code for null)."""
+    if not block.endswith(b"\n"):
+        return False
+    text = b"\n" + block
+    phases = _PHASE_LINES.findall(text)
+    kernels = _KERNEL_LINES.findall(text)
+    if len(phases) + len(kernels) != lines:
+        return False
+    kind, turn, token, start, end = zip(*phases) if phases else [()] * 5
+    name, *times = zip(*kernels) if kernels else [()] * 7
+    if b"-1" in token:
+        return False
+    codes = {raw: code for code, raw in enumerate(dict.fromkeys(name))}  # first-seen order
+    names = [raw.decode("ascii") for raw in codes]
+    try:
+        phase_columns = [np.array(column, dtype=np.int64) for column in (
+            list(map(_KIND_CODE.__getitem__, kind)), turn,
+            [_NO_TOKEN if value == b"null" else value for value in token], start, end)]
+        kernel_columns = [np.array(column, dtype=np.int64)
+                          for column in (list(map(codes.__getitem__, name)), *times)]
+        check_columns(phase_columns, names, kernel_columns)
+    except (OverflowError, ValueError, LmmkError):
+        return False
+    columns.extend(phase_columns, names, kernel_columns)
+    return True
+
+
 def read_jsonl(path: str) -> Trace:
     """Parse a trace file, validating every record invariant, and return the
     sealed (sorted, immutable) trace. Blank lines are skipped; the first
@@ -267,26 +324,47 @@ def read_jsonl(path: str) -> Trace:
     columns = RecordColumns()
     header: Optional[dict] = None
     header_line = 0
+    lineno = 0
+    # After k bulk refusals in a row the next 2**(k-1) - 1 blocks go line by
+    # line unscanned, so a file with no canonical block (CRLF, say) pays the
+    # bulk scans of about log2(blocks) blocks rather than of every block.
+    refused = skip = 0
     with open(path, "rb") as f:
-        for lineno, raw in enumerate(f, start=1):
-            try:
-                fields = _canonical_fields(raw) if header is not None else None
-                if fields is None:
-                    obj = _load_object(raw)
-                    if obj is None:
-                        continue
-                    if header is None:
-                        header = _header_fields(obj)
-                        header_line = lineno
-                        continue
-                    if obj["ev"] == "session":
-                        raise ParseError(f"repeated session header (first on line {header_line})")
-                    fields = _json_fields(obj)
-                _append_row(columns, *fields)
-            except LmmkError as exc:
-                raise type(exc)(f"line {lineno}: {exc}") from None
-            except (KeyError, ValueError) as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
+        while block := f.read(_BLOCK_BYTES):
+            block += f.readline()
+            lines = block.count(b"\n")
+            if header is not None:
+                if skip:
+                    skip -= 1
+                elif _bulk_rows(columns, block, lines):
+                    refused = 0
+                    lineno += lines
+                    continue
+                else:
+                    refused += 1
+                    skip = 2 ** (refused - 1) - 1
+            for raw in io.BytesIO(block):
+                lineno += 1
+                try:
+                    fields = _canonical_fields(raw) if header is not None else None
+                    if fields is None:
+                        obj = _load_object(raw)
+                        if obj is None:
+                            continue
+                        if header is None:
+                            header = _header_fields(obj)
+                            header_line = lineno
+                            continue
+                        if obj["ev"] == "session":
+                            raise ParseError(
+                                f"repeated session header (first on line {header_line})"
+                            )
+                        fields = _json_fields(obj)
+                    _append_row(columns, *fields)
+                except LmmkError as exc:
+                    raise type(exc)(f"line {lineno}: {exc}") from None
+                except (KeyError, ValueError) as exc:
+                    raise ParseError(f"line {lineno}: {exc}") from None
     if header is None:
         raise ParseError("line 1: file is empty; expected a session header")
 

@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 
 from conftest import GOLDEN_DIR, build_trace, golden_trace, metric_report_rows
 from lmmk import trace_io
+from lmmk.cli import main
 from lmmk.errors import ParseError, TimestampOrderViolation, UnknownVersion
 
 
@@ -49,6 +51,26 @@ class TestJsonl:
         trace_io.write_jsonl(trace, str(path))
         assert '"clock_offset_ns":null' in path.read_text()
         assert trace_io.read_jsonl(str(path)).clock_offset_ns is None
+
+    def test_patterns_use_no_syntax_newer_than_python_3_10(self):
+        """pyproject allows Python 3.10, whose ``re`` rejects possessive
+        repeats and atomic groups (``multiple repeat`` at import)."""
+        parser = getattr(re, "_parser", None)
+        if parser is None:
+            pytest.skip("on Python 3.10 importing trace_io already checks this")
+
+        def opcodes(node):
+            if isinstance(node, (list, tuple, parser.SubPattern)):
+                for item in node:
+                    yield from opcodes(item)
+            elif hasattr(node, "name"):
+                yield node.name
+
+        patterns = [v for v in vars(trace_io).values() if isinstance(v, re.Pattern)]
+        assert len(patterns) >= 4
+        for pattern in patterns:
+            used = set(opcodes(parser.parse(pattern.pattern)))
+            assert not used & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}, pattern.pattern
 
 
 class TestReadErrors:
@@ -120,6 +142,29 @@ class TestReadErrors:
         path.write_text('\n{"ev":"session","version":1,"clock_offset_ns":"x"}\n')
         with pytest.raises(ParseError, match="^line 2: clock_offset_ns"):
             trace_io.read_jsonl(str(path))
+
+    @pytest.mark.parametrize("key", ["clock_offset_ns", "prompt_tokens", "output_tokens"])
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+    def test_header_integers_outside_int64_name_the_header_line(
+        self, tmp_path, capsys, key, value
+    ):
+        path = tmp_path / "range.jsonl"
+        header = {"ev": "session", "version": 1, "clock_offset_ns": 0, key: value}
+        path.write_text("\n" + json.dumps(header) + "\n")
+        message = f"line 2: {key} out of int64 range"
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            trace_io.read_jsonl(str(path))
+        assert main(["analyze", str(path)]) == 1
+        assert f"lmmk: error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [2**63 - 1, -(2**63)])
+    def test_header_integers_at_the_int64_limits_are_kept(self, tmp_path, value):
+        path = tmp_path / "edge.jsonl"
+        header = {"ev": "session", "version": 1, "clock_offset_ns": value,
+                  "prompt_tokens": value, "output_tokens": value}
+        path.write_text(json.dumps(header) + "\n")
+        trace = trace_io.read_jsonl(str(path))
+        assert trace.clock_offset_ns == trace.prompt_tokens == trace.output_tokens == value
 
     def test_repeated_header_names_its_line(self, tmp_path):
         path = tmp_path / "twice.jsonl"

@@ -1,14 +1,17 @@
 """Property tests for the trace writers and reader.
 
-The writers format records from templates and the reader matches canonical
-lines with one pattern per record type before falling back to
+The writers format records from templates. The reader takes blocks of
+canonical lines in bulk and reads any other block line by line, matching
+canonical lines with one pattern per record type before falling back to
 ``json.loads``. These tests hold them to the dict-and-encoder code they
-replaced (kept below as the reference), to the ``json.loads`` route, and
-to the rule that any input ends in a valid Trace or an ``LmmkError``.
+replaced (kept below as the reference), to the per-line and ``json.loads``
+routes, and to the rule that any input ends in a valid Trace or an
+``LmmkError``.
 """
 
 import json
 import re
+import tracemalloc
 from itertools import pairwise
 from unittest import mock
 
@@ -18,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_trace
-from lmmk import trace_io
+from lmmk import sim_engine, trace_io
 from lmmk.cli import main
 from lmmk.errors import LmmkError, ParseError
 from lmmk.recorder import PER_TOKEN_KINDS, KernelRecord, PhaseKind, PhaseRecord, Trace
@@ -430,3 +433,183 @@ def test_malformed_header_fields_are_parse_errors(tmp_path, capsys, header, mess
         trace_io.read_jsonl(str(path))
     assert main(["analyze", str(path)]) == 1
     assert f"lmmk: error: {message}" in capsys.readouterr().err
+
+
+# -- block reader ----------------------------------------------------------
+#
+# The reader takes a block of canonical lines in bulk (one findall per record
+# type, checked by check_columns) and sends any other block through the
+# per-line route. Read with the bulk route switched off, every file must give
+# the same trace, with the same kernel names in the same interning order, or
+# the same error and message.
+
+def phase_line(kind, token, start, end, turn=0):
+    token = b"null" if token is None else b"%d" % token
+    return (b'{"ev":"phase","kind":"%s","turn":%d,"token":%s,"t_start_ns":%d,"t_end_ns":%d}'
+            % (kind.encode(), turn, token, start, end))
+
+
+def kernel_line(name, queued, submit, start, end, queue=0, enqueue=0):
+    return (b'{"ev":"kernel","name":"%s","queue":%d,"t_cpu_enqueue_ns":%d,"t_queued_ns":%d,'
+            b'"t_submit_ns":%d,"t_start_ns":%d,"t_end_ns":%d}'
+            % (name, queue, enqueue, queued, submit, start, end))
+
+
+def per_line_only():
+    return mock.patch.object(trace_io, "_bulk_rows", lambda columns, block, lines: False)
+
+
+def block_size(block_bytes):
+    return mock.patch.object(trace_io, "_BLOCK_BYTES", block_bytes)
+
+
+def read_with_names(path):
+    outcome = read_outcome(path)
+    return (outcome, outcome.kernels.names) if isinstance(outcome, Trace) else outcome
+
+
+@st.composite
+def block_files(draw):
+    """A trace file of valid rows (kernel names from a small pool, so later
+    blocks meet new names), with some lines replaced by any record line, a
+    blank line, a CRLF line, a second header, a token of -1 or a value
+    past int64, and with or without its final LF."""
+    n = draw(st.integers(0, 8))
+    bounds = sorted(draw(st.lists(big, min_size=2 * n, max_size=2 * n)))
+    lines = [HEADER]
+    for start, end in zip(bounds[::2], bounds[1::2]):
+        kind = draw(st.sampled_from(list(PhaseKind)))
+        token = draw(st.integers(0, 2**62)) if kind in PER_TOKEN_KINDS else None
+        lines.append(phase_line(kind.value, token, start, end, turn=draw(st.integers(0, 3))))
+    for _ in range(draw(st.integers(0, 12))):
+        queued, submit, start, end = sorted(draw(st.lists(big, min_size=4, max_size=4)))
+        name = draw(st.sampled_from([b"a", b"b", b"mm", b"x y", b"a\\u0041"]))
+        lines.append(kernel_line(name, queued, submit, start, end,
+                                 queue=draw(st.integers(0, 3)), enqueue=draw(big)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(1, len(lines)))
+        lines[at:at + draw(st.integers(0, 1))] = [draw(st.one_of(
+            record_lines(),
+            st.sampled_from([b"", b"  ", HEADER, lines[at - 1] + b"\r",
+                             phase_line("embedding", -1, 0, 1), phase_line("decode", -1, 0, 1),
+                             kernel_line(b"a", 0, 1, 2, 2**63)]),
+        ))]
+    return b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
+
+
+# A header longer than the 300-byte blocks of the examples below, so that it
+# fills the first block alone and the lines after it form blocks of 2-4 lines.
+LONG_HEADER = (b'{"ev":"session","version":1,"device_label":"' + b"d" * 300
+               + b'","clock_offset_ns":0}')
+GOOD = kernel_line(b"a", 10, 11, 12, 13)
+
+
+def lines_of(*lines, end=b"\n"):
+    return b"\n".join(lines) + end
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_files(), st.integers(1, 400))
+@example(lines_of(HEADER, GOOD, phase_line("embedding", -1, 0, 1)), 1)
+@example(lines_of(HEADER, GOOD, phase_line("decode", -1, 0, 1)), 1)
+@example(lines_of(LONG_HEADER, phase_line("decode", 7, 0, 1), phase_line("decode", -1, 1, 2),
+                  GOOD), 300)
+@example(lines_of(HEADER, GOOD, GOOD, kernel_line(b"a", 0, 1, 2, 2**63), GOOD), 1)
+@example(lines_of(LONG_HEADER, GOOD, kernel_line(b"a", 2**63, 1, 2, 3), GOOD), 300)
+@example(lines_of(LONG_HEADER, GOOD, GOOD, kernel_line(b"b", 5, 4, 6, 7), GOOD), 300)
+@example(lines_of(LONG_HEADER, GOOD, GOOD, GOOD, GOOD, kernel_line(b"b", 5, 6, 6, 3)), 300)
+@example(lines_of(LONG_HEADER, phase_line("embedding", None, 0, 10),
+                  phase_line("prefill", None, 10, 20), kernel_line(b"b", 30, 31, 32, 33),
+                  GOOD, GOOD, GOOD, GOOD, kernel_line(b"c", 1, 2, 3, 4), GOOD), 300)
+@example(lines_of(HEADER, GOOD, GOOD + b"\r", b"", GOOD, end=b""), 1)
+@example(lines_of(HEADER, GOOD, GOOD + b"\r", b"", GOOD, b"  ", GOOD, HEADER), 1)
+@example(lines_of(HEADER, GOOD, GOOD, kernel_line(b"a", 1, 2, 3, 2), end=b""), 1)
+@example(lines_of(b"", HEADER, GOOD, kernel_line(b"b", 0, 0, 0, 0), GOOD,
+                  kernel_line(b"z", 0, 0, 0, 0)), 1)
+def test_block_reader_matches_per_line_reader(scratch, data, block_bytes):
+    """Any block size gives what the per-line route gives: the same trace
+    and kernel name order, or the same error and message."""
+    path = scratch / "blocks.jsonl"
+    path.write_bytes(data)
+    with block_size(block_bytes):
+        bulk = read_with_names(path)
+        with per_line_only():
+            assert read_with_names(path) == bulk
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_files(), st.integers(1, 400))
+def test_fast_routes_match_json_path(scratch, data, block_bytes):
+    """Every file reads the same through the bulk and canonical-line routes
+    as through json.loads alone."""
+    path = scratch / "json.jsonl"
+    path.write_bytes(data)
+    with block_size(block_bytes):
+        fast = read_with_names(path)
+        with per_line_only(), mock.patch.object(trace_io, "_canonical_fields", lambda raw: None):
+            assert read_with_names(path) == fast
+
+
+def read_spying_on_bulk(path, block_bytes):
+    """The trace read from ``path``, and whether the bulk route took each
+    block it was offered."""
+    taken = []
+    bulk_rows = trace_io._bulk_rows
+
+    def spy(columns, block, lines):
+        taken.append(bulk_rows(columns, block, lines))
+        return taken[-1]
+
+    with block_size(block_bytes), mock.patch.object(trace_io, "_bulk_rows", spy):
+        return trace_io.read_jsonl(str(path)), taken
+
+
+@pytest.mark.parametrize("block_bytes", [1, 300, 4096])
+def test_bulk_route_takes_every_canonical_block(tmp_path, preset_run_16, block_bytes):
+    """Past the header's block, a written trace is read in bulk alone."""
+    trace, _ = preset_run_16
+    path = tmp_path / "sim.jsonl"
+    trace_io.write_jsonl(trace, str(path))
+    loaded, taken = read_spying_on_bulk(path, block_bytes)
+    assert loaded == trace and loaded.kernels.names == trace.kernels.names
+    assert len(taken) > 1 and all(taken)
+
+
+def test_bulk_route_backs_off_from_refused_blocks(tmp_path, preset_run_16):
+    """A file whose blocks the bulk route refuses one after another is
+    offered to it about log2(blocks) times, not once per block; canonical
+    blocks after a refused stretch are taken in bulk again."""
+    trace, _ = preset_run_16
+    path = tmp_path / "sim.jsonl"
+    trace_io.write_jsonl(trace, str(path))
+    lines = path.read_bytes().split(b"\n")
+    blocks = len(lines) - 1  # one line per block at 1 byte
+    path.write_bytes(b"\r\n".join(lines))
+    loaded, taken = read_spying_on_bulk(path, 1)
+    assert loaded == trace and not any(taken)
+    assert blocks > 100 and len(taken) <= blocks.bit_length() + 1
+    crlf_stretch = 20
+    path.write_bytes(b"\r\n".join(lines[:crlf_stretch]) + b"\r\n" + b"\n".join(lines[crlf_stretch:]))
+    loaded, taken = read_spying_on_bulk(path, 1)
+    assert loaded == trace
+    assert taken[-1] and len(taken) - sum(taken) <= 6
+    assert sum(taken) >= blocks - 2 * crlf_stretch
+
+
+def test_reader_memory_is_bounded_by_columns_and_blocks(tmp_path):
+    """The reader's peak is the columns it returns (held twice while they
+    are sorted, with room to grow) plus a few blocks, whatever the file
+    size; holding the whole file, or every match in it, costs more."""
+    trace, _ = sim_engine.run(sim_engine.preset_gemma_decode(), 8, 1024)
+    path = tmp_path / "long.jsonl"
+    trace_io.write_jsonl(trace, str(path))
+    assert path.stat().st_size >= 32 * trace_io._BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        loaded = trace_io.read_jsonl(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == trace
+    column_bytes = 8 * (5 * len(loaded.phases) + 7 * len(loaded.kernels))
+    assert peak < 4 * column_bytes + 8 * trace_io._BLOCK_BYTES
