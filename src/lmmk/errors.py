@@ -71,7 +71,7 @@ class MissingPhase(LmmkError):
 
 
 class MissingTokenCounts(LmmkError):
-    """The trace carries no prompt/output token counts."""
+    """The trace carries no prompt/output token counts, or one below 1."""
 
 
 # --- sampler ----------------------------------------------------------------

@@ -144,10 +144,14 @@ def throughput(trace: Trace) -> ThroughputReport:
     """Tokens per second during prefill and decode, plus reciprocals.
 
     Needs at least one prefill and one decode phase plus the prompt/output
-    token counts carried in the trace metadata.
+    token counts carried in the trace metadata, each at least 1.
     """
     if trace.prompt_tokens is None or trace.output_tokens is None:
         raise MissingTokenCounts("trace carries no prompt/output token counts")
+    for key, count in (("prompt_tokens", trace.prompt_tokens),
+                       ("output_tokens", trace.output_tokens)):
+        if count < 1:
+            raise MissingTokenCounts(f"{key} must be at least 1, got {count}")
     phases = trace.phases
     duration = phases.t_end_ns - phases.t_start_ns
     prefill, decode = phases.of_kind(PhaseKind.PREFILL), phases.of_kind(PhaseKind.DECODE)

@@ -12,15 +12,15 @@ chunk at a time, into one template per record type instead of a dict and
 the JSON encoder. The columns hold nothing but int64 values (a
 :class:`~lmmk.recorder.Trace` built from records rejects any other value),
 so no record can make a writer fail after it has opened its file. The
-reader reads blocks of about 64 KiB that end on LF. A block of lines
-exactly as :func:`write_jsonl` emits them is taken in bulk: one
-``findall`` per record type, int64 columns, one
+reader reads the header line on its own, then blocks of about 64 KiB that
+end on LF. A block of lines exactly as :func:`write_jsonl` emits them is
+taken in bulk: one ``findall`` per record type, int64 columns, one
 :func:`~lmmk.recorder.check_columns` and one append. Any other block goes
-line by line, matching a canonical line with one pattern per record type
-and handing any other line to :func:`json.loads`; after refused blocks in
-a row, the bulk route is tried at doubling intervals. Every route fills the
-same columns the recorder fills, with the same records and the same error
-messages, and seals them with the recorder's argsort.
+line by line through :func:`json.loads`, the reference the bulk route
+agrees with; after refused blocks in a row, the bulk route is tried at
+doubling intervals. Both routes fill the same columns the recorder fills,
+with the same records and the same error messages, and seal them with the
+recorder's argsort.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ from .errors import LmmkError, ParseError, UnknownVersion
 from .recorder import (
     INT64_MAX,
     INT64_MIN,
-    KernelRecord,
     PhaseKind,
-    PhaseRecord,
     PhaseTable,
     RecordColumns,
     Trace,
@@ -54,11 +52,6 @@ from .recorder import (
 FILE_VERSION = 1
 
 _KIND_VALUES = tuple(kind.value for kind in PhaseKind)  # by PhaseTable.kind_code
-# JSON keys of the constructor arguments _canonical_fields/_json_fields return
-_PHASE_KEYS = ("kind", "turn", "token", "t_start_ns", "t_end_ns")
-_KERNEL_KEYS = (
-    "name", "queue", "t_cpu_enqueue_ns", "t_queued_ns", "t_submit_ns", "t_start_ns", "t_end_ns"
-)
 
 
 def _phase_rows(trace: Trace) -> Iterator[tuple]:
@@ -123,54 +116,30 @@ def write_jsonl(trace: Trace, path: str) -> None:
 # a 19-digit value past int64); longer literals take the json.loads route,
 # which reports CPython's digit limit itself.
 _INT = rb"(-?(?:0|[1-9][0-9]{0,18}))"
-_KIND_BY_BYTES = {kind.value.encode(): kind for kind in PhaseKind}
-_KIND_CODE = {raw: _INDEX_BY_KIND[kind] for raw, kind in _KIND_BY_BYTES.items()}
+_KIND_CODE = {kind.value.encode(): code for kind, code in _INDEX_BY_KIND.items()}
 
 
-def _line_patterns(fields: bytes) -> tuple[re.Pattern, re.Pattern]:
-    """The pattern of one canonical line, for ``fullmatch`` (its LF
-    optional), and of every such line in LF + block, for ``findall``: a
-    match runs from the LF before a line up to the LF that ends it. (A
+def _lines_pattern(fields: bytes) -> re.Pattern:
+    """The pattern of every canonical line in LF + block, for ``findall``:
+    a match runs from the LF before a line up to the LF that ends it. (A
     leading ``(?m)^`` would anchor the same lines, but it stops ``re``
     from scanning for the literal prefix and doubles the search time.)"""
-    return re.compile(fields + rb"\n?"), re.compile(rb"\n" + fields + rb"(?=\n)")
+    return re.compile(rb"\n" + fields + rb"(?=\n)")
 
 
-_PHASE_LINE, _PHASE_LINES = _line_patterns(
-    rb'\{"ev":"phase","kind":"(' + b"|".join(_KIND_BY_BYTES) + rb')","turn":' + _INT
+_PHASE_LINES = _lines_pattern(
+    rb'\{"ev":"phase","kind":"(' + b"|".join(_KIND_CODE) + rb')","turn":' + _INT
     + rb',"token":(null|' + _INT[1:-1] + rb'),"t_start_ns":' + _INT
     + rb',"t_end_ns":' + _INT + rb'\}'
 )
 # Names are printable ASCII without '"' or '\', so the bytes are the text.
-_KERNEL_LINE, _KERNEL_LINES = _line_patterns(
+_KERNEL_LINES = _lines_pattern(
     rb'\{"ev":"kernel","name":"([\x20\x21\x23-\x5b\x5d-\x7e]*)","queue":' + _INT
     + rb',"t_cpu_enqueue_ns":' + _INT + rb',"t_queued_ns":' + _INT
     + rb',"t_submit_ns":' + _INT + rb',"t_start_ns":' + _INT
     + rb',"t_end_ns":' + _INT + rb'\}'
 )
 _BLOCK_BYTES = 1 << 16  # the reader reads this many bytes at a time, then up to the next LF
-
-
-def _canonical_fields(raw: bytes) -> Optional[tuple]:
-    """(record type, constructor arguments) for a line exactly as
-    :func:`write_jsonl` emits it, read straight from the pattern's groups;
-    None for any other line. The record type only tags the row; no record
-    is built."""
-    m = _KERNEL_LINE.fullmatch(raw)
-    if m is not None:
-        name, q, enqueue, queued, submit, start, end = m.groups()
-        return KernelRecord, (
-            name.decode("ascii"), int(q), int(enqueue), int(queued), int(submit),
-            int(start), int(end),
-        )
-    m = _PHASE_LINE.fullmatch(raw)
-    if m is not None:
-        kind, turn, token, start, end = m.groups()
-        return PhaseRecord, (
-            _KIND_BY_BYTES[kind], int(turn), None if token == b"null" else int(token),
-            int(start), int(end),
-        )
-    return None
 
 
 def _load_object(raw: bytes) -> Optional[dict]:
@@ -193,34 +162,46 @@ def _load_object(raw: bytes) -> Optional[dict]:
     return obj
 
 
-def _require_int(obj: Mapping, key: str) -> int:
+def _require_int(obj: Mapping, key: str, nullable: bool = False) -> Optional[int]:
+    """The integer field ``key`` of a decoded record (None for a null
+    ``nullable`` field); ValueError for any other type or a value outside
+    int64."""
     value = obj.get(key)
+    if value is None and nullable:
+        return None
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+        expected = "an integer or null" if nullable else "an integer"
+        raise ValueError(f"field {key!r} must be {expected}, got {value!r}")
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise ValueError(f"field {key!r} out of int64 range")
     return value
 
 
-def _json_fields(obj: Mapping) -> tuple:
-    """(record type, constructor arguments) for a decoded phase or kernel
-    object, checking each field's JSON type."""
+def _append_record(columns: RecordColumns, obj: Mapping) -> None:
+    """Append the row of a decoded phase or kernel object to ``columns``,
+    checking each field's JSON type and range in key order, then the
+    record's own rules."""
     if obj["ev"] == "phase":
-        token = obj.get("token")
-        if token is not None and (not isinstance(token, int) or isinstance(token, bool)):
-            raise ValueError(f"field 'token' must be an integer or null, got {token!r}")
-        return PhaseRecord, (
-            PhaseKind(obj["kind"]), _require_int(obj, "turn"), token,
-            _require_int(obj, "t_start_ns"), _require_int(obj, "t_end_ns"),
+        args = (
+            PhaseKind(obj["kind"]), _require_int(obj, "turn"),
+            _require_int(obj, "token", nullable=True), _require_int(obj, "t_start_ns"),
+            _require_int(obj, "t_end_ns"),
         )
-    if obj["ev"] == "kernel":
+        _check_phase(*args)
+        columns.add_phase(*args)
+    elif obj["ev"] == "kernel":
         name = obj.get("name")
         if not isinstance(name, str):
             raise ValueError(f"field 'name' must be a string, got {name!r}")
-        return KernelRecord, (
+        args = (
             name, _require_int(obj, "queue"), _require_int(obj, "t_cpu_enqueue_ns"),
             _require_int(obj, "t_queued_ns"), _require_int(obj, "t_submit_ns"),
             _require_int(obj, "t_start_ns"), _require_int(obj, "t_end_ns"),
         )
-    raise ParseError(f"unknown record type {obj['ev']!r}")
+        _check_kernel(*args)
+        columns.add_kernel(*args)
+    else:
+        raise ParseError(f"unknown record type {obj['ev']!r}")
 
 
 def _header_fields(obj: Mapping) -> dict:
@@ -251,23 +232,6 @@ def _header_fields(obj: Mapping) -> dict:
         "prompt_tokens": obj.get("prompt_tokens"),
         "output_tokens": obj.get("output_tokens"),
     }
-
-
-def _append_row(columns: RecordColumns, record_type: type, args: tuple) -> None:
-    """Append one parsed row to ``columns``: a value outside int64 raises
-    first, then the record's own checks. A failed row is left in the
-    columns; the caller abandons them."""
-    if record_type is KernelRecord:
-        add, check, keys = columns.add_kernel, _check_kernel, _KERNEL_KEYS
-    else:
-        add, check, keys = columns.add_phase, _check_phase, _PHASE_KEYS
-    try:
-        add(*args)
-    except OverflowError:
-        key = next(key for key, value in zip(keys, args) if type(value) is int
-                   and not INT64_MIN <= value <= INT64_MAX)
-        raise ParseError(f"field {key!r} out of int64 range") from None
-    check(*args)
 
 
 def _reject_overlap(phases: PhaseTable) -> None:
@@ -323,17 +287,22 @@ def read_jsonl(path: str) -> Trace:
     line. Integers must fit in int64."""
     columns = RecordColumns()
     header: Optional[dict] = None
-    header_line = 0
     lineno = 0
     # After k bulk refusals in a row the next 2**(k-1) - 1 blocks go line by
     # line unscanned, so a file with no canonical block (CRLF, say) pays the
     # bulk scans of about log2(blocks) blocks rather than of every block.
     refused = skip = 0
     with open(path, "rb") as f:
-        while block := f.read(_BLOCK_BYTES):
-            block += f.readline()
-            lines = block.count(b"\n")
-            if header is not None:
+        # _bulk_rows raises nothing, so any error below is on line lineno.
+        try:
+            while header is None and (raw := f.readline()):
+                lineno += 1
+                obj = _load_object(raw)
+                header = None if obj is None else _header_fields(obj)
+            header_line = lineno
+            while block := f.read(_BLOCK_BYTES):  # at EOF already if no header was found
+                block += f.readline()
+                lines = block.count(b"\n")
                 if skip:
                     skip -= 1
                 elif _bulk_rows(columns, block, lines):
@@ -343,28 +312,18 @@ def read_jsonl(path: str) -> Trace:
                 else:
                     refused += 1
                     skip = 2 ** (refused - 1) - 1
-            for raw in io.BytesIO(block):
-                lineno += 1
-                try:
-                    fields = _canonical_fields(raw) if header is not None else None
-                    if fields is None:
-                        obj = _load_object(raw)
-                        if obj is None:
-                            continue
-                        if header is None:
-                            header = _header_fields(obj)
-                            header_line = lineno
-                            continue
-                        if obj["ev"] == "session":
-                            raise ParseError(
-                                f"repeated session header (first on line {header_line})"
-                            )
-                        fields = _json_fields(obj)
-                    _append_row(columns, *fields)
-                except LmmkError as exc:
-                    raise type(exc)(f"line {lineno}: {exc}") from None
-                except (KeyError, ValueError) as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from None
+                for raw in io.BytesIO(block):
+                    lineno += 1
+                    obj = _load_object(raw)
+                    if obj is None:
+                        continue
+                    if obj["ev"] == "session":
+                        raise ParseError(f"repeated session header (first on line {header_line})")
+                    _append_record(columns, obj)
+        except LmmkError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
+        except (KeyError, ValueError) as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
     if header is None:
         raise ParseError("line 1: file is empty; expected a session header")
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,6 +211,14 @@ class TestThroughput:
             ]
         )
         with pytest.raises(MissingTokenCounts):
+            metrics.throughput(trace)
+
+    @pytest.mark.parametrize("key", ["prompt_tokens", "output_tokens"])
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_token_count_below_one(self, key, count):
+        trace, _ = sim_engine.run(sim_engine.preset_gemma_decode(), 2, 2)
+        trace = dataclasses.replace(trace, **{key: count})
+        with pytest.raises(MissingTokenCounts, match=f"^{key} must be at least 1, got {count}$"):
             metrics.throughput(trace)
 
     def test_matches_ground_truth_exactly(self, preset_run_16):

@@ -1,12 +1,11 @@
 """Property tests for the trace writers and reader.
 
-The writers format records from templates. The reader takes blocks of
-canonical lines in bulk and reads any other block line by line, matching
-canonical lines with one pattern per record type before falling back to
-``json.loads``. These tests hold them to the dict-and-encoder code they
-replaced (kept below as the reference), to the per-line and ``json.loads``
-routes, and to the rule that any input ends in a valid Trace or an
-``LmmkError``.
+The writers format records from templates. The reader reads the header
+line on its own, takes blocks of canonical lines in bulk and reads any
+other block line by line through ``json.loads``. These tests hold them to
+the dict-and-encoder code they replaced (kept below as the reference), to
+the ``json.loads`` route, and to the rule that any input ends in a valid
+Trace or an ``LmmkError``.
 """
 
 import json
@@ -24,7 +23,9 @@ from conftest import build_trace
 from lmmk import sim_engine, trace_io
 from lmmk.cli import main
 from lmmk.errors import LmmkError, ParseError
-from lmmk.recorder import PER_TOKEN_KINDS, KernelRecord, PhaseKind, PhaseRecord, Trace
+from lmmk.recorder import (
+    PER_TOKEN_KINDS, KernelRecord, PhaseKind, PhaseRecord, RecordColumns, Trace,
+)
 
 
 # -- reference writers: the dict + json.dumps code the templates replaced --
@@ -220,6 +221,27 @@ def test_export_chrome_trace_matches_reference_bytes(scratch, trace):
     assert (scratch / "new.json").read_bytes() == (scratch / "ref.json").read_bytes()
 
 
+below_2_51 = st.integers(0, 2**51 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(below_2_51, below_2_51), min_size=1, max_size=6),
+       st.lists(st.tuples(below_2_51, below_2_51), min_size=1, max_size=6))
+@example([(2**51 - 1, 2**51 - 1)], [(2**51 - 1, 2**51 - 1)])
+def test_export_gives_back_every_nanosecond_below_2_51(scratch, phase_spans, kernel_spans):
+    """The promise of docs/trace_format.md: round(x * 1000) of an exported
+    ts or dur is the exact nanosecond for every ts and dur below 2**51."""
+    phases = [PhaseRecord(PhaseKind.PREFILL, 0, None, ts, ts + dur) for ts, dur in phase_spans]
+    kernels = [KernelRecord("k", 0, 0, ts, ts, ts, ts + dur) for ts, dur in kernel_spans]
+    trace_io.export_chrome_trace(Trace("x", 0, tuple(phases), tuple(kernels)),
+                                 str(scratch / "ns.json"))
+    with open(scratch / "ns.json", encoding="utf-8") as f:
+        events = json.load(f)["traceEvents"]
+    assert [(round(e["ts"] * 1000), round(e["dur"] * 1000)) for e in events] == (
+        phase_spans + kernel_spans
+    )
+
+
 @pytest.mark.parametrize("writer", [trace_io.write_jsonl, trace_io.export_chrome_trace])
 @pytest.mark.parametrize("bad", [True, 2.0, np.int64(2)], ids=["bool", "float", "numpy"])
 @pytest.mark.parametrize("field", ["turn", "token_index", "t_end_ns"])
@@ -264,12 +286,12 @@ KERNEL_LINE = (b'{"ev":"kernel","name":"%s","queue":%s,"t_cpu_enqueue_ns":0,"t_q
 @example(b'{"ev":"phase","kind":"decode","turn":0,"token":null,"t_start_ns":0,"t_end_ns":1}',
          b"\n")
 def test_fast_path_matches_json_path(scratch, line, ending):
-    """Every line reads the same with the canonical-line patterns as
-    through json.loads alone: equal traces, or the same error and message."""
+    """Every line reads the same with the bulk route as through json.loads
+    alone: equal traces, or the same error and message."""
     path = scratch / "line.jsonl"
     path.write_bytes(HEADER + b"\n" + line + ending)
     fast = read_outcome(path)
-    with mock.patch.object(trace_io, "_canonical_fields", lambda raw: None):
+    with per_line_only():
         slow = read_outcome(path)
     assert fast == slow
 
@@ -289,16 +311,17 @@ PHASE_LINE = b'{"ev":"phase","kind":"decode","turn":%s,"token":%s,"t_start_ns":%
 ], ids=["queue-2**63", "end-2**63", "queued-2**63", "queue-below", "token-2**63",
         "turn-below", "end-19-nines"])
 def test_values_outside_int64_are_parse_errors(tmp_path, line, field):
-    """On the canonical-line fast path and the json.loads path alike, and
-    before the record's own checks (a queued time of 2**63 also breaks
+    """With the bulk route offered the line and through json.loads alone,
+    and before the record's own checks (a queued time of 2**63 also breaks
     queued <= submit)."""
     path = tmp_path / "range.jsonl"
     path.write_bytes(HEADER + b"\n" + line + b"\n")
     message = f"line 2: field {field!r} out of int64 range"
-    assert trace_io._canonical_fields(line + b"\n") is not None
+    text = b"\n" + line + b"\n"
+    assert len(trace_io._KERNEL_LINES.findall(text) + trace_io._PHASE_LINES.findall(text)) == 1
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         trace_io.read_jsonl(str(path))
-    with mock.patch.object(trace_io, "_canonical_fields", lambda raw: None):
+    with per_line_only():
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             trace_io.read_jsonl(str(path))
 
@@ -313,22 +336,21 @@ def test_int64_extremes_round_trip(tmp_path):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(kernel_records(), min_size=1, max_size=3),
-       st.lists(phase_records(), min_size=1, max_size=3),
-       st.sampled_from([b"\n", b""]))
-def test_fast_path_takes_every_line_the_writer_emits_for_plain_names(
-    scratch, kernels, phases, ending
-):
+       st.lists(phase_records(), min_size=1, max_size=3))
+def test_fast_path_takes_every_line_the_writer_emits_for_plain_names(scratch, kernels, phases):
+    """The bulk route takes the writer's record lines, as columns holding
+    the records, unless a kernel name needs escaping; then it refuses them."""
     trace = Trace("x", 0, tuple(phases), tuple(kernels))
     trace_io.write_jsonl(trace, str(scratch / "w.jsonl"))
-    lines = (scratch / "w.jsonl").read_bytes().splitlines()[1:]
-    for line, record in zip(lines, list(phases) + list(kernels)):
-        fields = trace_io._canonical_fields(line + ending)
-        escaped = isinstance(record, KernelRecord) and json.dumps(record.name) != f'"{record.name}"'
-        if escaped:
-            assert fields is None
-        else:
-            assert fields is not None
-            assert fields[0](*fields[1]) == record
+    block = (scratch / "w.jsonl").read_bytes().split(b"\n", 1)[1]
+    columns = RecordColumns()
+    taken = trace_io._bulk_rows(columns, block, len(phases) + len(kernels))
+    assert taken == all(json.dumps(k.name) == f'"{k.name}"' for k in kernels)
+    if taken:
+        assert columns.tables() == (  # sealed by the stable argsort
+            tuple(sorted(phases, key=lambda p: p.t_start_ns)),
+            tuple(sorted(kernels, key=lambda k: k.t_queued_ns)),
+        )
 
 
 def assert_trace_invariants(trace):
@@ -537,28 +559,16 @@ def test_block_reader_matches_per_line_reader(scratch, data, block_bytes):
             assert read_with_names(path) == bulk
 
 
-@settings(max_examples=200, deadline=None)
-@given(block_files(), st.integers(1, 400))
-def test_fast_routes_match_json_path(scratch, data, block_bytes):
-    """Every file reads the same through the bulk and canonical-line routes
-    as through json.loads alone."""
-    path = scratch / "json.jsonl"
-    path.write_bytes(data)
-    with block_size(block_bytes):
-        fast = read_with_names(path)
-        with per_line_only(), mock.patch.object(trace_io, "_canonical_fields", lambda raw: None):
-            assert read_with_names(path) == fast
-
-
 def read_spying_on_bulk(path, block_bytes):
-    """The trace read from ``path``, and whether the bulk route took each
-    block it was offered."""
+    """The trace read from ``path``, and the number of lines the bulk route
+    took from each block it was offered (0 for a block it refused)."""
     taken = []
     bulk_rows = trace_io._bulk_rows
 
     def spy(columns, block, lines):
-        taken.append(bulk_rows(columns, block, lines))
-        return taken[-1]
+        ok = bulk_rows(columns, block, lines)
+        taken.append(lines if ok else 0)
+        return ok
 
     with block_size(block_bytes), mock.patch.object(trace_io, "_bulk_rows", spy):
         return trace_io.read_jsonl(str(path)), taken
@@ -566,13 +576,15 @@ def read_spying_on_bulk(path, block_bytes):
 
 @pytest.mark.parametrize("block_bytes", [1, 300, 4096])
 def test_bulk_route_takes_every_canonical_block(tmp_path, preset_run_16, block_bytes):
-    """Past the header's block, a written trace is read in bulk alone."""
+    """Past the header line, a written trace is read in bulk alone: every
+    record line, whatever block it shares with the header."""
     trace, _ = preset_run_16
     path = tmp_path / "sim.jsonl"
     trace_io.write_jsonl(trace, str(path))
     loaded, taken = read_spying_on_bulk(path, block_bytes)
     assert loaded == trace and loaded.kernels.names == trace.kernels.names
     assert len(taken) > 1 and all(taken)
+    assert sum(taken) == len(trace.phases) + len(trace.kernels)
 
 
 def test_bulk_route_backs_off_from_refused_blocks(tmp_path, preset_run_16):
@@ -592,7 +604,7 @@ def test_bulk_route_backs_off_from_refused_blocks(tmp_path, preset_run_16):
     path.write_bytes(b"\r\n".join(lines[:crlf_stretch]) + b"\r\n" + b"\n".join(lines[crlf_stretch:]))
     loaded, taken = read_spying_on_bulk(path, 1)
     assert loaded == trace
-    assert taken[-1] and len(taken) - sum(taken) <= 6
+    assert taken[-1] and taken.count(0) <= 6
     assert sum(taken) >= blocks - 2 * crlf_stretch
 
 
