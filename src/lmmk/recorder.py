@@ -98,6 +98,25 @@ def _check_phase(
         raise TimestampOrderViolation("phase t_end_ns < t_start_ns")
 
 
+#: The range every integer in a trace's columns must lie in.
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _check_int64(obj: object, fields: tuple[str, ...], nullable: tuple[str, ...] = (),
+                 expected: str = "an int") -> None:
+    """Raise TypeError for the first of ``fields`` of ``obj`` that is not an
+    exact int (None passes for a ``nullable`` field), or ValueError for one
+    outside int64."""
+    for name in fields:
+        value = getattr(obj, name)
+        if type(value) is not int:
+            if value is None and name in nullable:
+                continue
+            raise TypeError(f"{type(obj).__name__}.{name} must be {expected}, got {value!r}")
+        if not INT64_MIN <= value <= INT64_MAX:
+            raise ValueError(f"{type(obj).__name__}.{name} out of int64 range, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhaseRecord:
     """One timed occurrence of a semantic inference phase."""
@@ -109,6 +128,7 @@ class PhaseRecord:
     t_end_ns: int
 
     def __post_init__(self) -> None:
+        _check_int64(self, ("turn", "token_index", "t_start_ns", "t_end_ns"), ("token_index",))
         _check_phase(self.kind, self.turn, self.token_index, self.t_start_ns, self.t_end_ns)
 
     @property
@@ -134,6 +154,8 @@ class KernelRecord:
     t_end_ns: int
 
     def __post_init__(self) -> None:
+        _check_int64(self, ("queue_id", "t_cpu_enqueue_ns", "t_queued_ns", "t_submit_ns",
+                            "t_start_ns", "t_end_ns"))
         _check_kernel(
             self.name, self.queue_id, self.t_cpu_enqueue_ns,
             self.t_queued_ns, self.t_submit_ns, self.t_start_ns, self.t_end_ns,
@@ -164,8 +186,6 @@ def _check_kernel(
         raise TimestampOrderViolation("t_end_ns < t_start_ns")
 
 
-#: The range every integer in a trace's columns must lie in.
-INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 _OPEN = -1  # sentinel in the phase end column while a phase is in flight
 _NO_TOKEN = -1  # column encoding of token_index=None
 _ROW_CHUNK = 4096  # rows converted to Python ints at a time
@@ -204,21 +224,6 @@ def int_rows(*columns: np.ndarray) -> Iterator[tuple]:
     n = len(columns[0])
     for lo in range(0, n, _ROW_CHUNK):
         yield from zip(*[c[lo:lo + _ROW_CHUNK].tolist() for c in columns])
-
-
-def _require_int64(records: tuple, fields: tuple[str, ...]) -> None:
-    """Raise TypeError for the first of ``fields``, record by record, that
-    is not an exact int (a phase's token_index may also be None), or
-    ValueError for one outside int64."""
-    for record in records:
-        for name in fields:
-            value = getattr(record, name)
-            if type(value) is not int:
-                if value is None and name == "token_index":
-                    continue
-                raise TypeError(f"{type(record).__name__}.{name} must be an int, got {value!r}")
-            if not INT64_MIN <= value <= INT64_MAX:
-                raise ValueError(f"{type(record).__name__}.{name} out of int64 range, got {value!r}")
 
 
 class _RecordTable(Sequence):
@@ -283,22 +288,9 @@ class PhaseTable(_RecordTable):
     __slots__ = ("kind_code", "turn", "token_index", "t_start_ns", "t_end_ns")
     _columns = __slots__
 
-    @classmethod
-    def from_records(cls, records: Iterable[PhaseRecord]) -> "PhaseTable":
-        """Table of the given records in the given order."""
-        records = tuple(records)
-        _require_int64(records, ("turn", "token_index", "t_start_ns", "t_end_ns"))
-        return cls(
-            [_INDEX_BY_KIND[r.kind] for r in records],
-            [r.turn for r in records],
-            [_NO_TOKEN if r.token_index is None else r.token_index for r in records],
-            [r.t_start_ns for r in records],
-            [r.t_end_ns for r in records],
-        )
-
     def _row(self, values) -> PhaseRecord:
-        # The session, the reader and from_records check every row they
-        # store, so the row skips PhaseRecord's checks.
+        # The session and the reader check every row they store, and a
+        # PhaseRecord checks itself, so the row skips PhaseRecord's checks.
         kind, turn, token, start, end = values
         row = _new_row(PhaseRecord)
         row.__dict__.update(
@@ -331,30 +323,9 @@ class KernelTable(_RecordTable):
         self.names = tuple(names)
         super().__init__(*columns)
 
-    @classmethod
-    def from_records(cls, records: Iterable[KernelRecord]) -> "KernelTable":
-        """Table of the given records in the given order."""
-        records = tuple(records)
-        _require_int64(records, (
-            "queue_id", "t_cpu_enqueue_ns", "t_queued_ns", "t_submit_ns", "t_start_ns",
-            "t_end_ns",
-        ))
-        codes: dict[str, int] = {}
-        name_code = [codes.setdefault(r.name, len(codes)) for r in records]
-        return cls(
-            codes,
-            name_code,
-            [r.queue_id for r in records],
-            [r.t_cpu_enqueue_ns for r in records],
-            [r.t_queued_ns for r in records],
-            [r.t_submit_ns for r in records],
-            [r.t_start_ns for r in records],
-            [r.t_end_ns for r in records],
-        )
-
     def _row(self, values) -> KernelRecord:
-        # The session, the reader and from_records check every row they
-        # store, so the row skips KernelRecord's checks.
+        # The session and the reader check every row they store, and a
+        # KernelRecord checks itself, so the row skips KernelRecord's checks.
         code, queue, enqueue, queued, submit, start, end = values
         row = _new_row(KernelRecord)
         row.__dict__.update(
@@ -389,14 +360,19 @@ class Trace:
     that the analyses and writers read directly, and that yield
     :class:`PhaseRecord`/:class:`KernelRecord` rows lazily to callers that
     iterate or index them; a table equals a tuple of the same records.
-    The constructor, and so ``dataclasses.replace``, also takes any
-    iterable of records and converts it, raising TypeError for a field
-    that is not an exact int and ValueError for one outside int64.
+    The constructor, and so ``dataclasses.replace``, also takes iterables
+    of records and orders them as :meth:`TraceSession.seal` and
+    :func:`~lmmk.trace_io.read_jsonl` order theirs, through
+    :meth:`RecordColumns.tables`. A record refuses a field that is not an
+    exact int (TypeError) or lies outside int64 (ValueError) when it is
+    built, so conversion checks nothing itself.
 
     ``clock_offset_ns`` maps device timestamps into the host domain
     (host = device + offset); ``None`` means the domains were never
-    aligned and cross-domain analyses must refuse to run. ``created_at``
-    is incidental wall-clock metadata and excluded from equality.
+    aligned and cross-domain analyses must refuse to run. It and the
+    token counts must be None or exact ints within int64 (TypeError,
+    ValueError at construction). ``created_at`` is incidental wall-clock
+    metadata and excluded from equality.
     :mod:`lmmk.timeline` caches a window index in the instance ``__dict__``
     on the first window query; it is not a field, so equality and
     serialization ignore it and ``dataclasses.replace`` starts without it.
@@ -411,10 +387,19 @@ class Trace:
     created_at: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.phases, PhaseTable):
-            object.__setattr__(self, "phases", PhaseTable.from_records(self.phases))
-        if not isinstance(self.kernels, KernelTable):
-            object.__setattr__(self, "kernels", KernelTable.from_records(self.kernels))
+        header = ("clock_offset_ns", "prompt_tokens", "output_tokens")
+        _check_int64(self, header, header, "an int or None")
+        if isinstance(self.phases, PhaseTable) and isinstance(self.kernels, KernelTable):
+            return
+        rows = RecordColumns(0)
+        for r in self.phases:
+            rows.add_phase(r.kind, r.turn, r.token_index, r.t_start_ns, r.t_end_ns)
+        for r in self.kernels:
+            rows.add_kernel(r.name, r.queue_id, r.t_cpu_enqueue_ns, r.t_queued_ns,
+                            r.t_submit_ns, r.t_start_ns, r.t_end_ns)
+        phases, kernels = rows.tables()
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "kernels", kernels)
 
 
 @dataclass(frozen=True)
@@ -435,10 +420,11 @@ class TimerCalibration:
 class RecordColumns:
     """Growable int64 columns of phase and kernel rows in recording order.
 
-    :class:`TraceSession` records into them and
-    :func:`lmmk.trace_io.read_jsonl` parses into them; both seal through
-    :meth:`tables`. Kernel names are interned: the name column holds
-    codes into the distinct names. Appends check nothing; a value outside
+    :class:`TraceSession` records into them,
+    :func:`lmmk.trace_io.read_jsonl` parses into them and :class:`Trace`
+    converts records into them; all three seal through :meth:`tables`.
+    Kernel names are interned: the name column holds codes into the
+    distinct names. Appends check nothing; a value outside
     int64 raises OverflowError.
     """
 

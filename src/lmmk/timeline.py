@@ -293,11 +293,12 @@ def assign_to_windows(
 
 
 def _fits_int64(values: np.ndarray, offset: int) -> bool:
-    """Whether values + offset stays within int64 for every value."""
+    """Whether values + offset stays within int64 for every value (a
+    Trace's offset is itself within int64)."""
     if not len(values):
         return True
     lo, hi = int(values.min()) + offset, int(values.max()) + offset
-    return INT64_MIN <= offset <= INT64_MAX and INT64_MIN <= lo and hi <= INT64_MAX
+    return INT64_MIN <= lo and hi <= INT64_MAX
 
 
 def phase_attribution(trace: Trace) -> dict[Union[PhaseKind, str], PhaseUsage]:

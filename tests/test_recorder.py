@@ -1,4 +1,5 @@
 import gc
+import re
 import threading
 import time
 import tracemalloc
@@ -201,6 +202,28 @@ class TestSeal:
         session = TraceSession()
         session.record_kernel("k", 0, 0, 1, 2, 3, 4)
         assert session.seal() is session.seal()
+
+    @pytest.mark.parametrize("readings, error, message", [
+        ((5, 3), TimestampOrderViolation, "phase t_end_ns < t_start_ns"),
+        ((-1, 0), ValueError, "timestamps must be nonnegative"),
+        ((-1, -5), ValueError, "timestamps must be nonnegative"),
+        ((5, 3, -1, 0), TimestampOrderViolation, "phase t_end_ns < t_start_ns"),
+        ((-1, 0, 5, 3), ValueError, "timestamps must be nonnegative"),
+    ], ids=["backwards", "negative", "both", "backwards-first", "negative-first"])
+    def test_seal_checks_clock_readings_lowest_row_first(self, readings, error, message):
+        """begin_phase and end_phase store the clock as it reads; seal
+        refuses a negative or backwards reading. With two bad phases the
+        first recorded decides, although sorting by start would put the
+        other first, and the session stays open."""
+        clock = iter(readings)
+        session = TraceSession(clock=lambda: next(clock))
+        for token in range(len(readings) // 2):
+            session.end_phase(session.begin_phase(PhaseKind.DECODE, 0, token))
+        for _ in range(2):
+            with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+                session.seal()
+            assert type(caught.value) is error
+            assert not session.sealed
 
     def test_grows_past_initial_capacity(self):
         session = TraceSession(capacity=16)

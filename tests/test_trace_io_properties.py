@@ -12,6 +12,7 @@ import json
 import re
 import tracemalloc
 from itertools import pairwise
+from operator import itemgetter
 from unittest import mock
 
 import numpy as np
@@ -238,7 +239,7 @@ def test_export_gives_back_every_nanosecond_below_2_51(scratch, phase_spans, ker
     with open(scratch / "ns.json", encoding="utf-8") as f:
         events = json.load(f)["traceEvents"]
     assert [(round(e["ts"] * 1000), round(e["dur"] * 1000)) for e in events] == (
-        phase_spans + kernel_spans
+        sorted(phase_spans, key=itemgetter(0)) + sorted(kernel_spans, key=itemgetter(0))
     )
 
 
@@ -260,10 +261,54 @@ def test_writers_reject_non_int_fields(tmp_path, writer, bad, field):
     assert not (tmp_path / "out").exists()
 
 
+int64 = st.integers(-(2**63), 2**63 - 1)
+tie_prone = st.one_of(st.integers(0, 3), st.integers(0, 2**63 - 1))
+
+
+@st.composite
+def shuffled_records(draw):
+    """Header fields anywhere in int64, then disjoint phases with distinct
+    starts and any kernels (queued times often tie), each list shuffled."""
+    t = draw(st.integers(0, 2**62))
+    phases = []
+    for token in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(list(PhaseKind)))
+        length = draw(st.sampled_from([0, 0, 1, 7]))
+        index = token if kind in PER_TOKEN_KINDS else None
+        phases.append(PhaseRecord(kind, draw(st.integers(0, 2)), index, t, t + length))
+        t += length + draw(st.integers(0, 2)) + (length == 0)  # the next phase starts later
+    kernels = [
+        KernelRecord(draw(names), draw(st.integers(0, 3)), draw(tie_prone),
+                     *sorted(draw(st.lists(tie_prone, min_size=4, max_size=4))))
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    header = {"device_label": draw(st.text(max_size=4))}
+    for key in ("clock_offset_ns", "prompt_tokens", "output_tokens"):
+        header[key] = draw(st.one_of(st.none(), int64))
+    return header, draw(st.permutations(phases)), draw(st.permutations(kernels))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_records())
+def test_trace_from_shuffled_records_is_sorted_and_reads_back_equal(scratch, drawn):
+    """A Trace built from records orders them as seal and read_jsonl do
+    (stable, by start and by queued time), so its file reads back equal."""
+    header, phases, kernels = drawn
+    trace = Trace(phases=tuple(phases), kernels=tuple(kernels), **header)
+    want_phases = tuple(sorted(phases, key=lambda r: r.t_start_ns))
+    want_kernels = tuple(sorted(kernels, key=lambda r: r.t_queued_ns))
+    assert trace.phases == want_phases and trace.kernels == want_kernels
+    assert trace == Trace(phases=want_phases, kernels=want_kernels, **header)
+    path = str(scratch / "shuffled.jsonl")
+    trace_io.write_jsonl(trace, path)
+    assert trace_io.read_jsonl(path) == trace
+
+
 def test_write_jsonl_rejects_non_int_header_field(tmp_path):
-    trace = build_trace(clock_offset_ns=True)
     with pytest.raises(TypeError, match=r"^Trace\.clock_offset_ns must be an int or None, got True$"):
+        trace = build_trace(clock_offset_ns=True)
         trace_io.write_jsonl(trace, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 # -- reader ----------------------------------------------------------------

@@ -83,8 +83,6 @@ def test_seal_matches_sorted_records(calls):
         assert all(type(v) is int for v in dataclasses.astuple(row)[1:])
 
     assert trace.phases == want_phases and trace.kernels == want_kernels
-    assert trace.phases == PhaseTable.from_records(want_phases)
-    assert trace.kernels == KernelTable.from_records(want_kernels)
     assert trace == Trace(trace.device_label, 0, want_phases, want_kernels, created_at="x")
     for i in range(-len(want_kernels), len(want_kernels)):
         assert trace.kernels[i] == want_kernels[i]
@@ -143,7 +141,7 @@ def test_replace_converts_record_tuples():
 
 def test_tables_compare_rows_by_name_not_by_code():
     rows = (KernelRecord("x", 0, 0, 0, 0, 0, 0), KernelRecord("y", 0, 0, 1, 1, 1, 1))
-    a = KernelTable.from_records(rows)
+    a = Trace("x", 0, (), rows).kernels
     times = ([0, 1],) * 4
     b = KernelTable(("y", "x", "unused"), [1, 0], [0, 0], [0, 0], *times)
     assert a.names != b.names
@@ -159,3 +157,45 @@ def test_conversion_rejects_values_outside_int64():
         Trace("x", 0, (PhaseRecord(PhaseKind.DECODE, 0, 2**63, 0, 1),), ())
     edge = Trace("x", 0, (), (KernelRecord("k", 0, 0, 0, 0, 0, 2**63 - 1),))
     assert edge.kernels[0].t_end_ns == 2**63 - 1
+
+
+@pytest.mark.parametrize("field", ["clock_offset_ns", "prompt_tokens", "output_tokens"])
+@pytest.mark.parametrize("bad", [2**63, -(2**64), True, 1.5, np.int64(1)],
+                         ids=["2**63", "-2**64", "bool", "float", "numpy"])
+def test_trace_refuses_header_fields_when_built(field, bad):
+    if type(bad) is int:
+        error, message = ValueError, f"Trace.{field} out of int64 range, got {bad!r}"
+    else:
+        error, message = TypeError, f"Trace.{field} must be an int or None, got {bad!r}"
+    header = {"clock_offset_ns": 0, field: bad}
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        Trace("x", phases=(), kernels=(), **header)
+    edge = Trace("x", phases=(), kernels=(), **{**header, field: -(2**63)})
+    assert getattr(edge, field) == -(2**63)
+
+
+PHASE = PhaseRecord(PhaseKind.DECODE, 0, 0, 0, 1)
+KERNEL = KernelRecord("k", 0, 0, 0, 0, 0, 0)
+INT_FIELDS = [(PHASE, name) for name in ("turn", "token_index", "t_start_ns", "t_end_ns")] + [
+    (KERNEL, name) for name in ("queue_id", "t_cpu_enqueue_ns", "t_queued_ns", "t_submit_ns",
+                                "t_start_ns", "t_end_ns")
+]
+
+
+@pytest.mark.parametrize("record, field", INT_FIELDS,
+                         ids=[f"{type(r).__name__}.{name}" for r, name in INT_FIELDS])
+@pytest.mark.parametrize("bad", [True, 2.0, np.int64(1), 2**63, -(2**63) - 1],
+                         ids=["bool", "float", "numpy", "2**63", "-2**63-1"])
+def test_records_refuse_non_int64_fields_when_built(record, field, bad):
+    """Built directly or by ``dataclasses.replace``. The int check comes
+    before the record's own rules, so a value that also breaks one (a
+    negative turn, an end before the start) still gets the int message."""
+    owner = type(record).__name__
+    if type(bad) is int:
+        error, message = ValueError, f"{owner}.{field} out of int64 range, got {bad!r}"
+    else:
+        error, message = TypeError, f"{owner}.{field} must be an int, got {bad!r}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        type(record)(**{**vars(record), field: bad})
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(record, **{field: bad})
