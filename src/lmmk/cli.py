@@ -194,6 +194,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    if args.bins < 2:
+        _err(f"--bins must be at least 2, got {args.bins}")
+        return EXIT_USAGE
     try:
         lengths = sampler.read_lengths_file(args.lengths)
         plan = sampler.sample_subset(

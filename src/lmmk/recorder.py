@@ -128,6 +128,8 @@ class PhaseRecord:
     t_end_ns: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, PhaseKind):
+            raise TypeError("kind must be a PhaseKind")
         _check_int64(self, ("turn", "token_index", "t_start_ns", "t_end_ns"), ("token_index",))
         _check_phase(self.kind, self.turn, self.token_index, self.t_start_ns, self.t_end_ns)
 
@@ -169,9 +171,11 @@ class KernelRecord:
 def _check_kernel(
     name: str, queue_id: int, enqueue: int, queued: int, submit: int, start: int, end: int
 ) -> None:
-    """Raise ValueError for an empty name, a negative queue id or a negative
-    host or queued timestamp, then TimestampOrderViolation naming the first
-    violated lifecycle inequality."""
+    """Raise TypeError for a name that is not a str, ValueError for an empty
+    name, a negative queue id or a negative host or queued timestamp, then
+    TimestampOrderViolation naming the first violated lifecycle inequality."""
+    if type(name) is not str:
+        raise TypeError(f"kernel name must be a str, got {name!r}")
     if not name:
         raise ValueError("kernel name must be non-empty")
     if queue_id < 0:
@@ -210,7 +214,7 @@ def check_columns(phases: Columns, names: Sequence[str], kernels: Columns) -> No
         kind, turn, token, start, end = (int(c[bad.argmax()]) for c in phases)
         _check_phase(_KIND_BY_INDEX[kind], turn, None if token == _NO_TOKEN else token, start, end)
     code, queue, enqueue, queued, submit, start, end = kernels
-    unnamed = np.array([not name for name in names], dtype=bool)[code]
+    unnamed = np.array([type(name) is not str or not name for name in names], dtype=bool)[code]
     bad = (unnamed | (queue < 0) | (enqueue < 0) | (queued < 0) | (submit < queued)
            | (start < submit) | (end < start))
     if bad.any():

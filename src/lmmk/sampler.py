@@ -3,9 +3,11 @@
 Benchmark prompts are reduced to their token lengths; a subset is chosen
 so that its length histogram stays close (in KL divergence, subset
 against full corpus) to the full dataset. Selection runs in two stages:
-proportional stratified allocation per histogram bin, then greedy
-selected/unselected swaps that each strictly reduce the divergence.
-Everything is deterministic given (lengths, fraction, num_bins, seed).
+proportional stratified allocation per histogram bin, then greedy swaps
+of one selected prompt for one unselected one. The moves (drop bin, add
+bin) are scanned in that order, and the swap made is the last one that
+improved on the running best KL by more than 1e-15. The plan is a pure
+function of (lengths, fraction, num_bins, seed, smoothing_alpha).
 """
 
 from __future__ import annotations
@@ -66,33 +68,32 @@ def _bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, len(edges) - 2)
 
 
-def histogram(
-    lengths: Sequence[int], num_bins: int, smoothing_alpha: float = 0.5
-) -> TokenLengthHistogram:
-    """Equal-width histogram of token lengths spanning [min, max].
-
-    When every length is identical the span degenerates; the edges are
-    widened by one so a single bin holds everything.
-    """
-    if len(lengths) == 0:
-        raise EmptyDataset("no token lengths supplied")
+def _bins(lengths: Sequence[int], num_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges of num_bins equal-width bins spanning [min, max] of nonempty
+    ``lengths``, and each length's bin. If all lengths are equal, the span
+    is widened by one so a single bin holds everything."""
     if num_bins < 2:
         raise ValueError("num_bins must be at least 2")
     values = np.asarray(lengths, dtype=float)
     if np.any(values <= 0):
         raise ValueError("token lengths must be positive")
-    lo = float(values.min())
-    hi = float(values.max())
+    lo, hi = float(values.min()), float(values.max())
     if hi == lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, num_bins + 1)
-    idx = _bin_indices(values, edges)
+    if np.any(edges[:-1] >= edges[1:]):
+        raise ValueError("bin edges must be strictly increasing")
+    return edges, _bin_indices(values, edges)
+
+
+def histogram(lengths: Sequence[int], num_bins: int,
+              smoothing_alpha: float = 0.5) -> TokenLengthHistogram:
+    """Equal-width histogram of token lengths (see :func:`_bins`)."""
+    if len(lengths) == 0:
+        raise EmptyDataset("no token lengths supplied")
+    edges, idx = _bins(lengths, num_bins)
     counts = np.bincount(idx, minlength=num_bins)
-    return TokenLengthHistogram(
-        bin_edges=tuple(edges.tolist()),
-        counts=tuple(int(c) for c in counts),
-        smoothing_alpha=smoothing_alpha,
-    )
+    return TokenLengthHistogram(tuple(edges.tolist()), tuple(counts.tolist()), smoothing_alpha)
 
 
 def kl_divergence(p: TokenLengthHistogram, q: TokenLengthHistogram) -> float:
@@ -111,14 +112,22 @@ def kl_divergence(p: TokenLengthHistogram, q: TokenLengthHistogram) -> float:
     return float(np.sum(pp[mask] * np.log(pp[mask] / qq[mask])))
 
 
-def _smoothed_kl_from_counts(
-    subset_counts: np.ndarray, full_counts: np.ndarray, alpha: float
-) -> float:
+def _kl_rows(counts: np.ndarray, full_counts: np.ndarray, alpha: float) -> list[float]:
+    """Smoothed KL(subset || full) in nats for each row of subset bin
+    ``counts``: the 1-D ``np.sum`` of the row's p > 0 terms in bin order.
+    Rows with the same number of such terms are summed together along the
+    contiguous axis, which gives the same floats."""
     n_bins = len(full_counts)
-    p = (subset_counts + alpha) / (subset_counts.sum() + alpha * n_bins)
-    q = (full_counts + alpha) / (full_counts.sum() + alpha * n_bins)
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    p = (counts + alpha) / (counts.sum(axis=1, keepdims=True) + alpha * n_bins)
+    q = np.broadcast_to((full_counts + alpha) / (full_counts.sum() + alpha * n_bins), p.shape)
+    keep = p > 0
+    width = keep.sum(axis=1)
+    kls = np.zeros(len(p))  # a row without p > 0 terms sums to 0.0
+    for k in set(width.tolist()) - {0}:
+        rows = width == k
+        pk, qk = (x[rows][keep[rows]].reshape(-1, k) for x in (p, q))
+        kls[rows] = (pk * np.log(pk / qk)).sum(axis=1)
+    return kls.tolist()
 
 
 def _stratified_quotas(full_counts: np.ndarray, fraction: float, target: int) -> np.ndarray:
@@ -142,43 +151,37 @@ def _stratified_quotas(full_counts: np.ndarray, fraction: float, target: int) ->
     return quotas
 
 
-def _greedy_swaps(
-    chosen: np.ndarray,
-    members: list[np.ndarray],
-    full_counts: np.ndarray,
-    alpha: float,
-    rng: np.random.Generator,
-    max_iterations: int,
-) -> list[float]:
-    """Swap one selected/unselected pair at a time, always the bin move that
-    reduces KL the most, until no move improves. Returns the KL after each
-    accepted state (including the initial one), which is non-increasing."""
+def _greedy_swaps(chosen: np.ndarray, members: list[np.ndarray], full_counts: np.ndarray,
+                  alpha: float, rng: np.random.Generator, max_iterations: int) -> list[float]:
+    """Swap one selected/unselected pair at a time until no move improves.
+
+    Each iteration takes the KL of every legal move (drop bin a, add bin b)
+    in array ops and scans them in (a, b) order from the current KL: a move
+    below the running best by more than 1e-15 becomes the running best,
+    and the last such move is made, its two prompts drawn from ``rng``.
+    Returns the KL after each accepted state (including the initial one),
+    which is non-increasing."""
     n_bins = len(full_counts)
-    subset_counts = np.array(
-        [int(chosen[m].sum()) for m in members], dtype=float
-    )
-    history = [_smoothed_kl_from_counts(subset_counts, full_counts, alpha)]
+    bins = np.arange(n_bins)
+    chunk = max(1, 2**18 // n_bins)  # trial rows per block, to bound memory at any bin count
+    subset_counts = np.array([int(chosen[m].sum()) for m in members], dtype=float)
+    history = _kl_rows(subset_counts[None], full_counts, alpha)
     for _ in range(max_iterations):
-        current = history[-1]
-        best_kl = current
-        best_move = None
-        for a in range(n_bins):
-            if subset_counts[a] == 0:
-                continue
-            for b in range(n_bins):
-                if a == b or subset_counts[b] >= full_counts[b]:
-                    continue
-                subset_counts[a] -= 1
-                subset_counts[b] += 1
-                trial = _smoothed_kl_from_counts(subset_counts, full_counts, alpha)
-                subset_counts[a] += 1
-                subset_counts[b] -= 1
-                if trial < best_kl - 1e-15:
-                    best_kl = trial
-                    best_move = (a, b)
+        drop = np.flatnonzero(subset_counts != 0)
+        add = np.flatnonzero(subset_counts < full_counts)
+        grid = np.meshgrid(drop, add, indexing="ij")
+        moves_a, moves_b = (m[drop[:, None] != add, None] for m in grid)  # in (a, b) order
+        trials = []
+        for lo in range(0, len(moves_a), chunk):
+            a, b = moves_a[lo:lo + chunk], moves_b[lo:lo + chunk]
+            trials += _kl_rows(subset_counts - (bins == a) + (bins == b), full_counts, alpha)
+        best_kl, best_move = history[-1], None
+        for move, trial in enumerate(trials):
+            if trial < best_kl - 1e-15:
+                best_kl, best_move = trial, move
         if best_move is None:
             break
-        a, b = best_move
+        a, b = int(moves_a[best_move, 0]), int(moves_b[best_move, 0])
         drop_pool = members[a][chosen[members[a]]]
         add_pool = members[b][~chosen[members[b]]]
         chosen[rng.choice(drop_pool)] = False
@@ -189,13 +192,8 @@ def _greedy_swaps(
     return history
 
 
-def sample_subset(
-    lengths: Sequence[int],
-    fraction: float,
-    num_bins: int = 30,
-    seed: int = 0,
-    smoothing_alpha: float = 0.5,
-) -> SubsetPlan:
+def sample_subset(lengths: Sequence[int], fraction: float, num_bins: int = 30, seed: int = 0,
+                  smoothing_alpha: float = 0.5) -> SubsetPlan:
     """Select round(fraction * N) prompts whose length histogram matches the
     full corpus, reporting the achieved KL divergence in nats."""
     if not 0.0 < fraction <= 1.0:
@@ -207,12 +205,13 @@ def sample_subset(
     if target < 1:
         raise FractionOutOfRange(f"fraction={fraction} selects no items from {n}")
 
-    full = histogram(lengths, num_bins, smoothing_alpha)
-    values = np.asarray(lengths, dtype=float)
-    edges = np.asarray(full.bin_edges)
-    idx = _bin_indices(values, edges)
-    full_counts = np.asarray(full.counts, dtype=int)
-    members = [np.flatnonzero(idx == b) for b in range(num_bins)]
+    _, idx = _bins(lengths, num_bins)
+    if smoothing_alpha < 0:
+        raise ValueError("smoothing_alpha must be nonnegative")
+    full_counts = np.bincount(idx, minlength=num_bins)
+    # A stable (radix) sort on a small int dtype: each bin's members in ascending order.
+    order = np.argsort(idx.astype(np.min_scalar_type(num_bins)), kind="stable")
+    members = np.split(order, np.cumsum(full_counts)[:-1])
 
     quotas = _stratified_quotas(full_counts, fraction, target)
     rng = np.random.default_rng(seed)
@@ -222,10 +221,9 @@ def sample_subset(
             picked = rng.choice(members[b], size=int(quotas[b]), replace=False)
             chosen[picked] = True
 
-    history = _greedy_swaps(
-        chosen, members, full_counts.astype(float), smoothing_alpha, rng, 10 * target
-    )
-    indices = tuple(int(i) for i in np.flatnonzero(chosen))
+    history = _greedy_swaps(chosen, members, full_counts.astype(float), smoothing_alpha, rng,
+                            10 * target)
+    indices = tuple(np.flatnonzero(chosen).tolist())
     return SubsetPlan(indices=indices, achieved_kl_nats=history[-1], fraction=fraction)
 
 
@@ -243,6 +241,8 @@ def read_lengths_file(path: str) -> list[int]:
                 lengths.append(int(text))
             except ValueError:
                 raise ValueError(f"line {lineno}: not an integer: {text!r}") from None
+            if lengths[-1] <= 0:
+                raise ValueError(f"line {lineno}: token length must be positive, got {lengths[-1]}")
     return lengths
 
 

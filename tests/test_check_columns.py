@@ -152,6 +152,14 @@ def test_record_columns_raises_before_appending():
         session.record_columns(*good)
 
 
+def test_record_columns_refuses_a_name_that_is_not_a_str():
+    session = TraceSession(clock=VirtualClock(7))
+    kernels = columns([[0, 0, 0, 1, 2, 3, 4], [1, 0, 0, 1, 2, 3, 4]], 7)
+    with pytest.raises(TypeError, match="^kernel name must be a str, got 5$"):
+        session.record_columns(columns([], 5), ["k", 5], kernels)
+    assert len(session.seal().kernels) == 0
+
+
 def test_extend_grows_past_capacity_in_one_call():
     rows = RecordColumns(capacity=16)
     kernels = columns([[i % 2, 0, i, i, i, i, i] for i in range(1000)], 7)

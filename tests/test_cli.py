@@ -250,6 +250,21 @@ class TestSample:
         lengths.write_text("5\n6\n")
         assert run_cli("sample", "--lengths", str(lengths), "--fraction", "2.0") == 2
 
+    @pytest.mark.parametrize("bins", ["1", "-3"])
+    def test_too_few_bins_is_usage_error(self, tmp_path, capsys, bins):
+        lengths = tmp_path / "lengths.txt"
+        lengths.write_text("5\n6\n")
+        assert run_cli("sample", "--lengths", str(lengths), "--fraction", "0.5",
+                       "--bins", bins) == 2
+        assert capsys.readouterr().err == f"lmmk: error: --bins must be at least 2, got {bins}\n"
+
+    def test_nonpositive_length_names_its_line(self, tmp_path, capsys):
+        lengths = tmp_path / "lengths.txt"
+        lengths.write_text("5\n0\n6\n")
+        assert run_cli("sample", "--lengths", str(lengths), "--fraction", "0.5") == 1
+        assert capsys.readouterr().err == (
+            "lmmk: error: line 2: token length must be positive, got 0\n")
+
 
 class TestPredict:
     def test_exact_linear_trace(self, sim_trace_path, capsys):

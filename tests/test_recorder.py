@@ -16,7 +16,10 @@ from lmmk.errors import (
     UnknownHandle,
 )
 from lmmk.recorder import (
+    KernelRecord,
     PhaseKind,
+    PhaseRecord,
+    Trace,
     TraceSession,
     calibrate_timer,
     now,
@@ -176,6 +179,34 @@ class TestKernels:
         session = TraceSession()
         with pytest.raises(ValueError):
             session.record_kernel("", 0, 0, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("name", [5, b"gemm", None])
+    def test_name_that_is_not_a_str_rejected(self, name):
+        message = f"kernel name must be a str, got {name!r}"
+        session = TraceSession()
+        with pytest.raises(TypeError) as info:
+            session.record_kernel(name, 0, 0, 0, 0, 0, 0)
+        assert str(info.value) == message
+        assert len(session.seal().kernels) == 0
+        with pytest.raises(TypeError) as info:
+            KernelRecord(name, 0, 0, 0, 0, 0, 0)
+        assert str(info.value) == message
+        with pytest.raises(TypeError) as info:
+            Trace("x", 0, (), (KernelRecord("k", 0, 0, 0, 0, 0, 0),
+                               KernelRecord(name, 0, 0, 0, 0, 0, 0)))
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind,token", [("decode", 0), ("prefill", None), (None, None), (2, 0)])
+def test_phase_kind_that_is_not_a_phase_kind_rejected(kind, token):
+    session = TraceSession()
+    with pytest.raises(TypeError, match="^kind must be a PhaseKind$"):
+        session.begin_phase(kind, 0, token)
+    assert len(session.seal().phases) == 0
+    with pytest.raises(TypeError, match="^kind must be a PhaseKind$"):
+        PhaseRecord(kind, 0, token, 0, 1)
+    with pytest.raises(TypeError, match="^kind must be a PhaseKind$"):
+        Trace("x", 0, (PhaseRecord(kind, 0, token, 0, 1),), ())
 
 
 class TestSeal:

@@ -1,9 +1,22 @@
+"""Histogram, KL and subset selection, with a differential test of
+``sample_subset`` against the per-move loop it replaced.
+
+``oracle_sample_subset`` and ``_oracle_greedy_swaps`` below are the
+scalar selection that ``lmmk.sampler`` used to run (one KL per trial
+move, one scan per bin for its members), kept verbatim as an oracle.
+"""
+
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmmk import sampler
 from lmmk.errors import BinMismatch, EmptyDataset, FractionOutOfRange, UnsupportedZero
-from lmmk.sampler import TokenLengthHistogram
+from lmmk.sampler import SubsetPlan, TokenLengthHistogram
 
 
 def lognormal_lengths(n=10_000, seed=1234):
@@ -156,6 +169,14 @@ class TestFiles:
         with pytest.raises(ValueError, match="line 2"):
             sampler.read_lengths_file(str(path))
 
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_nonpositive_length_line_reported(self, tmp_path, value):
+        path = tmp_path / "lengths.txt"
+        path.write_text(f"12\n{value}\n7\n")
+        with pytest.raises(ValueError) as info:
+            sampler.read_lengths_file(str(path))
+        assert str(info.value) == f"line 2: token length must be positive, got {int(value)}"
+
     def test_plan_round_trip(self, tmp_path):
         plan = sampler.sample_subset(lognormal_lengths(400), 0.1, num_bins=10, seed=1)
         path = tmp_path / "plan.txt"
@@ -165,3 +186,182 @@ class TestFiles:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("{")
         assert len(lines) == 1 + len(plan.indices)
+
+
+# -- the scalar selection, kept as the oracle -----------------------------------
+
+def _oracle_histogram(lengths, num_bins, smoothing_alpha=0.5):
+    if len(lengths) == 0:
+        raise EmptyDataset("no token lengths supplied")
+    if num_bins < 2:
+        raise ValueError("num_bins must be at least 2")
+    values = np.asarray(lengths, dtype=float)
+    if np.any(values <= 0):
+        raise ValueError("token lengths must be positive")
+    lo = float(values.min())
+    hi = float(values.max())
+    if hi == lo:
+        hi = lo + 1.0
+    edges = np.linspace(lo, hi, num_bins + 1)
+    idx = sampler._bin_indices(values, edges)
+    counts = np.bincount(idx, minlength=num_bins)
+    return TokenLengthHistogram(
+        bin_edges=tuple(edges.tolist()),
+        counts=tuple(int(c) for c in counts),
+        smoothing_alpha=smoothing_alpha,
+    )
+
+
+def _oracle_smoothed_kl_from_counts(subset_counts, full_counts, alpha):
+    n_bins = len(full_counts)
+    p = (subset_counts + alpha) / (subset_counts.sum() + alpha * n_bins)
+    q = (full_counts + alpha) / (full_counts.sum() + alpha * n_bins)
+    mask = p > 0
+    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+
+def _oracle_greedy_swaps(chosen, members, full_counts, alpha, rng, max_iterations):
+    n_bins = len(full_counts)
+    subset_counts = np.array(
+        [int(chosen[m].sum()) for m in members], dtype=float
+    )
+    history = [_oracle_smoothed_kl_from_counts(subset_counts, full_counts, alpha)]
+    for _ in range(max_iterations):
+        current = history[-1]
+        best_kl = current
+        best_move = None
+        for a in range(n_bins):
+            if subset_counts[a] == 0:
+                continue
+            for b in range(n_bins):
+                if a == b or subset_counts[b] >= full_counts[b]:
+                    continue
+                subset_counts[a] -= 1
+                subset_counts[b] += 1
+                trial = _oracle_smoothed_kl_from_counts(subset_counts, full_counts, alpha)
+                subset_counts[a] += 1
+                subset_counts[b] -= 1
+                if trial < best_kl - 1e-15:
+                    best_kl = trial
+                    best_move = (a, b)
+        if best_move is None:
+            break
+        a, b = best_move
+        drop_pool = members[a][chosen[members[a]]]
+        add_pool = members[b][~chosen[members[b]]]
+        chosen[rng.choice(drop_pool)] = False
+        chosen[rng.choice(add_pool)] = True
+        subset_counts[a] -= 1
+        subset_counts[b] += 1
+        history.append(best_kl)
+    return history
+
+
+def _oracle_members(lengths, full):
+    idx = sampler._bin_indices(np.asarray(lengths, dtype=float), np.asarray(full.bin_edges))
+    return [np.flatnonzero(idx == b) for b in range(len(full.counts))]
+
+
+def oracle_sample_subset(lengths, fraction, num_bins=30, seed=0, smoothing_alpha=0.5):
+    if not 0.0 < fraction <= 1.0:
+        raise FractionOutOfRange(f"fraction={fraction} must be in (0, 1]")
+    n = len(lengths)
+    if n == 0:
+        raise EmptyDataset("no token lengths supplied")
+    target = int(math.floor(fraction * n + 0.5))
+    if target < 1:
+        raise FractionOutOfRange(f"fraction={fraction} selects no items from {n}")
+
+    full = _oracle_histogram(lengths, num_bins, smoothing_alpha)
+    full_counts = np.asarray(full.counts, dtype=int)
+    members = _oracle_members(lengths, full)
+
+    quotas = sampler._stratified_quotas(full_counts, fraction, target)
+    rng = np.random.default_rng(seed)
+    chosen = np.zeros(n, dtype=bool)
+    for b in range(num_bins):
+        if quotas[b] > 0:
+            picked = rng.choice(members[b], size=int(quotas[b]), replace=False)
+            chosen[picked] = True
+
+    history = _oracle_greedy_swaps(
+        chosen, members, full_counts.astype(float), smoothing_alpha, rng, 10 * target
+    )
+    indices = tuple(int(i) for i in np.flatnonzero(chosen))
+    return SubsetPlan(indices=indices, achieved_kl_nats=history[-1], fraction=fraction)
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def corpora(draw):
+    """1-5,000 token lengths: lognormal, narrow uniform or constant, and
+    sometimes one length replaced by 0 or a negative value."""
+    n = draw(st.integers(1, 5_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["lognormal", "uniform", "constant"]))
+    if shape == "lognormal":
+        lengths = rng.lognormal(draw(st.sampled_from([3.0, 5.0])), 0.7, n).astype(int) + 1
+    elif shape == "uniform":
+        lengths = rng.integers(1, draw(st.integers(2, 40)), n)
+    else:
+        lengths = np.full(n, draw(st.integers(1, 4_000)))
+    lengths = lengths.tolist()
+    if draw(st.integers(0, 5)) == 0:
+        lengths[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0, -1, -250]))
+    return lengths
+
+
+fractions = st.one_of(
+    st.floats(0.002, 1.0),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.sampled_from([1.0, 0.0, -0.25, 1.5]),
+)
+
+
+class TestAgainstScalarSelection:
+    @settings(max_examples=400, deadline=None)
+    @given(corpora(), fractions, st.integers(1, 60), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 0.5, 3.0]))
+    def test_sample_subset_matches_oracle(self, lengths, fraction, num_bins, seed, alpha):
+        expected = outcome(oracle_sample_subset, lengths, fraction, num_bins, seed, alpha)
+        got = outcome(sampler.sample_subset, lengths, fraction, num_bins, seed, alpha)
+        assert got == expected
+        if isinstance(expected, SubsetPlan):
+            assert type(got.achieved_kl_nats) is float
+            assert all(type(i) is int for i in got.indices)
+        assert (outcome(sampler.histogram, lengths, num_bins, alpha)
+                == outcome(_oracle_histogram, lengths, num_bins, alpha))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 3.0])
+    def test_greedy_swaps_from_a_bad_start_match_oracle(self, alpha):
+        # The deliberately bad start of test_swap_refinement_monotone.
+        lengths = lognormal_lengths(4_000, seed=55)
+        full = _oracle_histogram(lengths, 25)
+        members = _oracle_members(lengths, full)
+        full_counts = np.asarray(full.counts, dtype=float)
+        runs = []
+        for swaps in (sampler._greedy_swaps, _oracle_greedy_swaps):
+            chosen = np.zeros(4_000, dtype=bool)
+            chosen[:400] = True
+            history = swaps(chosen, members, full_counts, alpha, np.random.default_rng(2), 4_000)
+            runs.append((history, chosen))
+        (history, chosen), (expected_history, expected_chosen) = runs
+        assert len(history) > 2
+        assert history == expected_history
+        assert np.array_equal(chosen, expected_chosen)
+
+    def test_pinned_plan(self):
+        # Selected on the scalar loop; any change to the selection shows here.
+        plan = sampler.sample_subset(lognormal_lengths(200_000, seed=0), 0.01, num_bins=30,
+                                     seed=0)
+        digest = hashlib.sha256(",".join(map(str, plan.indices)).encode()).hexdigest()
+        assert len(plan.indices) == 2_000
+        assert digest == "aa9240f9208595a6d2f0041741c9d35bc8a018068bbd166ac44ff296e8f1afca"
+        assert plan.achieved_kl_nats == 0.009312570532529483
