@@ -109,16 +109,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     payload: dict = {}
+    gaps = ()
     if "idle" in sections:
         span = timeline.kernel_span(trace) or timeline.Interval(0, 0)
         report = timeline.idle_gaps(trace, span)
+        gaps = report.gaps
         payload["idle"] = {
             "window_start_ns": report.window.start_ns,
             "window_end_ns": report.window.end_ns,
             "busy_ns": report.busy_ns,
             "idle_ns": report.idle_ns,
             "idle_fraction": report.idle_fraction,
-            "gaps": [[g.start_ns, g.end_ns] for g in report.gaps],
+            "gaps": [],  # spliced into the JSON text below
         }
     if "aggregate" in sections:
         payload["aggregate"] = [
@@ -159,6 +161,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         trace_io.write_csv_report(rows, out)
     else:
         text = json.dumps(payload, indent=2)
+        if gaps:  # indent's pure-Python encoder is slow on them: splice in its text
+            rows = ",\n".join("      [\n        %d,\n        %d\n      ]" % (g.start_ns, g.end_ns)
+                               for g in gaps)
+            text = text.replace('"gaps": []', f'"gaps": [\n{rows}\n    ]', 1)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as f:
                 f.write(text + "\n")

@@ -192,7 +192,7 @@ def _check_kernel(
 
 _OPEN = -1  # sentinel in the phase end column while a phase is in flight
 _NO_TOKEN = -1  # column encoding of token_index=None
-_ROW_CHUNK = 4096  # rows converted to Python ints at a time
+_ROW_CHUNK = 4096  # rows converted to Python ints, or formatted as text, at a time
 
 _KIND_BY_INDEX = tuple(PhaseKind)
 _INDEX_BY_KIND = {kind: i for i, kind in enumerate(_KIND_BY_INDEX)}

@@ -73,8 +73,8 @@ class KernelSpec:
     invocations_per_phase: int = 1
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("kernel name must be non-empty")
+        if type(self.name) is not str or not self.name:
+            raise ValueError(f"kernel name must be a non-empty str, got {self.name!r}")
         if self.base_latency_ns < 1:
             raise ValueError("base_latency_ns must be at least 1")
         if min(self.per_step_slope_ns, self.dispatch_gap_ns,

@@ -5,34 +5,36 @@ trips are bit-exact; files are UTF-8 with LF line endings and fixed key
 order, so identical traces serialize to identical bytes. The viewer
 export follows the trace-event JSON format (complete "X" events) and is
 the only place fractional microseconds appear, because that format
-requires them; nanosecond precision survives in the fraction.
+requires them. They print as the exact decimal of the nanoseconds / 1000,
+so the text keeps every nanosecond; ``round(ts * 1000)`` after a float
+parse gets it back only below 2**51 ns.
 
-Both writers zip a trace's int64 columns, converted to Python ints a
-chunk at a time, into one template per record type instead of a dict and
-the JSON encoder. A :class:`~lmmk.recorder.Trace` holds nothing but
-int64 values (records refuse any other value when they are built, the
-Trace refuses one in its header), and one built from records is sorted as
-a read one is, so no value can make a writer fail after it has opened its
-file and a written trace reads back equal unless two of its phases
-overlap. The
-reader reads the header line on its own, then blocks of about 64 KiB that
-end on LF. A block of lines exactly as :func:`write_jsonl` emits them is
-taken in bulk: one ``findall`` per record type, int64 columns, one
-:func:`~lmmk.recorder.check_columns` and one append. Any other block goes
-line by line through :func:`json.loads`, the reference the bulk route
-agrees with; after refused blocks in a row, the bulk route is tried at
-doubling intervals. Both routes fill the same columns the recorder fills,
-with the same records and the same error messages, and seal them with the
-recorder's argsort.
+Both writers format a trace's int64 columns a chunk of rows at a time, as
+one uint8 matrix of a template's constant bytes, right-aligned digit
+blocks and name lookups, written with its 0 padding dropped. They run
+:func:`~lmmk.recorder.check_columns` before opening the file, and a
+:class:`~lmmk.recorder.Trace` holds nothing but int64 values, so no value
+can make a writer fail after it has opened its file. A Trace built from
+records is sorted as a read one is, so a written trace reads back equal
+unless two of its phases overlap. The reader reads the header line on its
+own, then blocks of about 64 KiB that end on LF. A block of lines exactly
+as :func:`write_jsonl` emits them is taken in bulk: one ``findall`` per
+record type, int64 columns, one :func:`~lmmk.recorder.check_columns` and
+one append. Any other block goes line by line through :func:`json.loads`,
+the reference the bulk route agrees with; after refused blocks in a row,
+the bulk route is tried at doubling intervals. Both routes fill the same
+columns the recorder fills, with the same records and the same error
+messages, and seal them with the recorder's argsort.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import re
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -46,10 +48,10 @@ from .recorder import (
     Trace,
     _INDEX_BY_KIND,
     _NO_TOKEN,
+    _ROW_CHUNK,
     _check_kernel,
     _check_phase,
     check_columns,
-    int_rows,
 )
 
 FILE_VERSION = 1
@@ -57,35 +59,69 @@ FILE_VERSION = 1
 _KIND_VALUES = tuple(kind.value for kind in PhaseKind)  # by PhaseTable.kind_code
 
 
-def _phase_rows(trace: Trace) -> Iterator[tuple]:
-    """(kind, turn, token, start, end) per phase, token "null" for None."""
-    p = trace.phases
-    for code, turn, token, start, end in int_rows(
-        p.kind_code, p.turn, p.token_index, p.t_start_ns, p.t_end_ns
-    ):
-        yield _KIND_VALUES[code], turn, "null" if token < 0 else token, start, end
+def _table(texts: Sequence[bytes]) -> np.ndarray:
+    """(texts, longest) uint8 matrix, each text padded with 0 on the right."""
+    table = np.array(texts, dtype=bytes)
+    return table.view(np.uint8).reshape(len(table), table.itemsize)
 
 
-def _kernel_rows(trace: Trace) -> Iterator[tuple]:
-    """(name, queue, enqueue, queued, submit, start, end) per kernel, the
-    name already JSON-quoted; ``json.dumps`` runs once per distinct name."""
-    k = trace.kernels
-    quoted = [json.dumps(name) for name in k.names]
-    for code, *row in int_rows(
-        k.name_code, k.queue_id, k.t_cpu_enqueue_ns, k.t_queued_ns, k.t_submit_ns,
-        k.t_start_ns, k.t_end_ns,
-    ):
-        yield (quoted[code], *row)
+def _digits(values: np.ndarray) -> np.ndarray:
+    """(rows, width) uint8: each value in ASCII decimal, right-aligned with
+    0 in its leading positions; a negative value (a null token) as null."""
+    v = np.maximum(values, 0).astype(np.uint64)
+    null = values < 0
+    width = max(len(str(v.max(initial=0))), 4 if null.any() else 1)
+    q, out = v, np.empty((len(v), width), np.uint8)
+    for j in range(width - 1, -1, -1):
+        q, out[:, j] = np.divmod(q, 10)
+    out += 48
+    out[:, :-1] *= v[:, None] >= 10 ** np.arange(width - 1, 0, -1, dtype=np.uint64)
+    if width >= 4:
+        out[null, -4:] = _table([b"null"])
+    return out
+
+
+_KINDS = _table([value.encode() for value in _KIND_VALUES])
+# The decimals of r / 1000 for each r < 1000, trailing zeros dropped ("0" for r = 0).
+_FRACTION = np.indices((10, 10, 10), np.uint8).reshape(3, 1000).T + 48
+_FRACTION[::10, 2] = 0
+_FRACTION[::100, 1] = 0
+
+
+def _micros(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two blocks of the exact decimal ns / 1000, for a ``%s.%s`` pair."""
+    whole, fraction = np.divmod(ns, 1000)
+    return _digits(whole), _FRACTION[fraction]
+
+
+def _text(template: bytes, columns: Sequence[np.ndarray],
+          fields: Callable[..., Sequence[np.ndarray]]) -> Iterator[bytes]:
+    """The ASCII rows of equal-length ``columns``, one bytes object per chunk
+    of rows: ``template`` with its ``%s`` slots filled by the (rows, width)
+    uint8 blocks ``fields(*chunk_columns)`` returns, their 0 padding dropped."""
+    pieces = [np.frombuffer(piece, np.uint8) for piece in template.split(b"%s")]
+    for lo in range(0, len(columns[0]), _ROW_CHUNK):
+        blocks = fields(*(column[lo:lo + _ROW_CHUNK] for column in columns))
+        parts = [pieces[0], *itertools.chain(*zip(blocks, pieces[1:], strict=True))]
+        rows = len(blocks[0])
+        matrix = np.concatenate([np.broadcast_to(p, (rows, p.shape[-1])) for p in parts], 1)
+        yield matrix[matrix != 0].tobytes()
+
+
+def _columns(trace: Trace) -> tuple[list, np.ndarray, list]:
+    """Phase columns, quoted kernel names and kernel columns, after the
+    :func:`check_columns` that a Trace made from tables has not passed."""
+    phases, kernels = trace.phases._arrays(), trace.kernels._arrays()
+    check_columns(phases, trace.kernels.names, kernels)
+    return phases, _table([json.dumps(name).encode() for name in trace.kernels.names]), kernels
 
 
 def write_jsonl(trace: Trace, path: str) -> None:
     """Write a sealed trace: one header line, then one line per record
-    (phases first, then kernels, each in trace order).
-
-    Checks no value: a :class:`~lmmk.recorder.Trace` holds only int64
-    integers, in the header as in the columns, so none can fail the write
-    once the file is open, and every header written reads back.
+    (phases first, then kernels, each in trace order). Every value is
+    checked before the file is opened, and every header written reads back.
     """
+    phases, names, kernels = _columns(trace)
     header: dict = {
         "ev": "session",
         "version": FILE_VERSION,
@@ -96,20 +132,15 @@ def write_jsonl(trace: Trace, path: str) -> None:
         header["prompt_tokens"] = trace.prompt_tokens
     if trace.output_tokens is not None:
         header["output_tokens"] = trace.output_tokens
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        write = f.write
-        write(json.dumps(header, separators=(",", ":")) + "\n")
-        for kind, turn, token, start, end in _phase_rows(trace):
-            write(
-                f'{{"ev":"phase","kind":"{kind}","turn":{turn},"token":{token},'
-                f'"t_start_ns":{start},"t_end_ns":{end}}}\n'
-            )
-        for name, q, enqueue, queued, submit, start, end in _kernel_rows(trace):
-            write(
-                f'{{"ev":"kernel","name":{name},"queue":{q},"t_cpu_enqueue_ns":{enqueue},'
-                f'"t_queued_ns":{queued},"t_submit_ns":{submit},'
-                f'"t_start_ns":{start},"t_end_ns":{end}}}\n'
-            )
+    with open(path, "wb") as f:
+        f.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
+        f.writelines(_text(
+            b'{"ev":"phase","kind":"%s","turn":%s,"token":%s,"t_start_ns":%s,"t_end_ns":%s}\n',
+            phases, lambda kind, *ints: (_KINDS[kind], *map(_digits, ints))))
+        f.writelines(_text(
+            b'{"ev":"kernel","name":%s,"queue":%s,"t_cpu_enqueue_ns":%s,"t_queued_ns":%s,'
+            b'"t_submit_ns":%s,"t_start_ns":%s,"t_end_ns":%s}\n',
+            kernels, lambda code, *ints: (names[code], *map(_digits, ints))))
 
 
 # A JSON integer of at most 19 digits (every int64 fits; the columns reject
@@ -335,32 +366,30 @@ def read_jsonl(path: str) -> Trace:
 def export_chrome_trace(trace: Trace, path: str) -> None:
     """Emit {"traceEvents": [...]} complete events for standard viewers.
 
-    Timestamps and durations are microseconds with the nanosecond part in
-    the fraction. Kernels land on tid queue_id+1 with their queuing and
-    dispatch stage durations in args; phases land on tid 0. Events are
-    streamed to the file; floats print as ``float.__repr__``, as the JSON
-    encoder prints them.
+    Timestamps and durations are microseconds, printed as the exact decimal
+    of ns / 1000 (trailing zeros dropped, ``.0`` for a whole microsecond):
+    ``float.__repr__`` prints the same below 2**51 ns. Kernels land on tid
+    queue_id+1 with their queuing and dispatch stage durations in args;
+    phases land on tid 0. Values are checked as :func:`write_jsonl` checks
+    them, and events are streamed to the file a chunk of rows at a time.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        write = f.write
-        write('{"traceEvents":[')
-        sep = ""
-        for kind, turn, token, start, end in _phase_rows(trace):
-            write(
-                f'{sep}{{"name":"{kind}","cat":"phase","ph":"X","ts":{start / 1000!r},'
-                f'"dur":{(end - start) / 1000!r},"pid":1,"tid":0,'
-                f'"args":{{"turn":{turn},"token":{token}}}}}'
-            )
-            sep = ","
-        for name, q, _, queued, submit, start, end in _kernel_rows(trace):
-            write(
-                f'{sep}{{"name":{name},"cat":"kernel","ph":"X","ts":{start / 1000!r},'
-                f'"dur":{(end - start) / 1000!r},"pid":1,"tid":{q + 1},'
-                f'"args":{{"queuing_us":{(submit - queued) / 1000!r},'
-                f'"dispatch_us":{(start - submit) / 1000!r}}}}}'
-            )
-            sep = ","
-        write("]}\n")
+    phases, names, kernels = _columns(trace)
+    phase_events = _text(
+        b',{"name":"%s","cat":"phase","ph":"X","ts":%s.%s,"dur":%s.%s,"pid":1,"tid":0,'
+        b'"args":{"turn":%s,"token":%s}}', phases,
+        lambda kind, turn, token, start, end: (
+            _KINDS[kind], *_micros(start), *_micros(end - start), _digits(turn), _digits(token)))
+    kernel_events = _text(
+        b',{"name":%s,"cat":"kernel","ph":"X","ts":%s.%s,"dur":%s.%s,"pid":1,"tid":%s,'
+        b'"args":{"queuing_us":%s.%s,"dispatch_us":%s.%s}}', kernels,
+        lambda code, queue, _, queued, submit, start, end: (
+            names[code], *_micros(start), *_micros(end - start),
+            _digits(queue.astype(np.uint64) + 1), *_micros(submit - queued),
+            *_micros(start - submit)))
+    events = itertools.chain(phase_events, kernel_events)
+    with open(path, "wb") as f:  # every event follows a comma: the first one's is cut
+        f.writelines(itertools.chain([b'{"traceEvents":[', next(events, b",")[1:]], events,
+                                     [b"]}\n"]))
 
 
 def format_cell(column: str, value: object) -> str:

@@ -198,6 +198,65 @@ class TestAnalyze:
         }
 
 
+def reference_analysis(trace, sections):
+    """The text of ``lmmk analyze``: json.dumps(payload, indent=2) + LF,
+    with the payload built here from the library calls."""
+    payload = {}
+    if "idle" in sections:
+        span = timeline.kernel_span(trace) or timeline.Interval(0, 0)
+        report = timeline.idle_gaps(trace, span)
+        payload["idle"] = {
+            "window_start_ns": report.window.start_ns, "window_end_ns": report.window.end_ns,
+            "busy_ns": report.busy_ns, "idle_ns": report.idle_ns,
+            "idle_fraction": report.idle_fraction,
+            "gaps": [[g.start_ns, g.end_ns] for g in report.gaps],
+        }
+    if "aggregate" in sections:
+        payload["aggregate"] = [
+            {"name": a.name, "count": a.invocation_count, "mean_ms": a.mean_execution_ns / 1e6,
+             "total_ms": a.total_execution_ns / 1e6, "share": a.share_of_busy}
+            for a in timeline.aggregate_kernels(trace)
+        ]
+    if "phases" in sections:
+        payload["phases"] = {
+            getattr(key, "value", key): {"wall_ms": u.phase_wall_ns / 1e6,
+                                         "busy_ms": u.device_busy_ns / 1e6,
+                                         "kernel_count": u.kernel_count}
+            for key, u in timeline.phase_attribution(trace).items()
+        }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+ANALYZE_TRACES = {  # name: (trace, its number of idle gaps)
+    "no-gap": (lambda: build_trace(
+        phases=[(PhaseKind.PREFILL, 0, None, 0, 50)],
+        kernels=[("a", 0, 0, 0, 0, 0, 10), ("b", 0, 0, 1, 1, 10, 20)]), 0),
+    # a name holding the text the gaps are spliced over, JSON-escaped in the output
+    "one-gap": (lambda: build_trace(
+        phases=[(PhaseKind.PREFILL, 0, None, 0, 50)],
+        kernels=[('"gaps": []', 0, 0, 0, 0, 0, 10), ("b", 0, 0, 1, 1, 15, 20)]), 1),
+    "many-gaps": (lambda: sim_engine.run(sim_engine.preset_gemma_decode(), 8, 16)[0], 113),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--idle"], ["--aggregate"], ["--phases"]],
+                         ids=["all", "idle", "aggregate", "phases"])
+@pytest.mark.parametrize("name", ANALYZE_TRACES)
+def test_analyze_json_is_indented_dumps(tmp_path, capsys, name, flags):
+    """The gaps are spliced in rather than encoded with the rest; the text
+    stays json.dumps(payload, indent=2), on stdout and in --out."""
+    make_trace, gaps = ANALYZE_TRACES[name]
+    trace = make_trace()
+    assert len(timeline.idle_gaps(trace, timeline.kernel_span(trace)).gaps) == gaps
+    path, out = tmp_path / "t.jsonl", tmp_path / "analysis.json"
+    trace_io.write_jsonl(trace, str(path))
+    want = reference_analysis(trace, [f[2:] for f in flags] or ["idle", "aggregate", "phases"])
+    assert run_cli("analyze", str(path), *flags) == 0
+    assert capsys.readouterr().out == want
+    assert run_cli("analyze", str(path), *flags, "--out", str(out)) == 0
+    assert out.read_text() == want
+
+
 class TestMetrics:
     def test_accuracy_output_format(self, capsys):
         assert run_cli("metrics", "accuracy", "--lm", "0.8038", "--gt", "0.7763") == 0

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,6 +232,18 @@ class TestWorkloadConfig:
     def test_malformed_kernel_rejected(self):
         data = sim_engine.workload_to_dict(preset_gemma_decode())
         del data["phases"]["decode"]["kernels"][0]["base_latency_ns"]
+        with pytest.raises(InvalidSpec):
+            sim_engine.workload_from_dict(data)
+
+    @pytest.mark.parametrize("name", [5, np.str_("attn_rms_norm"), ""],
+                             ids=["int", "numpy-str", "empty"])
+    def test_kernel_name_must_be_a_non_empty_str(self, name):
+        """The spec refuses it when it is built, not the recorder at run time."""
+        message = f"kernel name must be a non-empty str, got {name!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            KernelSpec(name, base_latency_ns=1)
+        data = sim_engine.workload_to_dict(preset_gemma_decode())
+        data["phases"]["decode"]["kernels"][0]["name"] = name
         with pytest.raises(InvalidSpec):
             sim_engine.workload_from_dict(data)
 

@@ -1,16 +1,18 @@
 """Property tests for the trace writers and reader.
 
-The writers format records from templates. The reader reads the header
-line on its own, takes blocks of canonical lines in bulk and reads any
-other block line by line through ``json.loads``. These tests hold them to
-the dict-and-encoder code they replaced (kept below as the reference), to
-the ``json.loads`` route, and to the rule that any input ends in a valid
-Trace or an ``LmmkError``.
+The writers format whole columns a chunk of rows at a time. The reader
+reads the header line on its own, takes blocks of canonical lines in bulk
+and reads any other block line by line through ``json.loads``. These tests
+hold them to the dict-and-encoder code they replaced (kept below as the
+reference), to an exact-decimal reference for viewer timestamps past 2**51
+ns, to the ``json.loads`` route, and to the rule that any input ends in a
+valid Trace or an ``LmmkError``.
 """
 
 import json
 import re
 import tracemalloc
+from decimal import Decimal
 from itertools import pairwise
 from operator import itemgetter
 from unittest import mock
@@ -23,9 +25,10 @@ from hypothesis import strategies as st
 from conftest import build_trace
 from lmmk import sim_engine, trace_io
 from lmmk.cli import main
-from lmmk.errors import LmmkError, ParseError
+from lmmk.errors import LmmkError, ParseError, TimestampOrderViolation
 from lmmk.recorder import (
-    PER_TOKEN_KINDS, KernelRecord, PhaseKind, PhaseRecord, RecordColumns, Trace,
+    PER_TOKEN_KINDS, KernelRecord, KernelTable, PhaseKind, PhaseRecord, PhaseTable,
+    RecordColumns, Trace,
 )
 
 
@@ -102,6 +105,31 @@ def reference_export_chrome_trace(trace, path):
         f.write("\n")
 
 
+def exact_us(ns):
+    """ns / 1000 as its exact decimal, with ".0" for a whole microsecond."""
+    text = format((Decimal(ns) / 1000).normalize(), "f")
+    return text if "." in text else text + ".0"
+
+
+def exact_reference_export_chrome_trace(trace, path):
+    """The viewer export with every microsecond value printed by exact_us:
+    the float reference's bytes below 2**51 ns, exact past it."""
+    events = [
+        f'{{"name":"{p.kind.value}","cat":"phase","ph":"X","ts":{exact_us(p.t_start_ns)},'
+        f'"dur":{exact_us(p.t_end_ns - p.t_start_ns)},"pid":1,"tid":0,'
+        f'"args":{{"turn":{p.turn},"token":{json.dumps(p.token_index)}}}}}'
+        for p in trace.phases
+    ] + [
+        f'{{"name":{json.dumps(k.name)},"cat":"kernel","ph":"X","ts":{exact_us(k.t_start_ns)},'
+        f'"dur":{exact_us(k.t_end_ns - k.t_start_ns)},"pid":1,"tid":{k.queue_id + 1},'
+        f'"args":{{"queuing_us":{exact_us(k.t_submit_ns - k.t_queued_ns)},'
+        f'"dispatch_us":{exact_us(k.t_start_ns - k.t_submit_ns)}}}}}'
+        for k in trace.kernels
+    ]
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write('{"traceEvents":[' + ",".join(events) + "]}\n")
+
+
 # -- strategies ------------------------------------------------------------
 
 SPECIAL_NAMES = ['q"uote', "back\\slash", "tab\there", "nl\nx", "\x00", "\x7f", "ü-kernel",
@@ -110,28 +138,34 @@ names = st.one_of(st.sampled_from(SPECIAL_NAMES), st.text(min_size=1, max_size=1
 big = st.integers(0, 2**62)
 
 
+def up_to(top):
+    """Non-negative ints up to ``top``, often at its two ends."""
+    return st.one_of(st.integers(0, top), st.sampled_from([0, 1, top - 1, top]))
+
+
 @st.composite
-def phase_records(draw):
+def phase_records(draw, top=2**62):
     kind = draw(st.sampled_from(list(PhaseKind)))
-    token = draw(st.integers(0, 2**62)) if kind in PER_TOKEN_KINDS else None
-    start, end = sorted(draw(st.lists(big, min_size=2, max_size=2)))
-    return PhaseRecord(kind, draw(st.integers(0, 2**62)), token, start, end)
+    token = draw(up_to(top)) if kind in PER_TOKEN_KINDS else None
+    start, end = sorted(draw(st.lists(up_to(top), min_size=2, max_size=2)))
+    return PhaseRecord(kind, draw(up_to(top)), token, start, end)
 
 
 @st.composite
-def kernel_records(draw):
-    queued, submit, start, end = sorted(draw(st.lists(big, min_size=4, max_size=4)))
-    return KernelRecord(draw(names), draw(st.integers(0, 2**62)), draw(big),
+def kernel_records(draw, top=2**62):
+    queued, submit, start, end = sorted(draw(st.lists(up_to(top), min_size=4, max_size=4)))
+    return KernelRecord(draw(names), draw(up_to(top)), draw(up_to(top)),
                         queued, submit, start, end)
 
 
 @st.composite
-def traces(draw):
+def traces(draw, top=2**62):
+    """Traces whose record values lie in [0, top]."""
     return Trace(
         device_label=draw(st.text(max_size=8)),
         clock_offset_ns=draw(st.one_of(st.none(), st.integers(-2**62, 2**62))),
-        phases=tuple(draw(st.lists(phase_records(), max_size=6))),
-        kernels=tuple(draw(st.lists(kernel_records(), max_size=6))),
+        phases=tuple(draw(st.lists(phase_records(top), max_size=6))),
+        kernels=tuple(draw(st.lists(kernel_records(top), max_size=6))),
         prompt_tokens=draw(st.one_of(st.none(), st.integers(0, 2**62))),
         output_tokens=draw(st.one_of(st.none(), st.integers(0, 2**62))),
     )
@@ -206,8 +240,11 @@ def scratch(tmp_path_factory):
 
 # -- writers ---------------------------------------------------------------
 
+INT64_TOP = 2**63 - 1
+
+
 @settings(max_examples=100, deadline=None)
-@given(traces())
+@given(traces(INT64_TOP))
 def test_write_jsonl_matches_reference_bytes(scratch, trace):
     trace_io.write_jsonl(trace, str(scratch / "new.jsonl"))
     reference_write_jsonl(trace, str(scratch / "ref.jsonl"))
@@ -215,11 +252,48 @@ def test_write_jsonl_matches_reference_bytes(scratch, trace):
 
 
 @settings(max_examples=100, deadline=None)
-@given(traces())
+@given(traces(INT64_TOP))
 def test_export_chrome_trace_matches_reference_bytes(scratch, trace):
+    """Anywhere in int64 the export prints exact decimals, where a float
+    would round past 2**51 ns."""
+    trace_io.export_chrome_trace(trace, str(scratch / "new.json"))
+    exact_reference_export_chrome_trace(trace, str(scratch / "ref.json"))
+    assert (scratch / "new.json").read_bytes() == (scratch / "ref.json").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(traces(2**51 - 1))
+def test_export_matches_float_repr_reference_below_2_51(scratch, trace):
     trace_io.export_chrome_trace(trace, str(scratch / "new.json"))
     reference_export_chrome_trace(trace, str(scratch / "ref.json"))
     assert (scratch / "new.json").read_bytes() == (scratch / "ref.json").read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(up_to(2**51 - 1), st.integers(0, 999)))
+def test_exact_decimal_is_float_repr_below_2_51(ns):
+    assert exact_us(ns) == repr(ns / 1000)
+
+
+def test_export_edge_rows(tmp_path):
+    """An empty trace; ts 0 with a null token; queue_id 2**63 - 1, whose
+    tid 2**63 is past int64; and whole, tenth and thousandth microseconds."""
+    path = tmp_path / "edge.json"
+    trace_io.export_chrome_trace(build_trace(), str(path))
+    assert path.read_bytes() == b'{"traceEvents":[]}\n'
+    trace = build_trace(phases=[(PhaseKind.EMBEDDING, 0, None, 0, 0),
+                                (PhaseKind.DECODE, 3, 12, 1_000, 2_100)],
+                        kernels=[("k", INT64_TOP, 0, 0, 1, 1_010, INT64_TOP)])
+    trace_io.export_chrome_trace(trace, str(path))
+    assert path.read_text() == (
+        '{"traceEvents":['
+        '{"name":"embedding","cat":"phase","ph":"X","ts":0.0,"dur":0.0,"pid":1,"tid":0,'
+        '"args":{"turn":0,"token":null}},'
+        '{"name":"decode","cat":"phase","ph":"X","ts":1.0,"dur":1.1,"pid":1,"tid":0,'
+        '"args":{"turn":3,"token":12}},'
+        '{"name":"k","cat":"kernel","ph":"X","ts":1.01,"dur":9223372036854774.797,"pid":1,'
+        '"tid":9223372036854775808,"args":{"queuing_us":0.001,"dispatch_us":1.009}}]}\n'
+    )
 
 
 below_2_51 = st.integers(0, 2**51 - 1)
@@ -259,6 +333,51 @@ def test_writers_reject_non_int_fields(tmp_path, writer, bad, field):
             trace = build_trace(phases=[(PhaseKind.DECODE, turn, token, 0, 3)])
         writer(trace, str(tmp_path / "out"))
     assert not (tmp_path / "out").exists()
+
+
+def table_trace(phases=(), kernels=(), names=("k",)):
+    """A Trace made straight from tables, which skips the record checks."""
+    phase_columns = np.array(phases, dtype=np.int64).reshape(-1, 5).T
+    kernel_columns = np.array(kernels, dtype=np.int64).reshape(-1, 7).T
+    return Trace("x", 0, PhaseTable(*phase_columns), KernelTable(names, *kernel_columns))
+
+
+@pytest.mark.parametrize("writer", [trace_io.write_jsonl, trace_io.export_chrome_trace])
+@pytest.mark.parametrize("trace, error, message", [
+    (table_trace(phases=[(0, 0, -1, -5, 3)]), ValueError, "timestamps must be nonnegative"),
+    (table_trace(phases=[(2, 0, -1, 0, 3)]), ValueError, "decode phases require a token_index"),
+    (table_trace(phases=[(0, 0, -1, 4, 3)]), TimestampOrderViolation,
+     "phase t_end_ns < t_start_ns"),
+    (table_trace(kernels=[(0, -1, 0, 0, 0, 0, 0)]), ValueError, "queue_id must be nonnegative"),
+    (table_trace(kernels=[(0, 0, 0, 0, 0, 5, 4)]), TimestampOrderViolation,
+     "t_end_ns < t_start_ns"),
+    (table_trace(kernels=[(0, 0, 0, 9, 5, 9, 9)]), TimestampOrderViolation,
+     "t_submit_ns < t_queued_ns"),
+], ids=["negative-start", "null-decode-token", "phase-backwards", "negative-queue",
+        "kernel-backwards", "submit-before-queued"])
+def test_writers_check_columns_before_opening(tmp_path, writer, trace, error, message):
+    """A Trace made from tables gets the record checks from the writer,
+    before the file is opened."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        writer(trace, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("writer", [trace_io.write_jsonl, trace_io.export_chrome_trace])
+def test_writer_memory_does_not_grow_with_the_trace(tmp_path, writer):
+    """The writers format a chunk of rows at a time: the peak on a
+    4096-token trace is within 1.5x of the peak on a 512-token one, where
+    formatting the whole table at once would be about 8x."""
+    peaks = []
+    for tokens in (512, 4096):
+        trace, _ = sim_engine.run(sim_engine.preset_gemma_decode(), 8, tokens)
+        tracemalloc.start()
+        try:
+            writer(trace, str(tmp_path / "out"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 int64 = st.integers(-(2**63), 2**63 - 1)
