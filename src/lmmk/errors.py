@@ -17,7 +17,8 @@ class SessionSealed(LmmkError):
 
 
 class PhaseOverlap(LmmkError):
-    """A phase was begun while another phase was still open."""
+    """A phase was begun while another phase was still open, or a Trace was
+    given two phases that overlap."""
 
 
 class UnknownHandle(LmmkError):

@@ -8,10 +8,11 @@ record into preallocated int64 columns; record calls return nothing but
 a phase handle, so the hot path builds no object and retains no
 allocation once warmed up. A backend that computes whole columns, as the
 simulated engine does, appends them in one checked bulk call.
-:meth:`TraceSession.seal` orders the rows with a stable argsort (phases
-by start, kernels by queued time, ties in recording order) and hands the
-reordered columns to an immutable :class:`Trace` without building a
-record. The trace's
+:meth:`TraceSession.seal` hands the columns, in recording order, to an
+immutable :class:`Trace` without building a record. However it is made,
+a Trace checks every row, orders the rows with a stable argsort (phases
+by start, kernels by queued time, ties in the order given) and refuses
+overlapping phases. The trace's
 :class:`PhaseTable` and :class:`KernelTable` yield :class:`PhaseRecord`
 and :class:`KernelRecord` rows lazily for callers that want rows; the
 analyses and the trace writers read the columns.
@@ -190,7 +191,7 @@ def _check_kernel(
         raise TimestampOrderViolation("t_end_ns < t_start_ns")
 
 
-_OPEN = -1  # sentinel in the phase end column while a phase is in flight
+_OPEN = -1  # placeholder in the phase end column while a phase is in flight
 _NO_TOKEN = -1  # column encoding of token_index=None
 _ROW_CHUNK = 4096  # rows converted to Python ints, or formatted as text, at a time
 
@@ -205,7 +206,8 @@ def check_columns(phases: Columns, names: Sequence[str], kernels: Columns) -> No
     :class:`PhaseTable` and :class:`KernelTable` (name codes index
     ``names``). Raises what :func:`_check_phase`, then :func:`_check_kernel`,
     raises for the first row that breaks a rule: the lowest row, and in it
-    the first broken rule."""
+    the first broken rule. A name code outside ``range(len(names))`` is a
+    ValueError, checked before the name it would index."""
     kind, turn, token, start, end = phases
     per_token = _PER_TOKEN_BY_CODE[kind]
     bad = ((turn < 0) | np.where(per_token, token < 0, token != _NO_TOKEN) | (start < 0)
@@ -214,11 +216,15 @@ def check_columns(phases: Columns, names: Sequence[str], kernels: Columns) -> No
         kind, turn, token, start, end = (int(c[bad.argmax()]) for c in phases)
         _check_phase(_KIND_BY_INDEX[kind], turn, None if token == _NO_TOKEN else token, start, end)
     code, queue, enqueue, queued, submit, start, end = kernels
-    unnamed = np.array([type(name) is not str or not name for name in names], dtype=bool)[code]
-    bad = (unnamed | (queue < 0) | (enqueue < 0) | (queued < 0) | (submit < queued)
-           | (start < submit) | (end < start))
+    known = (code >= 0) & (code < len(names))
+    # An unknown code looks up the last entry, which is False.
+    named = np.array([type(name) is str and name != "" for name in names] + [False], dtype=bool)
+    bad = (~named[np.where(known, code, -1)] | (queue < 0) | (enqueue < 0) | (queued < 0)
+           | (submit < queued) | (start < submit) | (end < start))
     if bad.any():
         i = bad.argmax()
+        if not known[i]:
+            raise ValueError(f"kernel name code {code[i]} is not in range({len(names)})")
         _check_kernel(names[code[i]], *(int(c[i]) for c in kernels[1:]))
 
 
@@ -242,8 +248,11 @@ class _RecordTable(Sequence):
     _columns: tuple[str, ...] = ()
 
     def __init__(self, *columns) -> None:
-        for name, values in zip(self._columns, columns, strict=True):
-            column = np.asarray(values, dtype=np.int64)
+        columns = [np.asarray(values, dtype=np.int64) for values in columns]
+        if len({len(column) for column in columns}) > 1:
+            raise ValueError(f"{type(self).__name__} columns differ in length: "
+                             f"{[len(column) for column in columns]}")
+        for name, column in zip(self._columns, columns, strict=True):
             column.flags.writeable = False
             setattr(self, name, column)
 
@@ -293,8 +302,8 @@ class PhaseTable(_RecordTable):
     _columns = __slots__
 
     def _row(self, values) -> PhaseRecord:
-        # The session and the reader check every row they store, and a
-        # PhaseRecord checks itself, so the row skips PhaseRecord's checks.
+        # A Trace checks every row of its tables when it is made, so the
+        # row skips PhaseRecord's checks.
         kind, turn, token, start, end = values
         row = _new_row(PhaseRecord)
         row.__dict__.update(
@@ -328,8 +337,8 @@ class KernelTable(_RecordTable):
         super().__init__(*columns)
 
     def _row(self, values) -> KernelRecord:
-        # The session and the reader check every row they store, and a
-        # KernelRecord checks itself, so the row skips KernelRecord's checks.
+        # A Trace checks every row of its tables when it is made, so the
+        # row skips KernelRecord's checks.
         code, queue, enqueue, queued, submit, start, end = values
         row = _new_row(KernelRecord)
         row.__dict__.update(
@@ -365,11 +374,13 @@ class Trace:
     :class:`PhaseRecord`/:class:`KernelRecord` rows lazily to callers that
     iterate or index them; a table equals a tuple of the same records.
     The constructor, and so ``dataclasses.replace``, also takes iterables
-    of records and orders them as :meth:`TraceSession.seal` and
-    :func:`~lmmk.trace_io.read_jsonl` order theirs, through
-    :meth:`RecordColumns.tables`. A record refuses a field that is not an
-    exact int (TypeError) or lies outside int64 (ValueError) when it is
-    built, so conversion checks nothing itself.
+    of records. However the rows come (from :meth:`TraceSession.seal`,
+    :func:`~lmmk.trace_io.read_jsonl`, tables or records), the constructor
+    raises what :func:`check_columns` raises for them in the order given,
+    orders them by a stable argsort (phases by t_start_ns, kernels by
+    t_queued_ns, ties in the order given) into columns of its own, and
+    raises :class:`PhaseOverlap` for the first two phases, in start order,
+    that overlap. So every Trace writes a file that reads back equal.
 
     ``clock_offset_ns`` maps device timestamps into the host domain
     (host = device + offset); ``None`` means the domains were never
@@ -393,15 +404,25 @@ class Trace:
     def __post_init__(self) -> None:
         header = ("clock_offset_ns", "prompt_tokens", "output_tokens")
         _check_int64(self, header, header, "an int or None")
-        if isinstance(self.phases, PhaseTable) and isinstance(self.kernels, KernelTable):
-            return
-        rows = RecordColumns(0)
-        for r in self.phases:
-            rows.add_phase(r.kind, r.turn, r.token_index, r.t_start_ns, r.t_end_ns)
-        for r in self.kernels:
-            rows.add_kernel(r.name, r.queue_id, r.t_cpu_enqueue_ns, r.t_queued_ns,
-                            r.t_submit_ns, r.t_start_ns, r.t_end_ns)
-        phases, kernels = rows.tables()
+        phases, kernels = self.phases, self.kernels
+        if not (isinstance(phases, PhaseTable) and isinstance(kernels, KernelTable)):
+            rows = RecordColumns(0)
+            for r in phases:
+                rows.add_phase(r.kind, r.turn, r.token_index, r.t_start_ns, r.t_end_ns)
+            for r in kernels:
+                rows.add_kernel(r.name, r.queue_id, r.t_cpu_enqueue_ns, r.t_queued_ns,
+                                r.t_submit_ns, r.t_start_ns, r.t_end_ns)
+            phases, kernels = rows.tables()
+        check_columns(phases._arrays(), kernels.names, kernels._arrays())
+        phases = phases.take(np.argsort(phases.t_start_ns, kind="stable"))
+        kernels = kernels.take(np.argsort(kernels.t_queued_ns, kind="stable"))
+        overlaps = np.flatnonzero(phases.t_start_ns[1:] < phases.t_end_ns[:-1])
+        if len(overlaps):
+            a, b = phases[overlaps[0]:overlaps[0] + 2]
+            raise PhaseOverlap(
+                f"phase records overlap: {a.kind.value} [{a.t_start_ns}, {a.t_end_ns}] "
+                f"and {b.kind.value} [{b.t_start_ns}, {b.t_end_ns}]"
+            )
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "kernels", kernels)
 
@@ -426,7 +447,7 @@ class RecordColumns:
 
     :class:`TraceSession` records into them,
     :func:`lmmk.trace_io.read_jsonl` parses into them and :class:`Trace`
-    converts records into them; all three seal through :meth:`tables`.
+    converts records into them; all three hand :meth:`tables` to a Trace.
     Kernel names are interned: the name column holds codes into the
     distinct names. Appends check nothing; a value outside
     int64 raises OverflowError.
@@ -496,18 +517,14 @@ class RecordColumns:
             setattr(self, length, i + n)
 
     def tables(self) -> tuple[PhaseTable, KernelTable]:
-        """The rows as tables ordered by a stable argsort: phases by
-        t_start_ns and kernels by t_queued_ns, ties in recording order."""
+        """The rows as unchecked tables in recording order, viewing these
+        columns rather than copying them: a :class:`Trace` made from them
+        checks, orders and copies them."""
         phases = [np.frombuffer(getattr(self, name), dtype=np.int64, count=self._p_len)
                   for name in self._PHASE_COLUMNS]
-        order = np.argsort(phases[3], kind="stable")
         kernels = [np.frombuffer(getattr(self, name), dtype=np.int64, count=self._k_len)
                    for name in self._KERNEL_COLUMNS]
-        k_order = np.argsort(kernels[3], kind="stable")
-        return (
-            PhaseTable(*(column[order] for column in phases)),
-            KernelTable(self._name_codes, *(column[k_order] for column in kernels)),
-        )
+        return PhaseTable(*phases), KernelTable(self._name_codes, *kernels)
 
     def _grow(self, columns: tuple[str, ...], need: int = 0) -> None:
         """Double the columns, or grow them to ``need`` rows if that is more."""
@@ -524,7 +541,8 @@ class TraceSession:
     hot path) and build no record, so steady-state recording retains no
     per-record allocation. Appends are lock-protected and safe for two
     concurrent recording threads (host-enqueue path and completion-callback
-    path); global order is restored at seal time by a stable argsort.
+    path); the sealed :class:`Trace` restores global order with a stable
+    argsort.
     """
 
     def __init__(
@@ -576,16 +594,16 @@ class TraceSession:
             return handle
 
     def end_phase(self, handle: int) -> None:
-        """Close the phase, capturing its end timestamp."""
+        """Close the open phase, capturing its end timestamp. Any other
+        phase this session holds was ended already (:class:`AlreadyEnded`)."""
         with self._lock:
             rows = self._rows
             if not isinstance(handle, int) or handle < 0 or handle >= rows._p_len:
                 raise UnknownHandle(f"handle {handle!r} was not issued by this session")
-            if rows._p_end[handle] != _OPEN:
+            if handle != self._open_handle:
                 raise AlreadyEnded(f"phase handle {handle} was already ended")
             rows._p_end[handle] = self.clock()
-            if self._open_handle == handle:
-                self._open_handle = -1
+            self._open_handle = -1
 
     # -- kernels --------------------------------------------------------
 
@@ -631,30 +649,21 @@ class TraceSession:
     # -- sealing --------------------------------------------------------
 
     def seal(self) -> Trace:
-        """Order the rows, freeze them into a Trace and reject further records.
+        """Freeze the rows into a Trace and reject further records.
 
-        Raises :class:`OpenPhaseRemaining` for a phase still open, and the
-        errors :class:`PhaseRecord` raises for a phase whose clock readings
-        are negative or run backwards. Idempotent: sealing twice returns
-        the same Trace object.
+        Raises :class:`OpenPhaseRemaining` for a phase still open, and what
+        :class:`Trace` raises for the rows: for the first recorded phase
+        whose clock readings are negative or run backwards, the error
+        :class:`PhaseRecord` raises, and :class:`PhaseOverlap` for phases
+        that overlap. The session then stays unsealed. Idempotent: sealing
+        twice returns the same Trace object.
         """
         with self._lock:
             if self._sealed_trace is not None:
                 return self._sealed_trace
-            rows = self._rows
-            start = np.frombuffer(rows._p_start, dtype=np.int64, count=rows._p_len)
-            end = np.frombuffer(rows._p_end, dtype=np.int64, count=rows._p_len)
-            still_open = np.flatnonzero(end == _OPEN)
-            if len(still_open):
-                raise OpenPhaseRemaining(f"phase handle {still_open[0]} is still open")
-            # begin_phase checked kind, turn and token; the clock readings
-            # get PhaseRecord's checks here, first failing row first.
-            bad = np.flatnonzero((start < 0) | (end < start))
-            if len(bad):
-                if start[bad[0]] < 0:
-                    raise ValueError("timestamps must be nonnegative")
-                raise TimestampOrderViolation("phase t_end_ns < t_start_ns")
-            phases, kernels = rows.tables()
+            if self._open_handle != -1:
+                raise OpenPhaseRemaining(f"phase handle {self._open_handle} is still open")
+            phases, kernels = self._rows.tables()
             self._sealed_trace = Trace(
                 device_label=self.device_label,
                 clock_offset_ns=self.clock_offset_ns,

@@ -11,20 +11,18 @@ parse gets it back only below 2**51 ns.
 
 Both writers format a trace's int64 columns a chunk of rows at a time, as
 one uint8 matrix of a template's constant bytes, right-aligned digit
-blocks and name lookups, written with its 0 padding dropped. They run
-:func:`~lmmk.recorder.check_columns` before opening the file, and a
-:class:`~lmmk.recorder.Trace` holds nothing but int64 values, so no value
-can make a writer fail after it has opened its file. A Trace built from
-records is sorted as a read one is, so a written trace reads back equal
-unless two of its phases overlap. The reader reads the header line on its
-own, then blocks of about 64 KiB that end on LF. A block of lines exactly
-as :func:`write_jsonl` emits them is taken in bulk: one ``findall`` per
-record type, int64 columns, one :func:`~lmmk.recorder.check_columns` and
-one append. Any other block goes line by line through :func:`json.loads`,
+blocks and name lookups, written with its 0 padding dropped. They check
+nothing: a :class:`~lmmk.recorder.Trace` checked and ordered its rows,
+and refused overlapping phases, when it was made. So no value can make a
+writer fail after it has opened its file, and a written trace reads back
+equal. The reader reads the header line on its own, then blocks of about
+64 KiB that end on LF. A block of lines exactly as :func:`write_jsonl`
+emits them is taken in bulk: one ``findall`` per record type, int64
+columns, one :func:`~lmmk.recorder.check_columns` and one append. Any other block goes line by line through :func:`json.loads`,
 the reference the bulk route agrees with; after refused blocks in a row,
 the bulk route is tried at doubling intervals. Both routes fill the same
 columns the recorder fills, with the same records and the same error
-messages, and seal them with the recorder's argsort.
+messages, and hand them to a Trace, which orders them.
 """
 
 from __future__ import annotations
@@ -38,12 +36,11 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import LmmkError, ParseError, UnknownVersion
+from .errors import LmmkError, ParseError, PhaseOverlap, UnknownVersion
 from .recorder import (
     INT64_MAX,
     INT64_MIN,
     PhaseKind,
-    PhaseTable,
     RecordColumns,
     Trace,
     _INDEX_BY_KIND,
@@ -55,8 +52,6 @@ from .recorder import (
 )
 
 FILE_VERSION = 1
-
-_KIND_VALUES = tuple(kind.value for kind in PhaseKind)  # by PhaseTable.kind_code
 
 
 def _table(texts: Sequence[bytes]) -> np.ndarray:
@@ -81,7 +76,7 @@ def _digits(values: np.ndarray) -> np.ndarray:
     return out
 
 
-_KINDS = _table([value.encode() for value in _KIND_VALUES])
+_KINDS = _table([kind.value.encode() for kind in PhaseKind])  # by PhaseTable.kind_code
 # The decimals of r / 1000 for each r < 1000, trailing zeros dropped ("0" for r = 0).
 _FRACTION = np.indices((10, 10, 10), np.uint8).reshape(3, 1000).T + 48
 _FRACTION[::10, 2] = 0
@@ -109,17 +104,15 @@ def _text(template: bytes, columns: Sequence[np.ndarray],
 
 
 def _columns(trace: Trace) -> tuple[list, np.ndarray, list]:
-    """Phase columns, quoted kernel names and kernel columns, after the
-    :func:`check_columns` that a Trace made from tables has not passed."""
-    phases, kernels = trace.phases._arrays(), trace.kernels._arrays()
-    check_columns(phases, trace.kernels.names, kernels)
-    return phases, _table([json.dumps(name).encode() for name in trace.kernels.names]), kernels
+    """Phase columns, quoted kernel names and kernel columns."""
+    names = _table([json.dumps(name).encode() for name in trace.kernels.names])
+    return trace.phases._arrays(), names, trace.kernels._arrays()
 
 
 def write_jsonl(trace: Trace, path: str) -> None:
     """Write a sealed trace: one header line, then one line per record
-    (phases first, then kernels, each in trace order). Every value is
-    checked before the file is opened, and every header written reads back.
+    (phases first, then kernels, each in trace order). The Trace checked
+    every value when it was made, and every header written reads back.
     """
     phases, names, kernels = _columns(trace)
     header: dict = {
@@ -265,20 +258,6 @@ def _header_fields(obj: Mapping) -> dict:
     }
 
 
-def _reject_overlap(phases: PhaseTable) -> None:
-    """ParseError naming the first two phases, in start order, that overlap."""
-    overlaps = np.flatnonzero(phases.t_start_ns[1:] < phases.t_end_ns[:-1])
-    if len(overlaps):
-        pair = slice(overlaps[0], overlaps[0] + 2)
-        (kind_a, kind_b), (start_a, start_b), (end_a, end_b) = (
-            column[pair].tolist() for column in (phases.kind_code, phases.t_start_ns, phases.t_end_ns)
-        )
-        raise ParseError(
-            f"phase records overlap: {_KIND_VALUES[kind_a]} [{start_a}, {end_a}] "
-            f"and {_KIND_VALUES[kind_b]} [{start_b}, {end_b}]"
-        )
-
-
 def _bulk_rows(columns: RecordColumns, block: bytes, lines: int) -> bool:
     """Append the rows of a block of ``lines`` canonical lines, each ending
     in LF, to ``columns`` at once and return True; return False, appending
@@ -315,7 +294,8 @@ def read_jsonl(path: str) -> Trace:
     """Parse a trace file, validating every record invariant, and return the
     sealed (sorted, immutable) trace. Blank lines are skipped; the first
     non-blank line must be the session header. Errors name the offending
-    line. Integers must fit in int64."""
+    line, except the Trace's :class:`PhaseOverlap`, raised as a ParseError
+    with its text. Integers must fit in int64."""
     columns = RecordColumns()
     header: Optional[dict] = None
     lineno = 0
@@ -359,8 +339,10 @@ def read_jsonl(path: str) -> Trace:
         raise ParseError("line 1: file is empty; expected a session header")
 
     phases, kernels = columns.tables()
-    _reject_overlap(phases)
-    return Trace(phases=phases, kernels=kernels, **header)
+    try:
+        return Trace(phases=phases, kernels=kernels, **header)
+    except PhaseOverlap as exc:
+        raise ParseError(str(exc)) from None
 
 
 def export_chrome_trace(trace: Trace, path: str) -> None:
@@ -370,8 +352,8 @@ def export_chrome_trace(trace: Trace, path: str) -> None:
     of ns / 1000 (trailing zeros dropped, ``.0`` for a whole microsecond):
     ``float.__repr__`` prints the same below 2**51 ns. Kernels land on tid
     queue_id+1 with their queuing and dispatch stage durations in args;
-    phases land on tid 0. Values are checked as :func:`write_jsonl` checks
-    them, and events are streamed to the file a chunk of rows at a time.
+    phases land on tid 0. Events are streamed to the file a chunk of rows
+    at a time.
     """
     phases, names, kernels = _columns(trace)
     phase_events = _text(

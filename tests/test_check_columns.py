@@ -5,6 +5,8 @@ time and is the oracle: ``check_columns`` must raise the same error, with
 the same message, for the same first offending row.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,11 @@ from lmmk.errors import PhaseOverlap, SessionSealed, TimestampOrderViolation
 from lmmk.recorder import (
     INT64_MAX,
     INT64_MIN,
+    KernelTable,
     PhaseKind,
+    PhaseTable,
     RecordColumns,
+    Trace,
     TraceSession,
     _check_kernel,
     _check_phase,
@@ -93,6 +98,23 @@ def test_check_columns_reports_the_lowest_row_first_rule():
         check_columns(phases, [], columns([], 7))
     kernels = columns([[0, 0, 0, 1, 2, 3, 4], [0, 0, 0, 5, 4, 3, 2], [0, -1, 0, 0, 0, 0, 0]], 7)
     with pytest.raises(TimestampOrderViolation, match="^t_submit_ns < t_queued_ns$"):
+        check_columns(columns([], 5), ["k"], kernels)
+
+
+@pytest.mark.parametrize("names, code", [(("k", "m"), -1), (("k", "m"), 2), (("k", "m"), 5),
+                                         ((), 0)])
+def test_name_code_outside_the_names_is_refused(names, code):
+    """Also in a Trace made from tables, where -1 would name the last name
+    and 5 be numpy's IndexError. The code is checked before the other rules
+    of its row, and after the rows above it."""
+    message = f"kernel name code {code} is not in range({len(names)})"
+    kernels = columns([[code, -1, 0, 5, 4, 3, 2]], 7)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_columns(columns([], 5), names, kernels)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Trace("x", 0, PhaseTable(*columns([], 5)), KernelTable(names, *kernels))
+    kernels = columns([[0, -1, 0, 0, 0, 0, 0], [code, 0, 0, 0, 0, 0, 0]], 7)
+    with pytest.raises(ValueError, match="^queue_id must be nonnegative$"):
         check_columns(columns([], 5), ["k"], kernels)
 
 

@@ -256,6 +256,21 @@ class TestSeal:
             assert type(caught.value) is error
             assert not session.sealed
 
+    def test_a_minus_one_clock_reading_ends_the_phase(self):
+        """-1 fills the end column while a phase is open, yet a clock that
+        reads -1 at end_phase still ends the phase: seal refuses the
+        backwards reading, not an open phase, and a second end_phase is
+        refused."""
+        clock = iter([5, -1, 7])
+        session = TraceSession(clock=lambda: next(clock))
+        handle = session.begin_phase(PhaseKind.DECODE, 0, 0)
+        session.end_phase(handle)
+        with pytest.raises(TimestampOrderViolation, match="^phase t_end_ns < t_start_ns$"):
+            session.seal()
+        with pytest.raises(AlreadyEnded, match=f"^phase handle {handle} was already ended$"):
+            session.end_phase(handle)
+        assert next(clock) == 7
+
     def test_grows_past_initial_capacity(self):
         session = TraceSession(capacity=16)
         for i in range(100):

@@ -12,6 +12,7 @@ valid Trace or an ``LmmkError``.
 import json
 import re
 import tracemalloc
+from dataclasses import astuple
 from decimal import Decimal
 from itertools import pairwise
 from operator import itemgetter
@@ -144,11 +145,24 @@ def up_to(top):
 
 
 @st.composite
-def phase_records(draw, top=2**62):
-    kind = draw(st.sampled_from(list(PhaseKind)))
-    token = draw(up_to(top)) if kind in PER_TOKEN_KINDS else None
-    start, end = sorted(draw(st.lists(up_to(top), min_size=2, max_size=2)))
-    return PhaseRecord(kind, draw(up_to(top)), token, start, end)
+def disjoint_spans(draw, bounds, min_size=0, max_size=6):
+    """(start, end) pairs in start order, each ending at or before the next
+    starts: consecutive pairs of a sorted list of ``bounds``."""
+    n = draw(st.integers(min_size, max_size))
+    values = sorted(draw(st.lists(bounds, min_size=2 * n, max_size=2 * n)))
+    return list(zip(values[::2], values[1::2]))
+
+
+@st.composite
+def phase_records(draw, top=2**62, min_size=0, max_size=6):
+    """Phases in start order whose values lie in [0, top]. They do not
+    overlap, because a Trace refuses phases that do."""
+    records = []
+    for start, end in draw(disjoint_spans(up_to(top), min_size, max_size)):
+        kind = draw(st.sampled_from(list(PhaseKind)))
+        token = draw(up_to(top)) if kind in PER_TOKEN_KINDS else None
+        records.append(PhaseRecord(kind, draw(up_to(top)), token, start, end))
+    return records
 
 
 @st.composite
@@ -164,7 +178,7 @@ def traces(draw, top=2**62):
     return Trace(
         device_label=draw(st.text(max_size=8)),
         clock_offset_ns=draw(st.one_of(st.none(), st.integers(-2**62, 2**62))),
-        phases=tuple(draw(st.lists(phase_records(top), max_size=6))),
+        phases=tuple(draw(phase_records(top))),
         kernels=tuple(draw(st.lists(kernel_records(top), max_size=6))),
         prompt_tokens=draw(st.one_of(st.none(), st.integers(0, 2**62))),
         output_tokens=draw(st.one_of(st.none(), st.integers(0, 2**62))),
@@ -300,7 +314,7 @@ below_2_51 = st.integers(0, 2**51 - 1)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(below_2_51, below_2_51), min_size=1, max_size=6),
+@given(disjoint_spans(below_2_51, 1).map(lambda spans: [(a, b - a) for a, b in spans]),
        st.lists(st.tuples(below_2_51, below_2_51), min_size=1, max_size=6))
 @example([(2**51 - 1, 2**51 - 1)], [(2**51 - 1, 2**51 - 1)])
 def test_export_gives_back_every_nanosecond_below_2_51(scratch, phase_spans, kernel_spans):
@@ -335,31 +349,30 @@ def test_writers_reject_non_int_fields(tmp_path, writer, bad, field):
     assert not (tmp_path / "out").exists()
 
 
-def table_trace(phases=(), kernels=(), names=("k",)):
-    """A Trace made straight from tables, which skips the record checks."""
+def table_trace(phases=(), kernels=(), names=("k",), **header):
+    """A Trace made straight from tables of ``phases`` and ``kernels`` rows."""
     phase_columns = np.array(phases, dtype=np.int64).reshape(-1, 5).T
     kernel_columns = np.array(kernels, dtype=np.int64).reshape(-1, 7).T
-    return Trace("x", 0, PhaseTable(*phase_columns), KernelTable(names, *kernel_columns))
+    return Trace(phases=PhaseTable(*phase_columns), kernels=KernelTable(names, *kernel_columns),
+                 **{"device_label": "x", "clock_offset_ns": 0, **header})
 
 
 @pytest.mark.parametrize("writer", [trace_io.write_jsonl, trace_io.export_chrome_trace])
-@pytest.mark.parametrize("trace, error, message", [
-    (table_trace(phases=[(0, 0, -1, -5, 3)]), ValueError, "timestamps must be nonnegative"),
-    (table_trace(phases=[(2, 0, -1, 0, 3)]), ValueError, "decode phases require a token_index"),
-    (table_trace(phases=[(0, 0, -1, 4, 3)]), TimestampOrderViolation,
-     "phase t_end_ns < t_start_ns"),
-    (table_trace(kernels=[(0, -1, 0, 0, 0, 0, 0)]), ValueError, "queue_id must be nonnegative"),
-    (table_trace(kernels=[(0, 0, 0, 0, 0, 5, 4)]), TimestampOrderViolation,
-     "t_end_ns < t_start_ns"),
-    (table_trace(kernels=[(0, 0, 0, 9, 5, 9, 9)]), TimestampOrderViolation,
+@pytest.mark.parametrize("rows, error, message", [
+    ({"phases": [(0, 0, -1, -5, 3)]}, ValueError, "timestamps must be nonnegative"),
+    ({"phases": [(2, 0, -1, 0, 3)]}, ValueError, "decode phases require a token_index"),
+    ({"phases": [(0, 0, -1, 4, 3)]}, TimestampOrderViolation, "phase t_end_ns < t_start_ns"),
+    ({"kernels": [(0, -1, 0, 0, 0, 0, 0)]}, ValueError, "queue_id must be nonnegative"),
+    ({"kernels": [(0, 0, 0, 0, 0, 5, 4)]}, TimestampOrderViolation, "t_end_ns < t_start_ns"),
+    ({"kernels": [(0, 0, 0, 9, 5, 9, 9)]}, TimestampOrderViolation,
      "t_submit_ns < t_queued_ns"),
 ], ids=["negative-start", "null-decode-token", "phase-backwards", "negative-queue",
         "kernel-backwards", "submit-before-queued"])
-def test_writers_check_columns_before_opening(tmp_path, writer, trace, error, message):
-    """A Trace made from tables gets the record checks from the writer,
-    before the file is opened."""
+def test_writers_check_columns_before_opening(tmp_path, writer, rows, error, message):
+    """A Trace made from tables checks its rows when it is made, so no
+    writer ever opens a file for them."""
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        writer(trace, str(tmp_path / "out"))
+        writer(table_trace(**rows), str(tmp_path / "out"))
     assert not (tmp_path / "out").exists()
 
 
@@ -419,6 +432,25 @@ def test_trace_from_shuffled_records_is_sorted_and_reads_back_equal(scratch, dra
     assert trace.phases == want_phases and trace.kernels == want_kernels
     assert trace == Trace(phases=want_phases, kernels=want_kernels, **header)
     path = str(scratch / "shuffled.jsonl")
+    trace_io.write_jsonl(trace, path)
+    assert trace_io.read_jsonl(path) == trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_records(), st.randoms(use_true_random=False))
+def test_trace_from_shuffled_tables_reads_back_equal(scratch, drawn, rnd):
+    """A Trace made straight from tables of shuffled rows, with the names
+    in any order and one unused, equals the Trace made from the records,
+    and its file reads back equal."""
+    header, phases, kernels = drawn
+    names = [*dict.fromkeys(k.name for k in kernels), "unused"]
+    rnd.shuffle(names)
+    trace = table_trace(
+        [(list(PhaseKind).index(p.kind), p.turn, -1 if p.token_index is None else p.token_index,
+          p.t_start_ns, p.t_end_ns) for p in phases],
+        [(names.index(k.name), *astuple(k)[1:]) for k in kernels], names, **header)
+    assert trace == Trace(phases=tuple(phases), kernels=tuple(kernels), **header)
+    path = str(scratch / "tables.jsonl")
     trace_io.write_jsonl(trace, path)
     assert trace_io.read_jsonl(path) == trace
 
@@ -500,7 +532,7 @@ def test_int64_extremes_round_trip(tmp_path):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(kernel_records(), min_size=1, max_size=3),
-       st.lists(phase_records(), min_size=1, max_size=3))
+       phase_records(min_size=1, max_size=3))
 def test_fast_path_takes_every_line_the_writer_emits_for_plain_names(scratch, kernels, phases):
     """The bulk route takes the writer's record lines, as columns holding
     the records, unless a kernel name needs escaping; then it refuses them."""
@@ -511,7 +543,7 @@ def test_fast_path_takes_every_line_the_writer_emits_for_plain_names(scratch, ke
     taken = trace_io._bulk_rows(columns, block, len(phases) + len(kernels))
     assert taken == all(json.dumps(k.name) == f'"{k.name}"' for k in kernels)
     if taken:
-        assert columns.tables() == (  # sealed by the stable argsort
+        assert columns.tables() == (  # in the file's order, the Trace's
             tuple(sorted(phases, key=lambda p: p.t_start_ns)),
             tuple(sorted(kernels, key=lambda k: k.t_queued_ns)),
         )

@@ -1,6 +1,6 @@
 """The sealed Trace's column tables against the record tuples they replaced.
 
-``seal`` orders rows with a stable argsort; the oracle below is the
+A Trace orders its rows with a stable argsort; the oracle below is the
 ``sorted(records, key=...)`` it replaced, over records built from the
 same calls. Tables must yield exactly those rows, with exact ``int`` and
 ``str`` values, and compare equal to tables converted from them.
@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_trace, manual_session
+from lmmk import trace_io
+from lmmk.errors import ParseError, PhaseOverlap
 from lmmk.recorder import (
     PER_TOKEN_KINDS,
     KernelRecord,
@@ -199,3 +201,56 @@ def test_records_refuse_non_int64_fields_when_built(record, field, bad):
         type(record)(**{**vars(record), field: bad})
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         dataclasses.replace(record, **{field: bad})
+
+
+OVERLAP = "phase records overlap: decode [10, 20] and decode [15, 30]"
+NO_KERNELS = KernelTable((), *[[]] * 7)
+
+
+def test_overlapping_phases_are_refused_however_the_trace_is_made(tmp_path):
+    """A session whose clock runs backwards between phases, records in
+    either order and tables in either order all give the reader's error,
+    and the reader still raises it as a ParseError."""
+    clock = iter([10, 20, 15, 30])
+    session = TraceSession(clock=lambda: next(clock))
+    for token in (0, 1):
+        session.end_phase(session.begin_phase(PhaseKind.DECODE, 0, token))
+    for _ in range(2):
+        with pytest.raises(PhaseOverlap, match=f"^{re.escape(OVERLAP)}$"):
+            session.seal()
+        assert not session.sealed
+    records = (PhaseRecord(PhaseKind.DECODE, 0, 0, 10, 20),
+               PhaseRecord(PhaseKind.DECODE, 0, 1, 15, 30))
+    tables = [PhaseTable([2, 2], [0, 0], [0, 1], [10, 15], [20, 30]),
+              PhaseTable([2, 2], [0, 0], [1, 0], [15, 10], [30, 20])]
+    fine = build_trace()
+    for phases in (records, records[::-1], *tables):
+        with pytest.raises(PhaseOverlap, match=f"^{re.escape(OVERLAP)}$"):
+            Trace("x", 0, phases, NO_KERNELS)
+        with pytest.raises(PhaseOverlap, match=f"^{re.escape(OVERLAP)}$"):
+            dataclasses.replace(fine, phases=phases)
+    path = tmp_path / "overlap.jsonl"
+    path.write_text(
+        '{"ev":"session","version":1,"device_label":"x","clock_offset_ns":0}\n'
+        '{"ev":"phase","kind":"decode","turn":0,"token":0,"t_start_ns":10,"t_end_ns":20}\n'
+        '{"ev":"phase","kind":"decode","turn":0,"token":1,"t_start_ns":15,"t_end_ns":30}\n')
+    with pytest.raises(ParseError, match=f"^{re.escape(OVERLAP)}$"):
+        trace_io.read_jsonl(str(path))
+
+
+def test_trace_orders_and_copies_the_tables_it_is_given():
+    phase_columns = [np.array(c) for c in ([1, 0], [0, 0], [-1, -1], [5, 0], [9, 5])]
+    trace = Trace("x", 0, PhaseTable(*phase_columns), NO_KERNELS)
+    assert trace.phases.t_start_ns.tolist() == [0, 5]
+    assert trace.phases.kind_code.tolist() == [0, 1]
+    assert not any(np.shares_memory(a, b)
+                   for a in trace.phases._arrays() for b in phase_columns)
+
+
+def test_tables_refuse_columns_of_unequal_length():
+    message = "PhaseTable columns differ in length: [1, 1, 2, 1, 1]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PhaseTable([2], [0], [0, 1], [0], [5])
+    message = "KernelTable columns differ in length: [1, 1, 1, 1, 1, 1, 0]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        KernelTable(("k",), [0], [0], [0], [0], [0], [0], [])
