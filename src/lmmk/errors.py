@@ -104,7 +104,8 @@ class InsufficientSteps(LmmkError):
 
 
 class DegenerateSeries(LmmkError):
-    """All step values are identical; a line cannot be fitted."""
+    """A line cannot be fitted: all steps are identical, or a decode step
+    of the trace has a latency of 0 ns."""
 
 
 class RepeatedDecodeStep(LmmkError):

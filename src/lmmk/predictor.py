@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateSeries, InsufficientSteps, KernelNotFound, RepeatedDecodeStep
-from .recorder import PhaseKind, Trace, int_rows
-from .timeline import assign_to_windows
+from .recorder import PhaseKind, Trace
+from .timeline import phase_owners
 
 
 @dataclass(frozen=True)
@@ -74,82 +74,75 @@ class LinearModel:
         return self.intercept_ns + self.slope_ns_per_step * step
 
 
-def _decode_windows(trace: Trace) -> dict[int, tuple[int, int]]:
-    """Host-domain wall interval of each decode step, keyed by token index.
+def _decode_steps(trace: Trace) -> tuple[np.ndarray, dict[int, int]]:
+    """Each phase row's decode step (its token index for a decode phase, -1
+    for any other kind) and the wall time of each decode step, keyed by
+    step in start order.
 
-    Raises RepeatedDecodeStep when two decode phases share a token index.
+    Raises RepeatedDecodeStep for the first decode phase, in start order,
+    whose token index an earlier decode phase already has.
     """
     phases = trace.phases
     decode = phases.of_kind(PhaseKind.DECODE)
-    windows = {}
-    turns = {}
-    for token, turn, start, end in int_rows(*(
-        column[decode]
-        for column in (phases.token_index, phases.turn, phases.t_start_ns, phases.t_end_ns)
-    )):
-        if token in turns:
-            raise RepeatedDecodeStep(
-                f"decode token {token} occurs in turn {turns[token]} and again in "
-                f"turn {turn}; the predictor needs a single-turn trace"
-            )
-        turns[token] = turn
-        windows[token] = (start, end)
-    return windows
+    tokens, turns = phases.token_index[decode], phases.turn[decode]
+    order = np.argsort(tokens, kind="stable")
+    repeats = order[1:][tokens[order[1:]] == tokens[order[:-1]]]
+    if len(repeats):
+        again = repeats.min()
+        first = np.flatnonzero(tokens == tokens[again])[0]
+        raise RepeatedDecodeStep(
+            f"decode token {tokens[again]} occurs in turn {turns[first]} and again in "
+            f"turn {turns[again]}; the predictor needs a single-turn trace"
+        )
+    walls = (phases.t_end_ns - phases.t_start_ns)[decode]
+    return np.where(decode, phases.token_index, -1), dict(zip(tokens.tolist(), walls.tolist()))
 
 
-def _kernel_ns_by_step(
-    trace: Trace, kernel_name: str, windows: dict[int, tuple[int, int]]
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Total execution time and invocation count of one kernel in each
-    window that holds an invocation, keyed by step.
-
-    Which window owns an invocation is decided by
-    :func:`lmmk.timeline.assign_to_windows`, the rule that
-    :func:`lmmk.timeline.phase_attribution` uses too.
-    """
-    ordered = sorted(windows.items(), key=lambda item: item[1])
-    bounds = np.array([window for _, window in ordered], dtype=np.int64).reshape(-1, 2)
+def _kernel_ns_by_step(trace: Trace, kernel_name: str, steps: np.ndarray) -> dict[int, list[int]]:
+    """Execution times of one kernel's invocations in each decode step that
+    holds one, keyed by step (``steps`` as :func:`_decode_steps` gives them).
+    :func:`lmmk.timeline.phase_owners` decides the owner, as for attribution."""
     kernels = trace.kernels
     named = kernels.name_mask(kernel_name)
     starts = kernels.t_start_ns[named]
-    owners = assign_to_windows(trace, starts, bounds[:, 0], bounds[:, 1])
-    sums: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    for j, ns in zip(owners.tolist(), (kernels.t_end_ns[named] - starts).tolist()):
-        if j >= 0:
-            step = ordered[j][0]
-            sums[step] = sums.get(step, 0) + ns
-            counts[step] = counts.get(step, 0) + 1
-    return sums, counts
+    owned = np.append(steps, -1)[phase_owners(trace, starts)]
+    by_step: dict[int, list[int]] = {}
+    for step, ns in zip(owned.tolist(), (kernels.t_end_ns[named] - starts).tolist()):
+        if step >= 0:
+            by_step.setdefault(step, []).append(ns)
+    return by_step
+
+
+def _series(latencies: dict[int, float], what: str) -> StepSeries:
+    """The series of ``latencies`` by step; raises DegenerateSeries naming
+    the first step of 0 ns."""
+    zero = min((step for step, latency in latencies.items() if latency <= 0), default=None)
+    if zero is not None:
+        raise DegenerateSeries(f"decode step {zero} has a {what} of 0 ns; "
+                               "a step series needs positive latencies")
+    return StepSeries.from_pairs(latencies.items())
 
 
 def extract_step_series(trace: Trace, kernel_name: str) -> StepSeries:
     """Per-decode-step latency of one kernel, averaging multiple
     invocations inside a step."""
-    sums, counts = _kernel_ns_by_step(trace, kernel_name, _decode_windows(trace))
+    by_step = _kernel_ns_by_step(trace, kernel_name, _decode_steps(trace)[0])
     if not trace.kernels.name_mask(kernel_name).any():
         raise KernelNotFound(f"kernel {kernel_name!r} does not occur in the trace")
-    if len(sums) < 2:
+    if len(by_step) < 2:
         raise InsufficientSteps(
-            f"kernel {kernel_name!r} occurs in {len(sums)} decode steps; need at least 2"
+            f"kernel {kernel_name!r} occurs in {len(by_step)} decode steps; need at least 2"
         )
-    steps = sorted(sums)
-    return StepSeries(
-        steps=tuple(steps),
-        latencies_ns=tuple(sums[s] / counts[s] for s in steps),
-    )
+    means = {s: sum(ns) / len(ns) for s, ns in by_step.items()}
+    return _series(means, f"mean {kernel_name!r} execution time")
 
 
 def decode_wall_series(trace: Trace) -> StepSeries:
     """Wall duration of each decode step as a series over token index."""
-    windows = _decode_windows(trace)
-    if len(windows) < 2:
-        raise InsufficientSteps(f"trace has {len(windows)} decode steps; need at least 2")
-    steps = sorted(windows)
-    return StepSeries(
-        steps=tuple(steps),
-        latencies_ns=tuple(float(windows[s][1] - windows[s][0]) for s in steps),
-    )
+    walls = _decode_steps(trace)[1]
+    if len(walls) < 2:
+        raise InsufficientSteps(f"trace has {len(walls)} decode steps; need at least 2")
+    return _series(walls, "wall time")
 
 
 def fit(series: StepSeries) -> LinearModel:
@@ -185,13 +178,12 @@ def estimate_constant_floor(
     """Mean over decode steps of (step wall time minus the target kernel's
     execution time in that step); captures all non-growing kernels and the
     idle overhead without enumerating them."""
-    windows = _decode_windows(trace)
-    if max_step is not None:
-        windows = {s: w for s, w in windows.items() if s < max_step}
-    kernel_ns, _ = _kernel_ns_by_step(trace, kernel_name, windows)
-    if not windows:
+    steps, walls = _decode_steps(trace)
+    by_step = _kernel_ns_by_step(trace, kernel_name, steps)
+    floors = [wall - sum(by_step.get(s, ())) for s, wall in walls.items()
+              if max_step is None or s < max_step]
+    if not floors:
         raise InsufficientSteps("no decode steps in the requested range")
-    floors = [(hi - lo) - kernel_ns.get(s, 0) for s, (lo, hi) in windows.items()]
     return sum(floors) / len(floors)
 
 

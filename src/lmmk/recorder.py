@@ -248,7 +248,8 @@ class _RecordTable(Sequence):
     _columns: tuple[str, ...] = ()
 
     def __init__(self, *columns) -> None:
-        columns = [np.asarray(values, dtype=np.int64) for values in columns]
+        # a view, so freezing a column leaves the caller's own array writeable
+        columns = [np.asarray(values, dtype=np.int64).view() for values in columns]
         if len({len(column) for column in columns}) > 1:
             raise ValueError(f"{type(self).__name__} columns differ in length: "
                              f"{[len(column) for column in columns]}")

@@ -8,12 +8,18 @@ from any number of threads.
 
 Every function reads the trace's int64 columns rather than record rows.
 Window queries (:func:`idle_gaps` and :func:`aggregate_kernels` with a
-window) read a per-trace index instead of scanning every kernel. The
-first such query on a Trace builds it in O(K log K) for K kernels: the
-merged union of kernel executions with prefix sums of its lengths, and
-the kernels' names and execution times ordered by execution start.
-Every later query on the same Trace costs O(log K + gaps in the window)
-for idle gaps and O(log K + kernels in the window) for aggregates. The index is cached on
+window) take the window in the device domain and apply no clock offset.
+Phases are host-domain intervals: :func:`phase_owners` maps each kernel
+start through the trace's clock offset and gives the kernel to the phase
+whose half-open ``[t_start_ns, t_end_ns)`` holds it. Phase attribution
+and the predictor both read that one decision.
+
+Window queries read a per-trace index instead of scanning every kernel:
+the merged union of kernel executions with prefix sums of its lengths,
+and the kernels' names and execution times ordered by execution start.
+The first query on a Trace builds it in O(K log K) for K kernels; every
+later one costs O(log K + gaps in the window) for idle gaps and
+O(log K + kernels in the window) for aggregates. The index is cached on
 the Trace instance; two threads racing on a fresh Trace may both build
 it, and since the builds are equal either one serves.
 """
@@ -169,7 +175,9 @@ def filter_queue(trace: Trace, queue_id: int) -> Trace:
 def idle_gaps(trace: Trace, window: Interval) -> IdleReport:
     """Report busy time, idle time and the idle gaps inside the window.
 
-    The device counts as busy while any queue executes. Conservation holds
+    The window is in the device domain: it is compared with the kernels'
+    execution times as recorded, with no clock offset applied. The device
+    counts as busy while any queue executes. Conservation holds
     exactly in integer nanoseconds: busy + idle equals the window length.
     A zero-length window reports idle_fraction 0; a nonempty window with no
     kernels is fully idle.
@@ -215,6 +223,8 @@ def aggregate_kernels(trace: Trace, window: Optional[Interval] = None) -> list[K
 
     With a window, only kernels whose execution starts inside
     [window.start_ns, window.end_ns) are counted, at their full duration.
+    The window is in the device domain, as for :func:`idle_gaps`; the
+    kernels a phase owns come from :func:`phase_owners`.
     Shares are normalized by the total busy time of the included kernels and
     sum to 1 whenever that total is positive. Results are ordered by total
     execution time, largest first. A windowed call reads the trace's window
@@ -268,27 +278,22 @@ def clock_offset(trace: Trace) -> int:
     return trace.clock_offset_ns
 
 
-def assign_to_windows(
-    trace: Trace, starts: np.ndarray, window_starts: np.ndarray, window_ends: np.ndarray
-) -> np.ndarray:
-    """Index of the window that owns each device-domain kernel start in
+def phase_owners(trace: Trace, starts: np.ndarray) -> np.ndarray:
+    """Row of the phase that owns each device-domain kernel start in
     ``starts``, or -1.
 
-    The windows are closed host-domain intervals
-    ``[window_starts[j], window_ends[j]]``, sorted by start and
-    non-overlapping (as phases are), so their ends are sorted too. Kernel
-    starts are mapped with :func:`clock_offset`. The owner of host instant
-    t is the earliest window containing it: the first window with end >= t
-    (``np.searchsorted(ends, t, "left")``, as ``bisect_left``), if that
-    window starts at or before t. Only windows that share the boundary t
-    (zero-length ones included) can tie, and the earliest of them wins.
-    O(log W) per kernel.
+    Starts are mapped into the host domain with :func:`clock_offset`. The
+    owner of host instant t is the phase whose half-open interval
+    ``[t_start_ns, t_end_ns)`` holds it. A Trace's phases are sorted and
+    disjoint, so at most one does: the last phase starting at or before t,
+    if t is before its end. A zero-length phase owns nothing. O(log P) per
+    kernel.
     """
     offset = clock_offset(trace)
     t = starts + offset if _fits_int64(starts, offset) else starts.astype(object) + offset
-    j = np.searchsorted(window_ends, t, "left")
-    inside = j < len(window_ends)
-    inside[inside] = window_starts[j[inside]] <= t[inside]
+    j = np.searchsorted(trace.phases.t_start_ns, t, "right") - 1
+    inside = j >= 0
+    inside[inside] = t[inside] < trace.phases.t_end_ns[j[inside]]
     return np.where(inside, j, -1)
 
 
@@ -305,16 +310,16 @@ def phase_attribution(trace: Trace) -> dict[Union[PhaseKind, str], PhaseUsage]:
     """Attribute each kernel to the phase whose wall interval contains its
     execution start, and roll up wall/busy/count per phase kind.
 
-    Ownership follows :func:`assign_to_windows`: kernel starts are mapped
-    into the host domain via the trace clock offset (an unaligned trace
-    raises :class:`UnalignedClocks`), and the earliest of several phases
-    sharing the boundary a kernel starts on, zero-length ones included,
-    takes it. A kernel inside no phase lands in the ``UNATTRIBUTED`` bucket.
+    Ownership follows :func:`phase_owners`: kernel starts are mapped into
+    the host domain via the trace clock offset (an unaligned trace raises
+    :class:`UnalignedClocks`), and the phase whose half-open interval holds
+    a start takes the kernel. A kernel inside no phase lands in the
+    ``UNATTRIBUTED`` bucket.
     Keys are the phase kinds in order of first occurrence, then
     ``UNATTRIBUTED`` if any kernel landed there.
     """
-    phases, kernels = trace.phases, trace.kernels  # phases sorted by start, non-overlapping
-    owners = assign_to_windows(trace, kernels.t_start_ns, phases.t_start_ns, phases.t_end_ns)
+    phases, kernels = trace.phases, trace.kernels
+    owners = phase_owners(trace, kernels.t_start_ns)
     kinds = tuple(PhaseKind)
     # owner -1 picks the appended code len(kinds), the unattributed bucket
     owner_code = np.append(phases.kind_code, len(kinds))[owners]

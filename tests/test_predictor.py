@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from conftest import build_trace, single_kernel_workload
 from lmmk import predictor, sim_engine, timeline, trace_io
 from lmmk.cli import main
-from lmmk.errors import InsufficientSteps, KernelNotFound, RepeatedDecodeStep
+from lmmk.errors import DegenerateSeries, InsufficientSteps, KernelNotFound, RepeatedDecodeStep
 from lmmk.predictor import LinearModel, StepSeries
 from lmmk.recorder import PhaseKind
 
@@ -18,6 +18,10 @@ class TestStepSeries:
     def test_steps_strictly_increasing(self):
         with pytest.raises(ValueError):
             StepSeries(steps=(0, 0), latencies_ns=(1.0, 2.0))
+
+    def test_hand_built_zero_latency_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^latencies must be positive$"):
+            StepSeries(steps=(0, 1), latencies_ns=(1.0, 0.0))
 
     def test_from_pairs_sorts(self):
         series = StepSeries.from_pairs([(3, 30.0), (1, 10.0), (2, 20.0)])
@@ -163,20 +167,28 @@ def test_constant_floor_on_preset_is_flat(preset_run_256):
     assert floor == pytest.approx(window.wall_ns - kv0, rel=1e-12)
 
 
-# The per-kernel scans over every decode window that the bisect lookup
+# The per-kernel scans over every decode window that the phase lookup
 # replaced, kept as the oracle for it.
+def decode_windows(trace):
+    """Host-domain [start, end) of each decode step, keyed by token index."""
+    return {
+        p.token_index: (p.t_start_ns, p.t_end_ns)
+        for p in trace.phases if p.kind is PhaseKind.DECODE
+    }
+
+
 def loop_extract_step_series(trace, kernel_name):
     offset = timeline.clock_offset(trace)
     if not any(k.name == kernel_name for k in trace.kernels):
         raise KernelNotFound(f"kernel {kernel_name!r} does not occur in the trace")
-    windows = predictor._decode_windows(trace)
+    windows = decode_windows(trace)
     sums, counts = {}, {}
     for k in trace.kernels:
         if k.name != kernel_name:
             continue
         t = k.t_start_ns + offset
         for step, (lo, hi) in windows.items():
-            if lo <= t <= hi:
+            if lo <= t < hi:
                 sums[step] = sums.get(step, 0) + k.execution_ns
                 counts[step] = counts.get(step, 0) + 1
                 break
@@ -185,12 +197,16 @@ def loop_extract_step_series(trace, kernel_name):
             f"kernel {kernel_name!r} occurs in {len(sums)} decode steps; need at least 2"
         )
     steps = sorted(sums)
+    zero = [s for s in steps if sums[s] == 0]
+    if zero:
+        raise DegenerateSeries(f"decode step {zero[0]} has a mean {kernel_name!r} execution "
+                               "time of 0 ns; a step series needs positive latencies")
     return StepSeries(tuple(steps), tuple(sums[s] / counts[s] for s in steps))
 
 
 def loop_estimate_constant_floor(trace, kernel_name, max_step=None):
     offset = timeline.clock_offset(trace)
-    windows = predictor._decode_windows(trace)
+    windows = decode_windows(trace)
     if max_step is not None:
         windows = {s: w for s, w in windows.items() if s < max_step}
     if not windows:
@@ -201,7 +217,7 @@ def loop_estimate_constant_floor(trace, kernel_name, max_step=None):
             continue
         t = k.t_start_ns + offset
         for step, (lo, hi) in windows.items():
-            if lo <= t <= hi:
+            if lo <= t < hi:
                 kernel_ns[step] += k.execution_ns
                 break
     floors = [(hi - lo) - kernel_ns[s] for s, (lo, hi) in windows.items()]
@@ -278,3 +294,35 @@ def test_repeated_token_index_is_predict_exit_1(tmp_path, capsys):
     trace_io.write_jsonl(two_turn_trace(), str(path))
     assert main(["predict", str(path), "--kernel", "paged", "--train-steps", "1"]) == 1
     assert "decode token 0 occurs in turn 0 and again in turn 1" in capsys.readouterr().err
+
+
+def zero_latency_trace(zero_wall):
+    """Six decode steps with a ``paged`` kernel in each one that has wall
+    time. With ``zero_wall`` step 3 is the zero-length phase [300, 300];
+    without it, step 3's kernel executes for 0 ns."""
+    bounds = [0, 100, 200, 300, 300, 400, 500] if zero_wall else list(range(0, 700, 100))
+    phases, kernels = [], []
+    for token, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        phases.append((PhaseKind.DECODE, 0, token, start, end))
+        if end > start:
+            length = 0 if token == 3 else 20 + token
+            kernels.append(("paged", 0, start, start, start, start + 10, start + 10 + length))
+    return build_trace(phases=phases, kernels=kernels)
+
+
+@pytest.mark.parametrize("zero_wall, call, message", [
+    (True, predictor.decode_wall_series, "decode step 3 has a wall time of 0 ns"),
+    (False, lambda trace: predictor.extract_step_series(trace, "paged"),
+     "decode step 3 has a mean 'paged' execution time of 0 ns"),
+], ids=["zero_wall", "zero_kernel"])
+def test_zero_latency_step_is_degenerate_and_predict_exit_1(
+    tmp_path, capsys, zero_wall, call, message
+):
+    message += "; a step series needs positive latencies"
+    trace = zero_latency_trace(zero_wall)
+    with pytest.raises(DegenerateSeries, match=f"^{message}$"):
+        call(trace)
+    path = tmp_path / "zero.jsonl"
+    trace_io.write_jsonl(trace, str(path))
+    assert main(["predict", str(path), "--kernel", "paged", "--train-steps", "3"]) == 1
+    assert capsys.readouterr() == ("", f"lmmk: error: {message}\n")

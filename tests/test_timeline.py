@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_trace
-from lmmk import timeline
+from conftest import build_trace, single_kernel_workload
+from lmmk import sim_engine, timeline
 from lmmk.errors import UnalignedClocks
 from lmmk.recorder import PER_TOKEN_KINDS, KernelRecord, PhaseKind
+from lmmk.sim_engine import JitterModel, KernelSpec, PhaseScript, WorkloadSpec
 from lmmk.timeline import Interval, PhaseUsage, UNATTRIBUTED
 
 
@@ -213,15 +216,15 @@ class TestPhaseAttribution:
         assert result[UNATTRIBUTED].device_busy_ns == 100
         assert result[PhaseKind.DECODE].kernel_count == 0
 
-    def test_boundary_tie_goes_to_earlier_phase(self):
+    def test_kernel_on_shared_boundary_goes_to_later_phase(self):
         trace = build_trace(
             phases=[(PhaseKind.DECODE, 0, 0, 0, 100), (PhaseKind.SOFTMAX, 0, 0, 100, 200)],
             kernels=[kernel(100, 120)],
             clock_offset_ns=0,
         )
         result = timeline.phase_attribution(trace)
-        assert result[PhaseKind.DECODE].kernel_count == 1
-        assert result[PhaseKind.SOFTMAX].kernel_count == 0
+        assert result[PhaseKind.DECODE].kernel_count == 0
+        assert result[PhaseKind.SOFTMAX].kernel_count == 1
 
     def test_zero_length_phase_between_touching_phases(self):
         trace = build_trace(
@@ -234,9 +237,17 @@ class TestPhaseAttribution:
             clock_offset_ns=0,
         )
         result = timeline.phase_attribution(trace)
-        assert result[PhaseKind.DECODE].kernel_count == 1
+        assert result[PhaseKind.DECODE].kernel_count == 0
         assert result[PhaseKind.SOFTMAX].kernel_count == 0
-        assert result[PhaseKind.SAMPLING].kernel_count == 0
+        assert result[PhaseKind.SAMPLING].kernel_count == 1
+
+    def test_kernel_at_the_end_of_the_last_phase_is_unattributed(self):
+        trace = build_trace(
+            phases=[(PhaseKind.DECODE, 0, 0, 0, 10)], kernels=[kernel(10, 15)], clock_offset_ns=0
+        )
+        result = timeline.phase_attribution(trace)
+        assert result[PhaseKind.DECODE].kernel_count == 0
+        assert result[UNATTRIBUTED].kernel_count == 1
 
     def test_clock_offset_applied(self):
         # Device clock runs 1000 ns behind host: kernel at device 50 is host 1050.
@@ -273,8 +284,9 @@ class TestPhaseAttribution:
 
 
 def loop_phase_attribution(trace):
-    """Brute-force oracle: each kernel goes to the first phase, in trace
-    order, whose closed interval holds its host-domain start."""
+    """Brute-force oracle: each kernel goes to the phase whose half-open
+    interval holds its host-domain start (phases are disjoint, so there
+    is at most one)."""
     offset = trace.clock_offset_ns
     wall, busy, count = {}, {}, {}
     for p in trace.phases:
@@ -284,7 +296,7 @@ def loop_phase_attribution(trace):
     for k in trace.kernels:
         t = k.t_start_ns + offset
         owner = next(
-            (p.kind for p in trace.phases if p.t_start_ns <= t <= p.t_end_ns), UNATTRIBUTED
+            (p.kind for p in trace.phases if p.t_start_ns <= t < p.t_end_ns), UNATTRIBUTED
         )
         busy[owner] = busy.get(owner, 0) + k.execution_ns
         count[owner] = count.get(owner, 0) + 1
@@ -293,10 +305,10 @@ def loop_phase_attribution(trace):
 
 
 @st.composite
-def attribution_traces(draw):
+def attribution_traces(draw, offsets=st.integers(-100, 100)):
     """Phases that often touch or have zero length (possibly none at all),
     and kernels that often start exactly on a phase boundary."""
-    offset = draw(st.integers(-100, 100))
+    offset = draw(offsets)
     t = 200
     phases, boundaries = [], []
     for token in range(draw(st.integers(0, 10))):
@@ -321,6 +333,92 @@ def attribution_traces(draw):
 @given(attribution_traces())
 def test_phase_attribution_matches_brute_force(trace):
     assert timeline.phase_attribution(trace) == loop_phase_attribution(trace)
+
+
+@settings(max_examples=300, deadline=None)
+@given(attribution_traces(offsets=st.just(0)))
+def test_phase_windows_aggregate_what_attribution_owns(trace):
+    """At offset 0 a window query over a phase's own interval counts the
+    kernels that attribution gives to that phase, boundaries included."""
+    busy = {}
+    for p in trace.phases:
+        window = Interval(p.t_start_ns, p.t_end_ns)
+        total = sum(a.total_execution_ns for a in timeline.aggregate_kernels(trace, window))
+        busy[p.kind] = busy.get(p.kind, 0) + total
+    usage = timeline.phase_attribution(trace)
+    assert busy == {kind: u.device_busy_ns for kind, u in usage.items() if kind != UNATTRIBUTED}
+
+
+@settings(max_examples=200, deadline=None)
+@given(attribution_traces(), st.data())
+def test_a_subset_of_phases_never_moves_a_kernel(trace, data):
+    keep = np.array(data.draw(st.lists(
+        st.booleans(), min_size=len(trace.phases), max_size=len(trace.phases))), dtype=bool)
+    subset = replace(trace, phases=trace.phases.take(keep))
+    full = timeline.phase_owners(trace, trace.kernels.t_start_ns)
+    part = timeline.phase_owners(subset, subset.kernels.t_start_ns)
+    kept = np.flatnonzero(keep)
+    # part's rows, as rows of the full trace (-1 stays -1)
+    assert np.array_equal(np.append(kept, -1)[part], np.where(np.isin(full, kept), full, -1))
+
+
+def assert_attribution_matches_truth(trace, truth):
+    usage = timeline.phase_attribution(trace)
+    assert UNATTRIBUTED not in usage
+    assert {kind: u.device_busy_ns for kind, u in usage.items()} == truth.phase_busy_ns
+    assert {kind: u.phase_wall_ns for kind, u in usage.items()} == truth.phase_wall_ns
+
+
+def test_zero_delay_workload_matches_truth():
+    # Each kernel starts on its phase's first instant, where the phase
+    # before it ends.
+    assert_attribution_matches_truth(*sim_engine.run(single_kernel_workload(), 1, 3))
+
+
+@st.composite
+def valid_workloads(draw):
+    """Valid workloads whose delays, gaps and host times are often 0, so
+    kernels start on phase boundaries, with jitter on or off."""
+    small = st.sampled_from([0, 0, 1, 5, 300])
+    required = (PhaseKind.PREFILL, PhaseKind.DECODE, PhaseKind.SOFTMAX)
+
+    def script(kind):
+        kernels = tuple(
+            KernelSpec(f"{kind.value}_{i}", draw(st.sampled_from([1, 7, 1000])),
+                       draw(st.sampled_from([0, 3])), draw(small), draw(small), draw(small),
+                       draw(st.integers(1, 2)))
+            for i in range(draw(st.integers(1 if kind in required else 0, 3)))
+        )
+        return PhaseScript(kind, kernels, host_ns=draw(small))
+
+    jitter = JitterModel(draw(st.integers(0, 2**16)), draw(st.sampled_from([0.0, 0.3])))
+    spec = WorkloadSpec("drawn", {kind: script(kind) for kind in PhaseKind}, jitter)
+    return spec, draw(st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_workloads())
+def test_phase_attribution_equals_simulator_truth(case):
+    spec, tokens = case
+    assert_attribution_matches_truth(*sim_engine.run(spec, 1, tokens))
+
+
+def test_window_queries_use_the_device_domain():
+    # Device clock 1000 ns behind host: attribution puts the kernel at
+    # device 50 into the decode phase [1000, 1100], while the window
+    # queries compare windows with the kernel's times as recorded.
+    trace = build_trace(
+        phases=[(PhaseKind.DECODE, 0, 0, 1000, 1100)],
+        kernels=[kernel(50, 70)],
+        clock_offset_ns=1000,
+    )
+    assert timeline.phase_attribution(trace)[PhaseKind.DECODE].device_busy_ns == 20
+    host = Interval(1000, 1100)
+    assert timeline.idle_gaps(trace, host).busy_ns == 0
+    assert timeline.aggregate_kernels(trace, host) == []
+    device = Interval(0, 100)
+    assert timeline.idle_gaps(trace, device).busy_ns == 20
+    assert [a.total_execution_ns for a in timeline.aggregate_kernels(trace, device)] == [20]
 
 
 @pytest.mark.parametrize("offset", [2**62, -(2**62)])

@@ -125,6 +125,13 @@ def test_columns_are_read_only_int64():
     assert trace.kernels.t_end_ns[0] == 4
 
 
+def test_tables_leave_the_callers_arrays_writeable():
+    columns = [np.array([v], dtype=np.int64) for v in (1, 0, -1, 0, 5)]
+    table = PhaseTable(*columns)
+    assert all(column.flags.writeable for column in columns)
+    assert not any(column.flags.writeable for column in table._arrays())
+
+
 def test_index_out_of_range():
     trace = build_trace(kernels=[("k", 0, 0, 1, 2, 3, 4)])
     with pytest.raises(IndexError):
