@@ -90,8 +90,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _err(str(exc))
         return EXIT_USAGE
     trace_io.write_jsonl(trace, args.out)
-    with open(args.out + ".gt.json", "w", encoding="utf-8", newline="\n") as f:
-        f.write(json.dumps(truth.to_dict(), separators=(",", ":")) + "\n")
+    trace_io.write_ground_truth(truth, args.out + ".gt.json")
     print(f"wrote {args.out} ({len(trace.kernels)} kernels, {len(trace.phases)} phases)")
     return EXIT_OK
 
@@ -162,9 +161,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         text = json.dumps(payload, indent=2)
         if gaps:  # indent's pure-Python encoder is slow on them: splice in its text
-            rows = ",\n".join("      [\n        %d,\n        %d\n      ]" % (g.start_ns, g.end_ns)
-                               for g in gaps)
-            text = text.replace('"gaps": []', f'"gaps": [\n{rows}\n    ]', 1)
+            digits = trace_io._digits
+            rows = b"".join(trace_io._text(b",\n      [\n        %s,\n        %s\n      ]",
+                                           gaps._arrays(), lambda s, e: (digits(s), digits(e))))
+            text = text.replace('"gaps": []', f'"gaps": [\n{rows[2:].decode()}\n    ]', 1)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as f:
                 f.write(text + "\n")
@@ -221,6 +221,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    if args.train_steps < 2:  # a fit needs steps 0 and 1, whatever the trace holds
+        _err(f"--train-steps must be at least 2, got {args.train_steps}")
+        return EXIT_USAGE
     trace = trace_io.read_jsonl(args.trace)
     try:
         series = predictor.extract_step_series(trace, args.kernel)

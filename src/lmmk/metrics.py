@@ -10,10 +10,14 @@ the ground truth and is deliberately not clamped.
 The harmonic quantization score rewards quantized models whose accuracy
 retention and prefill/decode speedups are balanced; any collapsed
 component drags the harmonic mean down with it.
+
+Every function refuses a NaN or infinite input with the error it raises
+for a nonpositive one (ValueError where any value is allowed).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -34,10 +38,10 @@ class MetricPair:
     t_gt_ms: float
 
     def __post_init__(self) -> None:
-        if self.t_gt_ms <= 0:
-            raise NonPositiveGroundTruth(f"t_gt_ms={self.t_gt_ms} must be > 0")
-        if self.t_lm_ms <= 0:
-            raise ValueError(f"t_lm_ms={self.t_lm_ms} must be > 0")
+        if not 0 < self.t_gt_ms < math.inf:
+            raise NonPositiveGroundTruth(f"t_gt_ms={self.t_gt_ms} must be finite and > 0")
+        if not 0 < self.t_lm_ms < math.inf:
+            raise ValueError(f"t_lm_ms={self.t_lm_ms} must be finite and > 0")
 
     @property
     def delta_ms(self) -> float:
@@ -92,8 +96,8 @@ def evaluate_pair(pair: MetricPair) -> AccuracyResult:
 def hq(m_a: float, m_prefill: float, m_decode: float) -> float:
     """Harmonic mean of the accuracy ratio and the two latency speedups."""
     for name, value in (("m_a", m_a), ("m_prefill", m_prefill), ("m_decode", m_decode)):
-        if value <= 0:
-            raise NonPositiveComponent(f"{name}={value} must be > 0")
+        if not 0 < value < math.inf:
+            raise NonPositiveComponent(f"{name}={value} must be finite and > 0")
     return 3.0 / (1.0 / m_a + 1.0 / m_prefill + 1.0 / m_decode)
 
 
@@ -103,12 +107,12 @@ def hq_from_measurements(inputs: HQInputs) -> float:
     The accuracy ratio is quantized over full; the latency ratios are full
     over quantized so that a speedup from quantization lands above 1.
     """
-    for name, value in (
-        ("acc_full", inputs.acc_full),
-        ("prefill_quant_ms", inputs.prefill_quant_ms),
-        ("decode_quant_ms", inputs.decode_quant_ms),
-    ):
-        if value <= 0:
+    for name in ("acc_quant", "acc_full", "prefill_quant_ms", "prefill_full_ms",
+                 "decode_quant_ms", "decode_full_ms"):
+        value = getattr(inputs, name)
+        if not math.isfinite(value):
+            raise NonPositiveComponent(f"{name}={value} must be finite")
+        if value <= 0 and name in ("acc_full", "prefill_quant_ms", "decode_quant_ms"):
             raise NonPositiveComponent(f"{name}={value} must be > 0")
     return hq(
         inputs.acc_quant / inputs.acc_full,
@@ -125,6 +129,9 @@ def duplication_estimate(t_base_phase_ms: float, t_dup_phase_ms: float, n: int) 
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    for name, value in (("t_base_phase_ms", t_base_phase_ms), ("t_dup_phase_ms", t_dup_phase_ms)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name}={value} must be finite")
     if t_dup_phase_ms < t_base_phase_ms:
         raise NegativeDelta(
             "duplicated phase was faster than baseline; measurement noise exceeds signal"
@@ -135,8 +142,8 @@ def duplication_estimate(t_base_phase_ms: float, t_dup_phase_ms: float, n: int) 
 def choose_duplication_count(expected_latency_ms: float) -> int:
     """Duplication count rule: 50 copies for kernels expected to exceed
     1 ms, 1000 for shorter ones (the boundary goes to the shorter branch)."""
-    if expected_latency_ms <= 0:
-        raise ValueError("expected_latency_ms must be > 0")
+    if not 0 < expected_latency_ms < math.inf:
+        raise ValueError(f"expected_latency_ms={expected_latency_ms} must be finite and > 0")
     return 50 if expected_latency_ms > 1.0 else 1000
 
 

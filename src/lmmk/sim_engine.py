@@ -33,7 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidSpec, UnknownKernel
-from .recorder import INT64_MAX, INT64_MIN, PhaseKind, Trace, TraceSession
+from .recorder import (INT64_MAX, INT64_MIN, PhaseKind, Trace, TraceSession, _INDEX_BY_KIND,
+                       _KIND_BY_INDEX, _NO_TOKEN, _RecordTable)
 
 QUEUE_ID = 0  # single in-order device queue
 
@@ -169,13 +170,34 @@ class PhaseWindowTruth:
         return self.idle_ns / self.wall_ns if self.wall_ns > 0 else 0.0
 
 
+class WindowTable(_RecordTable):
+    """Phase windows as int64 columns: ``kind_code`` (the kind's position in
+    :class:`PhaseKind`), ``turn``, ``token_index`` (-1 for None),
+    ``start_ns``, ``end_ns`` and ``busy_ns``; rows are
+    :class:`PhaseWindowTruth`."""
+
+    __slots__ = ("kind_code", "turn", "token_index", "start_ns", "end_ns", "busy_ns")
+    _columns = __slots__
+
+    def _row(self, values) -> PhaseWindowTruth:
+        kind, turn, token, start, end, busy = values
+        return PhaseWindowTruth(_KIND_BY_INDEX[kind], turn, None if token == _NO_TOKEN else token,
+                                start, end, busy)
+
+    def take(self, index) -> "WindowTable":
+        """Table of the rows a slice, boolean mask or index array selects."""
+        return WindowTable(*(column[index] for column in self._arrays()))
+
+
 @dataclass
 class GroundTruth:
     """What a perfect profiler would reconstruct from the run.
 
     Realized values are the simulated ones (equal to the unjittered truth
     when jitter is off); kernel_true_total_ns keeps the unjittered sums so
-    estimator tests can compare against the noise-free target.
+    estimator tests can compare against the noise-free target. ``windows``
+    holds one row per phase occurrence, in phase order, as columns;
+    :func:`lmmk.trace_io.write_ground_truth` writes the ``.gt.json`` sidecar.
     """
 
     kernel_total_ns: dict[str, int] = field(default_factory=dict)
@@ -183,7 +205,7 @@ class GroundTruth:
     kernel_invocations: dict[str, int] = field(default_factory=dict)
     phase_busy_ns: dict[PhaseKind, int] = field(default_factory=dict)
     phase_wall_ns: dict[PhaseKind, int] = field(default_factory=dict)
-    windows: list[PhaseWindowTruth] = field(default_factory=list)
+    windows: WindowTable = field(default_factory=lambda: WindowTable(*[()] * 6))
     prompt_tokens: int = 0
     output_tokens: int = 0
 
@@ -194,31 +216,8 @@ class GroundTruth:
         return self.kernel_true_total_ns[name] / self.kernel_invocations[name]
 
     def decode_windows(self) -> list[PhaseWindowTruth]:
-        return [w for w in self.windows if w.kind is PhaseKind.DECODE]
-
-    def to_dict(self) -> dict:
-        return {
-            "prompt_tokens": self.prompt_tokens,
-            "output_tokens": self.output_tokens,
-            "kernel_total_ns": dict(self.kernel_total_ns),
-            "kernel_true_total_ns": dict(self.kernel_true_total_ns),
-            "kernel_invocations": dict(self.kernel_invocations),
-            "phase_busy_ns": {k.value: v for k, v in self.phase_busy_ns.items()},
-            "phase_wall_ns": {k.value: v for k, v in self.phase_wall_ns.items()},
-            "windows": [
-                {
-                    "kind": w.kind.value,
-                    "turn": w.turn,
-                    "token_index": w.token_index,
-                    "start_ns": w.start_ns,
-                    "end_ns": w.end_ns,
-                    "busy_ns": w.busy_ns,
-                    "idle_ns": w.idle_ns,
-                    "idle_fraction": w.idle_fraction,
-                }
-                for w in self.windows
-            ],
-        }
+        windows = self.windows
+        return list(windows.take(windows.kind_code == _INDEX_BY_KIND[PhaseKind.DECODE]))
 
 
 def validate_workload(spec: WorkloadSpec) -> None:
@@ -367,18 +366,12 @@ def _simulate(spec: WorkloadSpec, plan: Optional[DuplicationPlan], prompt_tokens
             true_total = len(pos) * ks.base_latency_ns + ks.per_step_slope_ns * step_sum
             for by_name, value in zip(totals, (total, true_total, len(pos))):
                 by_name[ks.name] = by_name.get(ks.name, 0) + value
-    # one int object per token and per phase boundary keeps the ground truth small
-    kinds, end_ns = tuple(PhaseKind), ends.tolist()
-    tokens = [None, None] + [t for t in range(output_tokens) for _ in range(4)]
-    truth.windows = [
-        PhaseWindowTruth(kinds[k], 0, t, start, end, b)
-        for k, t, start, end, b in zip(kind_code.tolist(), tokens, [t0] + end_ns[:-1], end_ns,
-                                       busy.tolist())
-    ]
+    phases = (kind_code, np.zeros_like(token), token, starts, ends)
+    truth.windows = WindowTable(*phases, busy)
     code, enqueue, submit, start, end = kernels
     queue = np.broadcast_to(np.int64(QUEUE_ID), enqueue.shape)
     kernels = (code, queue, enqueue, enqueue, submit, start, end)  # queued = enqueue: one clock
-    return (kind_code, np.zeros_like(token), token, starts, ends), names, kernels, truth
+    return phases, names, kernels, truth
 
 
 def _run(

@@ -18,7 +18,8 @@ Window queries read a per-trace index instead of scanning every kernel:
 the merged union of kernel executions with prefix sums of its lengths,
 and the kernels' names and execution times ordered by execution start.
 The first query on a Trace builds it in O(K log K) for K kernels; every
-later one costs O(log K + gaps in the window) for idle gaps and
+later one costs O(log K) plus one copy of the gaps' bounds for idle gaps,
+which come back as a column table with no object per gap, and
 O(log K + kernels in the window) for aggregates. The index is cached on
 the Trace instance; two threads racing on a fresh Trace may both build
 it, and since the builds are equal either one serves.
@@ -33,7 +34,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import UnalignedClocks
-from .recorder import INT64_MAX, INT64_MIN, KernelRecord, KernelTable, PhaseKind, Trace
+from .recorder import (INT64_MAX, INT64_MIN, KernelRecord, KernelTable, PhaseKind, Trace,
+                       _RecordTable)
 
 #: Attribution bucket for kernels whose start falls inside no phase window.
 UNATTRIBUTED = "unattributed"
@@ -76,13 +78,40 @@ class KernelAggregate:
     share_of_busy: float
 
 
+class GapTable(_RecordTable):
+    """Idle gaps as columns ``start_ns`` and ``end_ns``: views of one int64
+    array, ``bounds``, that alternates the gaps' starts and ends and that
+    the table freezes in place. Rows are :class:`Interval`, so a table
+    equals a tuple of the same intervals."""
+
+    __slots__ = ("bounds",)
+    _columns = ("start_ns", "end_ns")
+
+    def __init__(self, bounds) -> None:
+        self.bounds = np.asarray(bounds, dtype=np.int64)
+        self.bounds.setflags(write=False)
+
+    start_ns = property(lambda self: self.bounds[::2])
+    end_ns = property(lambda self: self.bounds[1::2])
+
+    def _row(self, values) -> Interval:
+        return Interval(*values)
+
+    def take(self, index) -> "GapTable":
+        """Table of the rows a slice, boolean mask or index array selects."""
+        return GapTable(np.column_stack((self.start_ns[index], self.end_ns[index])).ravel())
+
+
+_NO_GAPS = GapTable(())
+
+
 @dataclass(frozen=True)
 class IdleReport:
     window: Interval
     busy_ns: int
     idle_ns: int
     idle_fraction: float
-    gaps: tuple[Interval, ...]
+    gaps: GapTable
 
 
 @dataclass(frozen=True)
@@ -99,12 +128,15 @@ class _WindowIndex:
     kernel executions as disjoint intervals in time order; touching
     intervals are merged, so consecutive intervals leave a positive gap.
     ``busy_before[i]`` is the total length of intervals ``0..i-1``. These
-    are lists of Python ints, for exact sums and ``bisect``. ``starts``
-    holds the kernels' start times in ascending order (a list too), and
+    are lists of Python ints, for exact sums and ``bisect``. ``bounds``
+    holds the same starts and ends as one int64 array, 0, s0, e0, s1, e1,
+    ..., 0, so that ``bounds[2 * i:2 * j + 2]`` runs from the end of
+    interval i-1 to the start of interval j. ``starts`` holds the kernels'
+    start times in ascending order (a list too), and
     ``name_code``/``execution_ns`` the same kernels' columns in that order.
     """
 
-    __slots__ = ("busy_starts", "busy_ends", "busy_before", "starts", "name_code",
+    __slots__ = ("busy_starts", "busy_ends", "busy_before", "bounds", "starts", "name_code",
                  "execution_ns")
 
     def __init__(self, kernels: KernelTable) -> None:
@@ -123,6 +155,8 @@ class _WindowIndex:
             busy_starts, busy_ends = s[opens], reach[closes]
         else:
             busy_starts = busy_ends = s
+        self.bounds = np.zeros(2 * len(busy_starts) + 2, np.int64)
+        self.bounds[1:-1:2], self.bounds[2:-1:2] = busy_starts, busy_ends
         self.busy_starts = busy_starts.tolist()
         self.busy_ends = busy_ends.tolist()
         self.busy_before = [0, *np.cumsum(busy_ends - busy_starts).tolist()]
@@ -182,40 +216,40 @@ def idle_gaps(trace: Trace, window: Interval) -> IdleReport:
     A zero-length window reports idle_fraction 0; a nonempty window with no
     kernels is fully idle.
 
-    The first window query on a trace builds its index in O(K log K);
-    each call after that costs O(log K + gaps in the window).
+    The gaps are a :class:`GapTable` sliced from the index, with no object
+    per gap. The first window query on a trace builds its index in
+    O(K log K); each call after that costs O(log K) plus copying the gaps.
     """
     length = window.length_ns
     if length == 0:
-        return IdleReport(window=window, busy_ns=0, idle_ns=0, idle_fraction=0.0, gaps=())
+        return IdleReport(window=window, busy_ns=0, idle_ns=0, idle_fraction=0.0, gaps=_NO_GAPS)
     index = _window_index(trace)
     lo, hi = window.start_ns, window.end_ns
     starts, ends = index.busy_starts, index.busy_ends
     # Busy intervals first..stop-1 are exactly those overlapping the window.
     first = bisect_right(ends, lo)
     stop = bisect_left(starts, hi)
+    # Gap i runs from busy interval first+i-1's end (lo for i = 0) to busy
+    # interval first+i's start (hi for the last gap): bounds[2 * first:2 * stop
+    # + 2] with lo and hi at its ends. Merged intervals leave every inner gap
+    # positive, so only the first and the last gap can be empty, and are cut.
+    head, tail = 2 * first, 2 * stop + 2
     busy = 0
-    gaps = []
-    cursor = lo
     if first < stop:
         busy = (
             index.busy_before[stop] - index.busy_before[first]
             - max(0, lo - starts[first]) - max(0, ends[stop - 1] - hi)
         )
-        for i in range(first, stop):
-            if starts[i] > cursor:
-                gaps.append(Interval(cursor, starts[i]))
-            cursor = ends[i]
-    if cursor < hi:
-        gaps.append(Interval(cursor, hi))
+        head += 2 * (starts[first] <= lo)
+        tail -= 2 * (ends[stop - 1] >= hi)
+    bounds = index.bounds[head:tail].copy()
+    if head == 2 * first:
+        bounds[0] = lo
+    if tail == 2 * stop + 2:
+        bounds[-1] = hi
     idle = length - busy
-    return IdleReport(
-        window=window,
-        busy_ns=busy,
-        idle_ns=idle,
-        idle_fraction=idle / length,
-        gaps=tuple(gaps),
-    )
+    # positional arguments: keywords add a tenth to a small window's query
+    return IdleReport(window, busy, idle, idle / length, GapTable(bounds))
 
 
 def aggregate_kernels(trace: Trace, window: Optional[Interval] = None) -> list[KernelAggregate]:

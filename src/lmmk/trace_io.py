@@ -1,4 +1,5 @@
-"""Trace serialization: line-delimited JSON, viewer export, CSV reports.
+"""Trace serialization: line-delimited JSON, viewer export, the simulator's
+ground-truth sidecar, CSV reports.
 
 The JSONL format keeps every timestamp as an integer nanosecond so round
 trips are bit-exact; files are UTF-8 with LF line endings and fixed key
@@ -15,7 +16,9 @@ blocks and name lookups, written with its 0 padding dropped. They check
 nothing: a :class:`~lmmk.recorder.Trace` checked and ordered its rows,
 and refused overlapping phases, when it was made. So no value can make a
 writer fail after it has opened its file, and a written trace reads back
-equal. The reader reads the header line on its own, then blocks of about
+equal. The ground-truth sidecar's windows are formatted from their
+columns the same way, after one check of the columns. The reader reads
+the header line on its own, then blocks of about
 64 KiB that end on LF. A block of lines exactly as :func:`write_jsonl`
 emits them is taken in bulk: one ``findall`` per record type, int64
 columns, one :func:`~lmmk.recorder.check_columns` and one append. Any other block goes line by line through :func:`json.loads`,
@@ -31,6 +34,7 @@ import csv
 import io
 import itertools
 import json
+import operator
 import re
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
@@ -50,6 +54,7 @@ from .recorder import (
     _check_phase,
     check_columns,
 )
+from .sim_engine import GroundTruth
 
 FILE_VERSION = 1
 
@@ -134,6 +139,45 @@ def write_jsonl(trace: Trace, path: str) -> None:
             b'{"ev":"kernel","name":%s,"queue":%s,"t_cpu_enqueue_ns":%s,"t_queued_ns":%s,'
             b'"t_submit_ns":%s,"t_start_ns":%s,"t_end_ns":%s}\n',
             kernels, lambda code, *ints: (names[code], *map(_digits, ints))))
+
+
+def _window_fields(kind, turn, token, start, end, busy) -> list:
+    wall = end - start
+    idle = wall - busy
+    # exact int division, as PhaseWindowTruth.idle_fraction; 0.0 for an empty window
+    fraction = map(operator.truediv, np.where(wall > 0, idle, 0).tolist(),
+                   np.maximum(wall, 1).tolist())
+    return [_KINDS[kind], *map(_digits, (turn, token, start, end, busy, idle)),
+            _table(list(map(repr, fraction)))]
+
+
+def write_ground_truth(truth: GroundTruth, path: str) -> None:
+    """Write a simulator's ground truth as the one-line ``.gt.json``
+    sidecar (docs/trace_format.md): the token counts and totals as
+    ``json.dumps`` prints them, then one object per window, formatted
+    from the window columns. A window the format cannot hold raises
+    ValueError before the file is opened."""
+    kind, turn, token, start, end, busy = columns = truth.windows._arrays()
+    if ((kind < 0) | (kind >= len(_KINDS)) | (turn < 0) | (token < _NO_TOKEN) | (start < 0)
+            | (busy < 0) | (end - start < busy)).any():
+        raise ValueError("a ground-truth window needs a phase kind code, token_index -1 or "
+                         "more, turn, start_ns and busy_ns of 0 or more, and busy_ns no more "
+                         "than end_ns - start_ns")
+    totals = json.dumps({
+        "prompt_tokens": truth.prompt_tokens,
+        "output_tokens": truth.output_tokens,
+        "kernel_total_ns": truth.kernel_total_ns,
+        "kernel_true_total_ns": truth.kernel_true_total_ns,
+        "kernel_invocations": truth.kernel_invocations,
+        "phase_busy_ns": {k.value: ns for k, ns in truth.phase_busy_ns.items()},
+        "phase_wall_ns": {k.value: ns for k, ns in truth.phase_wall_ns.items()},
+    }, separators=(",", ":"))
+    windows = _text(
+        b',{"kind":"%s","turn":%s,"token_index":%s,"start_ns":%s,"end_ns":%s,"busy_ns":%s,'
+        b'"idle_ns":%s,"idle_fraction":%s}', columns, _window_fields)
+    with open(path, "wb") as f:  # every window follows a comma: the first one's is cut
+        f.writelines(itertools.chain([totals[:-1].encode() + b',"windows":[',
+                                      next(windows, b",")[1:]], windows, [b"]}\n"]))
 
 
 # A JSON integer of at most 19 digits (every int64 fits; the columns reject

@@ -1,9 +1,11 @@
 import csv
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from lmmk import sim_engine
+from lmmk import sim_engine, trace_io
 from lmmk.recorder import PhaseKind, Trace, TraceSession
 from lmmk.sim_engine import JitterModel, KernelSpec, PhaseScript, VirtualClock, WorkloadSpec
 
@@ -147,3 +149,39 @@ def metric_report_rows(pairs):
             "eps_star": metrics.scaled_error(pair),
         })
     return rows
+
+
+def reference_ground_truth(truth) -> dict:
+    """The ``.gt.json`` sidecar as a dict built from the window rows: the
+    sidecar's bytes are ``json.dumps(this, separators=(",", ":"))`` and LF."""
+    return {
+        "prompt_tokens": truth.prompt_tokens,
+        "output_tokens": truth.output_tokens,
+        "kernel_total_ns": dict(truth.kernel_total_ns),
+        "kernel_true_total_ns": dict(truth.kernel_true_total_ns),
+        "kernel_invocations": dict(truth.kernel_invocations),
+        "phase_busy_ns": {k.value: v for k, v in truth.phase_busy_ns.items()},
+        "phase_wall_ns": {k.value: v for k, v in truth.phase_wall_ns.items()},
+        "windows": [
+            {
+                "kind": w.kind.value,
+                "turn": w.turn,
+                "token_index": w.token_index,
+                "start_ns": w.start_ns,
+                "end_ns": w.end_ns,
+                "busy_ns": w.busy_ns,
+                "idle_ns": w.idle_ns,
+                "idle_fraction": w.idle_fraction,
+            }
+            for w in truth.windows
+        ],
+    }
+
+
+def sidecar_bytes(truth) -> bytes:
+    """The bytes :func:`trace_io.write_ground_truth` writes for ``truth``."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "trace.jsonl.gt.json")
+        trace_io.write_ground_truth(truth, path)
+        with open(path, "rb") as f:
+            return f.read()

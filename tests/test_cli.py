@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -61,6 +62,14 @@ class TestSimulate:
             "--jitter", "0.05", "--output-tokens", "4", "--out", str(env_set),
         ) == 0
         assert flag_only.read_bytes() != env_set.read_bytes()
+
+    def test_preset_sidecar_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "t.jsonl"
+        assert run_cli("simulate", "--workload", "preset:gemma2-decode", "--seed", "42",
+                       "--jitter", "0.02", "--out", str(out)) == 0
+        sidecar = (tmp_path / "t.jsonl.gt.json").read_bytes()
+        assert hashlib.sha256(sidecar).hexdigest() == (
+            "1efa5ed12fbba00ae5db059e814c8b10de8b3ea6b1e589d36ff474c1a9396345")
 
     def test_duplicate_flag(self, tmp_path):
         out = tmp_path / "dup.jsonl"
@@ -279,6 +288,26 @@ class TestMetrics:
     def test_nonpositive_denominator_is_usage_error(self, capsys):
         assert run_cli("metrics", "accuracy", "--lm", "1.0", "--gt", "0") == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["accuracy", "--lm", "nan", "--gt", "1"], "t_lm_ms=nan must be finite and > 0"),
+        (["accuracy", "--lm", "1", "--gt", "inf"], "t_gt_ms=inf must be finite and > 0"),
+        (["accuracy", "--lm", "1", "--gt", "nan"], "t_gt_ms=nan must be finite and > 0"),
+        (["duplication", "--base", "nan", "--dup", "1", "--n", "2"],
+         "t_base_phase_ms=nan must be finite"),
+        (["duplication", "--base", "1", "--dup", "inf", "--n", "2"],
+         "t_dup_phase_ms=inf must be finite"),
+        (["hq", "--acc-q", "nan", "--acc-f", "1", "--prefill-q", "1", "--prefill-f", "1",
+          "--decode-q", "1", "--decode-f", "1"], "acc_quant=nan must be finite"),
+        (["hq", "--acc-q", "1", "--acc-f", "1", "--prefill-q", "1", "--prefill-f=-inf",
+          "--decode-q", "1", "--decode-f", "1"], "prefill_full_ms=-inf must be finite"),
+    ], ids=["lm-nan", "gt-inf", "gt-nan", "base-nan", "dup-inf", "acc-q-nan",
+            "prefill-f-minus-inf"])
+    def test_non_finite_input_is_usage_error(self, capsys, argv, message):
+        assert run_cli("metrics", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"lmmk: error: {message}\n"
+
 
 class TestSample:
     def test_full_fraction(self, tmp_path, capsys):
@@ -337,6 +366,19 @@ class TestPredict:
 
     def test_absent_kernel_exit_1(self, sim_trace_path, capsys):
         assert run_cli("predict", str(sim_trace_path), "--kernel", "ghost") == 1
+
+    @pytest.mark.parametrize("steps", ["-5", "0", "1"])
+    def test_train_steps_below_two_is_usage_error(self, sim_trace_path, capsys, steps):
+        assert run_cli("predict", str(sim_trace_path), "--kernel", "batch_decode_paged_kv",
+                       "--train-steps", steps) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"lmmk: error: --train-steps must be at least 2, got {steps}\n"
+
+    def test_two_train_steps_fit(self, sim_trace_path, capsys):
+        assert run_cli("predict", str(sim_trace_path), "--kernel", "batch_decode_paged_kv",
+                       "--train-steps", "2") == 0
+        assert "slope_ns_per_step=3500.0000" in capsys.readouterr().out
 
     def test_insufficient_steps_exit_1(self, sim_trace_path):
         assert run_cli(

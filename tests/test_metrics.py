@@ -228,3 +228,40 @@ class TestThroughput:
         decode_s = truth.phase_wall_ns[PhaseKind.DECODE] / 1e9
         assert report.prefill_tokens_per_s == truth.prompt_tokens / prefill_s
         assert report.decode_tokens_per_s == truth.output_tokens / decode_s
+
+
+# -- non-finite inputs ----------------------------------------------------------
+
+non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+def _with(values: list, position: int, bad: float) -> list:
+    return values[:position] + [bad] + values[position + 1:]
+
+
+# (call, valid arguments, the error a non-finite argument raises)
+NON_FINITE_CASES = {
+    "MetricPair(lm, gt)": (MetricPair, [1.0, 2.0], (ValueError, NonPositiveGroundTruth)),
+    "hq": (metrics.hq, [1.0, 2.0, 0.5], (NonPositiveComponent,) * 3),
+    "hq_from_measurements": (lambda *v: metrics.hq_from_measurements(HQInputs("t", *v)),
+                             [0.5, 0.6, 10.0, 12.0, 5.0, 6.0], (NonPositiveComponent,) * 6),
+    "duplication_estimate": (lambda base, dup: metrics.duplication_estimate(base, dup, 5),
+                             [10.0, 15.0], (ValueError, ValueError)),
+    "choose_duplication_count": (metrics.choose_duplication_count, [0.5], (ValueError,)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(NON_FINITE_CASES)), st.data(), non_finite)
+def test_non_finite_inputs_are_refused(name, data, bad):
+    call, valid, errors = NON_FINITE_CASES[name]
+    call(*valid)  # the valid arguments pass
+    position = data.draw(st.integers(0, len(valid) - 1))
+    with pytest.raises(errors[position], match="must be finite"):
+        call(*_with(valid, position, bad))
+
+
+def test_ratio_that_overflows_to_inf_is_refused():
+    inputs = HQInputs("t", 0.5, 0.5, 1e-300, 1e300, 1.0, 1.0)
+    with pytest.raises(NonPositiveComponent, match="m_prefill=inf must be finite and > 0"):
+        metrics.hq_from_measurements(inputs)

@@ -292,7 +292,7 @@ def test_repeated_token_index_across_turns_rejected(call):
 def test_repeated_token_index_is_predict_exit_1(tmp_path, capsys):
     path = tmp_path / "two_turns.jsonl"
     trace_io.write_jsonl(two_turn_trace(), str(path))
-    assert main(["predict", str(path), "--kernel", "paged", "--train-steps", "1"]) == 1
+    assert main(["predict", str(path), "--kernel", "paged", "--train-steps", "2"]) == 1
     assert "decode token 0 occurs in turn 0 and again in turn 1" in capsys.readouterr().err
 
 

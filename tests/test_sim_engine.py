@@ -100,6 +100,20 @@ class TestGroundTruthConsistency:
             assert report.busy_ns == w.busy_ns
             assert report.idle_ns == w.idle_ns
 
+    def test_windows_are_a_read_only_column_table(self, preset_run_16):
+        trace, truth = preset_run_16
+        windows = truth.windows
+        assert isinstance(windows, sim_engine.WindowTable) and len(windows) == len(trace.phases)
+        rows = tuple(sim_engine.PhaseWindowTruth(p.kind, p.turn, p.token_index, p.t_start_ns,
+                                                 p.t_end_ns, busy)
+                     for p, busy in zip(trace.phases, windows.busy_ns.tolist()))
+        assert windows == rows
+        assert windows[0].token_index is None and windows[2].token_index == 0
+        for column in windows._arrays():
+            assert column.dtype == np.int64 and not column.flags.writeable
+        assert truth.decode_windows() == [w for w in rows if w.kind is PhaseKind.DECODE]
+        assert sim_engine.GroundTruth().windows == ()
+
     def test_phase_busy_matches_attribution(self, preset_run_16):
         trace, truth = preset_run_16
         attribution = timeline.phase_attribution(trace)

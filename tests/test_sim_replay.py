@@ -1,11 +1,13 @@
 """Seeded replay: the array-based simulator against the scalar engine.
 
 ``_Jitter`` and ``_Engine`` below are the per-kernel simulator that
-``lmmk.sim_engine`` used to run, kept verbatim as an oracle; ``scalar_run``
-is its driver. Every case asserts that both engines produce equal phase
-and kernel tables (kernel names in the same order), byte-equal ground
-truth JSON and the same final virtual clock reading, or raise the same
-error.
+``lmmk.sim_engine`` used to run, kept as an oracle; ``scalar_run`` runs
+it and gathers the ground-truth windows into a ``WindowTable`` at the
+end. Every case asserts that both engines produce equal phase and
+kernel tables (kernel names in the same order), byte-equal ``.gt.json``
+sidecars and the same final virtual clock reading, or raise the same
+error. The sidecar writer is itself checked against ``json.dumps`` of the
+reference dict.
 """
 
 import json
@@ -14,10 +16,10 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import single_kernel_workload
+from conftest import reference_ground_truth, sidecar_bytes, single_kernel_workload
 from lmmk import sim_engine
 from lmmk.errors import InvalidSpec, PhaseOverlap, SessionSealed
 from lmmk.recorder import INT64_MAX, PhaseKind, Trace, TraceSession
@@ -28,8 +30,8 @@ from lmmk.sim_engine import (
     JitterModel,
     KernelSpec,
     PhaseScript,
-    PhaseWindowTruth,
     VirtualClock,
+    WindowTable,
     WorkloadSpec,
     make_session,
     validate_workload,
@@ -64,6 +66,7 @@ class _Engine:
         self.jitter = _Jitter(spec.jitter)
         self.device_free = self.clock()
         self.cursor = self.clock()
+        self.windows = []  # (kind code, turn, token or -1, start, end, busy) per phase
 
     def emit_kernel(self, ks: KernelSpec, step: int, host: int, duplicate: bool) -> tuple[int, int, int]:
         jit = self.jitter
@@ -106,17 +109,10 @@ class _Engine:
         phase_end = max(host, device_end) + script.host_ns
         self.clock.advance_to(phase_end)
         self.session.end_phase(handle)
+        self.windows.append((list(PhaseKind).index(kind), turn,
+                             -1 if token_index is None else token_index, phase_start, phase_end,
+                             busy))
         t = self.truth
-        t.windows.append(
-            PhaseWindowTruth(
-                kind=kind,
-                turn=turn,
-                token_index=token_index,
-                start_ns=phase_start,
-                end_ns=phase_end,
-                busy_ns=busy,
-            )
-        )
         t.phase_busy_ns[kind] = t.phase_busy_ns.get(kind, 0) + busy
         t.phase_wall_ns[kind] = t.phase_wall_ns.get(kind, 0) + (phase_end - phase_start)
         self.cursor = phase_end
@@ -156,6 +152,7 @@ def scalar_run(
             f"workload {spec.name!r} overflows the simulated nanosecond timeline ({exc})"
         ) from None
 
+    truth.windows = WindowTable(*zip(*engine.windows))
     session.prompt_tokens = prompt_tokens
     session.output_tokens = output_tokens
     trace = session.seal()
@@ -167,14 +164,14 @@ def scalar_run(
 
 def outcome(engine, spec, plan, prompt_tokens, output_tokens, start_ns):
     """What one engine leaves behind: the sealed trace, the ground truth
-    JSON and the final clock reading, or the error type and message up to
-    its parenthesised detail."""
+    sidecar's bytes and the final clock reading, or the error type and
+    message up to its parenthesised detail."""
     session = TraceSession(device_label=spec.name, clock_offset_ns=0, clock=VirtualClock(start_ns))
     try:
         trace, truth = engine(spec, prompt_tokens, output_tokens, session, plan)
     except (InvalidSpec, ValueError) as exc:
         return type(exc), str(exc).split(" (")[0]
-    return trace, json.dumps(truth.to_dict()), session.clock()
+    return trace, sidecar_bytes(truth), session.clock()
 
 
 def assert_same_replay(spec, plan, prompt_tokens, output_tokens, start_ns=0):
@@ -245,6 +242,35 @@ def workloads(draw):
 def test_array_engine_replays_scalar_engine(workload, prompt_tokens, output_tokens, start_ns):
     spec, plan = workload
     assert_same_replay(spec, plan, prompt_tokens, output_tokens, start_ns)
+
+
+# 2**62 and past: the simulator's float bound reaches 2**62, so it adds exact ints
+starts = st.just(0) | st.integers(1, 10**15) | st.integers(2**62, 2**62 + 10**15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(workloads(), st.integers(1, 4), st.integers(1, 10), starts)
+@example((single_kernel_workload(), None), 1, 2, 0)  # copy-probs windows of length 0
+@example((single_kernel_workload(), None), 1, 3, 2**62)
+@example((sim_engine.preset_gemma_decode().with_jitter(seed=42, sigma_rel=0.02),
+          DuplicationPlan(sim_engine.PAGED_KV_KERNEL, 3)), 8, 3, 0)
+def test_sidecar_is_compact_dumps_of_the_reference(workload, prompt_tokens, output_tokens,
+                                                   start_ns):
+    spec, plan = workload
+    session = TraceSession(device_label=spec.name, clock_offset_ns=0, clock=VirtualClock(start_ns))
+    try:
+        _, truth = sim_engine._run(spec, prompt_tokens, output_tokens, session, plan)
+    except InvalidSpec:  # the turn passes int64: no ground truth to write
+        return
+    reference = reference_ground_truth(truth)
+    assert reference["windows"][0]["token_index"] is None
+    expected = json.dumps(reference, separators=(",", ":")) + "\n"
+    assert sidecar_bytes(truth) == expected.encode()
+
+
+def test_the_first_sidecar_example_has_zero_length_windows():
+    _, truth = sim_engine.run(single_kernel_workload(), 1, 2)
+    assert (truth.windows.end_ns == truth.windows.start_ns).any()
 
 
 @pytest.mark.parametrize("tokens", [1, 64])

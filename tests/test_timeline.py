@@ -45,6 +45,33 @@ class TestIdleGaps:
         assert report.idle_fraction == 0.0
         assert report.busy_ns == 0 and report.idle_ns == 0
 
+    def test_gaps_are_a_read_only_column_table(self):
+        trace = build_trace(kernels=[kernel(10, 20), kernel(30, 40), kernel(50, 60)])
+        report = timeline.idle_gaps(trace, Interval(15, 70))
+        assert isinstance(report.gaps, timeline.GapTable)
+        assert report.gaps == (Interval(20, 30), Interval(40, 50), Interval(60, 70))
+        assert report.gaps.start_ns.tolist() == [20, 40, 60]
+        assert report.gaps.end_ns.tolist() == [30, 50, 70]
+        assert report.gaps[1] == Interval(40, 50)
+        assert report.gaps[1:] == (Interval(40, 50), Interval(60, 70))
+        for column in (report.gaps.start_ns, report.gaps.end_ns):
+            assert column.dtype == np.int64 and not column.flags.writeable
+        # another query leaves the first report's gaps alone
+        timeline.idle_gaps(trace, Interval(0, 100))
+        assert report.gaps.start_ns.tolist() == [20, 40, 60]
+
+    @pytest.mark.parametrize("lo, hi, gaps", [
+        (10, 20, ()), (12, 18, ()), (5, 20, ((5, 10),)), (10, 25, ((20, 25),)),
+        (0, 100, ((0, 10), (20, 30), (40, 100))), (21, 29, ((21, 29),)),
+        (20, 30, ((20, 30),)), (15, 35, ((20, 30),)), (40, 40, ()),
+    ], ids=["exact-busy", "inside-busy", "head-gap", "tail-gap", "whole", "inside-gap",
+            "exact-gap", "busy-both-ends", "zero-length"])
+    def test_first_and_last_gap_are_cut_when_empty(self, lo, hi, gaps):
+        trace = build_trace(kernels=[kernel(10, 20), kernel(30, 40)])
+        report = timeline.idle_gaps(trace, Interval(lo, hi))
+        assert report.gaps == tuple(Interval(*g) for g in gaps)
+        assert sum(g.length_ns for g in report.gaps) == report.idle_ns
+
     def test_kernels_clipped_to_window(self):
         trace = build_trace(kernels=[kernel(0, 100)])
         report = timeline.idle_gaps(trace, Interval(40, 60))

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_trace
+from conftest import build_trace, reference_ground_truth, sidecar_bytes
 from lmmk import sim_engine, trace_io
 from lmmk.cli import main
 from lmmk.errors import LmmkError, ParseError, TimestampOrderViolation
@@ -821,3 +821,53 @@ def test_reader_memory_is_bounded_by_columns_and_blocks(tmp_path):
     assert loaded == trace
     column_bytes = 8 * (5 * len(loaded.phases) + 7 * len(loaded.kernels))
     assert peak < 4 * column_bytes + 8 * trace_io._BLOCK_BYTES
+
+
+# -- the ground-truth sidecar ---------------------------------------------------
+
+nonnegative = st.integers(0, 2**63 - 1)
+
+
+@st.composite
+def window_rows(draw):
+    """A valid window: any kind, null or int64 token, busy within the wall."""
+    start = draw(nonnegative)
+    end = draw(st.integers(start, 2**63 - 1))
+    token = draw(st.none() | nonnegative)
+    return (list(PhaseKind).index(draw(st.sampled_from(PhaseKind))), draw(nonnegative),
+            -1 if token is None else token, start, end, draw(st.integers(0, end - start)))
+
+
+@st.composite
+def ground_truths(draw):
+    totals = st.dictionaries(st.text(min_size=1, max_size=8), nonnegative, max_size=4)
+    by_kind = st.dictionaries(st.sampled_from(PhaseKind), nonnegative, max_size=6)
+    rows = draw(st.lists(window_rows(), max_size=12))
+    return sim_engine.GroundTruth(
+        kernel_total_ns=draw(totals), kernel_true_total_ns=draw(totals),
+        kernel_invocations=draw(totals), phase_busy_ns=draw(by_kind),
+        phase_wall_ns=draw(by_kind),
+        windows=sim_engine.WindowTable(*np.array(rows, dtype=np.int64).reshape(-1, 6).T),
+        prompt_tokens=draw(nonnegative), output_tokens=draw(nonnegative))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ground_truths())
+@example(sim_engine.GroundTruth())
+def test_sidecar_matches_reference_dumps(truth):
+    """Any valid ground truth, int64 extremes, walls past 2**53 (where a
+    float division would round twice) and non-ASCII names included."""
+    expected = json.dumps(reference_ground_truth(truth), separators=(",", ":")) + "\n"
+    assert sidecar_bytes(truth) == expected.encode()
+
+
+@pytest.mark.parametrize("row", [
+    (0, -1, -1, 0, 5, 1), (0, 0, -2, 0, 5, 1), (0, 0, -1, -1, 5, 1), (0, 0, -1, 0, 5, -1),
+    (0, 0, -1, 3, 5, 3), (0, 0, -1, 6, 5, 0), (6, 0, -1, 0, 5, 1), (-1, 0, -1, 0, 5, 1),
+], ids=["negative-turn", "token-below-null", "negative-start", "negative-busy",
+        "busy-past-wall", "end-before-start", "kind-past-last", "negative-kind"])
+def test_sidecar_writer_refuses_windows_before_opening(tmp_path, row):
+    truth = sim_engine.GroundTruth(windows=sim_engine.WindowTable(*([v] for v in row)))
+    with pytest.raises(ValueError, match="^a ground-truth window needs"):
+        trace_io.write_ground_truth(truth, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
