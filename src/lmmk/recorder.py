@@ -207,13 +207,18 @@ def check_columns(phases: Columns, names: Sequence[str], kernels: Columns) -> No
     ``names``). Raises what :func:`_check_phase`, then :func:`_check_kernel`,
     raises for the first row that breaks a rule: the lowest row, and in it
     the first broken rule. A name code outside ``range(len(names))`` is a
-    ValueError, checked before the name it would index."""
+    ValueError, checked before the name it would index, and so is a phase
+    kind code outside ``range(len(PhaseKind))`` before the rest of its row."""
     kind, turn, token, start, end = phases
-    per_token = _PER_TOKEN_BY_CODE[kind]
-    bad = ((turn < 0) | np.where(per_token, token < 0, token != _NO_TOKEN) | (start < 0)
+    known = (kind >= 0) & (kind < len(_KIND_BY_INDEX))
+    per_token = _PER_TOKEN_BY_CODE[np.where(known, kind, 0)]
+    bad = (~known | (turn < 0) | np.where(per_token, token < 0, token != _NO_TOKEN) | (start < 0)
            | (end < start))
     if bad.any():
-        kind, turn, token, start, end = (int(c[bad.argmax()]) for c in phases)
+        i = bad.argmax()
+        if not known[i]:
+            raise ValueError(f"phase kind code {kind[i]} is not in range({len(_KIND_BY_INDEX)})")
+        kind, turn, token, start, end = (int(c[i]) for c in phases)
         _check_phase(_KIND_BY_INDEX[kind], turn, None if token == _NO_TOKEN else token, start, end)
     code, queue, enqueue, queued, submit, start, end = kernels
     known = (code >= 0) & (code < len(names))
@@ -240,8 +245,9 @@ class _RecordTable(Sequence):
     """Read-only records held as equal-length int64 columns.
 
     Rows are built on demand, with exact ``int`` and ``str`` values, when
-    the table is iterated or indexed; ``len`` is O(1). A table equals
-    another table with the same rows and a tuple of the same records.
+    the table is iterated or indexed; an index builds its one row and no
+    table, and ``len`` is O(1). A table equals another table with the same
+    rows and a tuple of the same records.
     """
 
     __slots__ = ()
@@ -271,8 +277,16 @@ class _RecordTable(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return self.take(index)
-        (row,) = self.take([operator.index(index)])
-        return row
+        i = operator.index(index)
+        return self._row([c.item(i) for c in self._arrays()])
+
+    def take(self, index):
+        """Table of the rows a slice, boolean mask or index array selects."""
+        return self._like(*(c[index] for c in self._arrays()))
+
+    def _like(self, *columns):
+        """A table like this one on ``columns``, given in ``_arrays`` order."""
+        return type(self)(*columns)
 
     def _same_rows(self, other) -> bool:
         return all(np.array_equal(a, b) for a, b in zip(self._arrays(), other._arrays()))
@@ -314,10 +328,6 @@ class PhaseTable(_RecordTable):
         )
         return row
 
-    def take(self, index) -> "PhaseTable":
-        """Table of the rows a slice, boolean mask or index array selects."""
-        return PhaseTable(*(column[index] for column in self._arrays()))
-
     def of_kind(self, kind: PhaseKind) -> np.ndarray:
         """Boolean mask of the rows of one phase kind."""
         return self.kind_code == _INDEX_BY_KIND[kind]
@@ -325,9 +335,10 @@ class PhaseTable(_RecordTable):
 
 class KernelTable(_RecordTable):
     """Kernel rows as int64 columns: ``name_code`` (an index into the
-    ``names`` tuple, which holds each distinct name once), ``queue_id``,
-    ``t_cpu_enqueue_ns``, ``t_queued_ns``, ``t_submit_ns``, ``t_start_ns``
-    and ``t_end_ns``; rows are :class:`KernelRecord`."""
+    ``names`` tuple, which holds each distinct name once; a repeat is a
+    ValueError), ``queue_id``, ``t_cpu_enqueue_ns``, ``t_queued_ns``,
+    ``t_submit_ns``, ``t_start_ns`` and ``t_end_ns``; rows are
+    :class:`KernelRecord`."""
 
     __slots__ = ("names", "name_code", "queue_id", "t_cpu_enqueue_ns", "t_queued_ns",
                  "t_submit_ns", "t_start_ns", "t_end_ns")
@@ -335,6 +346,10 @@ class KernelTable(_RecordTable):
 
     def __init__(self, names: Iterable[str], *columns) -> None:
         self.names = tuple(names)
+        strs = [name for name in self.names if type(name) is str]  # check_columns refuses the rest
+        if len(set(strs)) < len(strs):
+            repeated = next(name for i, name in enumerate(strs) if name in strs[:i])
+            raise ValueError(f"KernelTable names hold {repeated!r} more than once")
         super().__init__(*columns)
 
     def _row(self, values) -> KernelRecord:
@@ -348,9 +363,8 @@ class KernelTable(_RecordTable):
         )
         return row
 
-    def take(self, index) -> "KernelTable":
-        """Table of the rows a slice, boolean mask or index array selects."""
-        return KernelTable(self.names, *(column[index] for column in self._arrays()))
+    def _like(self, *columns) -> "KernelTable":
+        return KernelTable(self.names, *columns)
 
     def name_mask(self, name: str) -> np.ndarray:
         """Boolean mask of the rows of the kernel called ``name``."""

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BinMismatch, EmptyDataset, FractionOutOfRange, UnsupportedZero
+from .errors import BinMismatch, EmptyDataset, FractionOutOfRange, ParseError, UnsupportedZero
 
 
 @dataclass(frozen=True)
@@ -260,11 +260,24 @@ def write_plan_file(plan: SubsetPlan, path: str) -> None:
 
 
 def read_plan_file(path: str) -> SubsetPlan:
-    with open(path, "r", encoding="utf-8") as f:
-        header = json.loads(f.readline())
-        indices = tuple(int(line) for line in f if line.strip())
-    return SubsetPlan(
-        indices=indices,
-        achieved_kl_nats=float(header["achieved_kl_nats"]),
-        fraction=float(header["fraction"]),
-    )
+    """Read a plan :func:`write_plan_file` wrote. A malformed line raises
+    :class:`ParseError` naming it."""
+    lineno = 1
+    try:
+        with open(path, "rb") as f:  # bytes, so a bad UTF-8 byte is blamed on its own line
+            header = json.loads(f.readline())
+            if not isinstance(header, dict):
+                raise ValueError(f"plan header must be an object, got {header!r}")
+            for key in ("fraction", "achieved_kl_nats"):
+                if key not in header:
+                    raise ValueError(f"plan header lacks {key!r}")
+            fraction, kl = float(header["fraction"]), float(header["achieved_kl_nats"])
+            indices = []
+            for lineno, line in enumerate(f, start=2):
+                if text := line.decode("utf-8").strip():
+                    indices.append(int(text))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+    return SubsetPlan(indices=tuple(indices), achieved_kl_nats=kl, fraction=fraction)

@@ -184,10 +184,6 @@ class WindowTable(_RecordTable):
         return PhaseWindowTruth(_KIND_BY_INDEX[kind], turn, None if token == _NO_TOKEN else token,
                                 start, end, busy)
 
-    def take(self, index) -> "WindowTable":
-        """Table of the rows a slice, boolean mask or index array selects."""
-        return WindowTable(*(column[index] for column in self._arrays()))
-
 
 @dataclass
 class GroundTruth:

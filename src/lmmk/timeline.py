@@ -97,9 +97,8 @@ class GapTable(_RecordTable):
     def _row(self, values) -> Interval:
         return Interval(*values)
 
-    def take(self, index) -> "GapTable":
-        """Table of the rows a slice, boolean mask or index array selects."""
-        return GapTable(np.column_stack((self.start_ns[index], self.end_ns[index])).ravel())
+    def _like(self, starts, ends) -> "GapTable":
+        return GapTable(np.column_stack((starts, ends)).ravel())
 
 
 _NO_GAPS = GapTable(())
@@ -320,24 +319,17 @@ def phase_owners(trace: Trace, starts: np.ndarray) -> np.ndarray:
     owner of host instant t is the phase whose half-open interval
     ``[t_start_ns, t_end_ns)`` holds it. A Trace's phases are sorted and
     disjoint, so at most one does: the last phase starting at or before t,
-    if t is before its end. A zero-length phase owns nothing. O(log P) per
-    kernel.
+    if t is before its end. A zero-length phase owns nothing. An instant
+    beyond either end of int64 is clamped to that end, which no phase owns
+    either: phases lie in ``[0, INT64_MAX]`` and are half-open. O(log P)
+    per kernel.
     """
     offset = clock_offset(trace)
-    t = starts + offset if _fits_int64(starts, offset) else starts.astype(object) + offset
+    t = np.clip(starts, INT64_MIN - min(offset, 0), INT64_MAX - max(offset, 0)) + offset
     j = np.searchsorted(trace.phases.t_start_ns, t, "right") - 1
     inside = j >= 0
     inside[inside] = t[inside] < trace.phases.t_end_ns[j[inside]]
     return np.where(inside, j, -1)
-
-
-def _fits_int64(values: np.ndarray, offset: int) -> bool:
-    """Whether values + offset stays within int64 for every value (a
-    Trace's offset is itself within int64)."""
-    if not len(values):
-        return True
-    lo, hi = int(values.min()) + offset, int(values.max()) + offset
-    return INT64_MIN <= lo and hi <= INT64_MAX
 
 
 def phase_attribution(trace: Trace) -> dict[Union[PhaseKind, str], PhaseUsage]:

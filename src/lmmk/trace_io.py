@@ -18,14 +18,17 @@ and refused overlapping phases, when it was made. So no value can make a
 writer fail after it has opened its file, and a written trace reads back
 equal. The ground-truth sidecar's windows are formatted from their
 columns the same way, after one check of the columns. The reader reads
-the header line on its own, then blocks of about
-64 KiB that end on LF. A block of lines exactly as :func:`write_jsonl`
-emits them is taken in bulk: one ``findall`` per record type, int64
-columns, one :func:`~lmmk.recorder.check_columns` and one append. Any other block goes line by line through :func:`json.loads`,
-the reference the bulk route agrees with; after refused blocks in a row,
-the bulk route is tried at doubling intervals. Both routes fill the same
-columns the recorder fills, with the same records and the same error
-messages, and hand them to a Trace, which orders them.
+the header line on its own, then blocks of about 64 KiB that end on LF.
+A block of lines exactly as :func:`write_jsonl` emits them is taken in
+bulk: one ``findall`` per record type, int64 columns, one
+:func:`~lmmk.recorder.check_columns` and one append. The ``findall``
+patterns are compiled from the writer's line templates, and take a token
+only as null or a nonnegative integer. Any other block goes line by line
+through :func:`json.loads`, the reference the bulk route agrees with;
+after refused blocks in a row, the bulk route is tried at doubling
+intervals. Both routes fill the same columns the recorder fills, with
+the same records and the same error messages, and hand them to a Trace,
+which orders them.
 """
 
 from __future__ import annotations
@@ -114,6 +117,12 @@ def _columns(trace: Trace) -> tuple[list, np.ndarray, list]:
     return trace.phases._arrays(), names, trace.kernels._arrays()
 
 
+# The record lines write_jsonl emits; the reader's bulk patterns are compiled from them.
+_PHASE_LINE = b'{"ev":"phase","kind":"%s","turn":%s,"token":%s,"t_start_ns":%s,"t_end_ns":%s}\n'
+_KERNEL_LINE = (b'{"ev":"kernel","name":%s,"queue":%s,"t_cpu_enqueue_ns":%s,"t_queued_ns":%s,'
+                b'"t_submit_ns":%s,"t_start_ns":%s,"t_end_ns":%s}\n')
+
+
 def write_jsonl(trace: Trace, path: str) -> None:
     """Write a sealed trace: one header line, then one line per record
     (phases first, then kernels, each in trace order). The Trace checked
@@ -132,13 +141,10 @@ def write_jsonl(trace: Trace, path: str) -> None:
         header["output_tokens"] = trace.output_tokens
     with open(path, "wb") as f:
         f.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
-        f.writelines(_text(
-            b'{"ev":"phase","kind":"%s","turn":%s,"token":%s,"t_start_ns":%s,"t_end_ns":%s}\n',
-            phases, lambda kind, *ints: (_KINDS[kind], *map(_digits, ints))))
-        f.writelines(_text(
-            b'{"ev":"kernel","name":%s,"queue":%s,"t_cpu_enqueue_ns":%s,"t_queued_ns":%s,'
-            b'"t_submit_ns":%s,"t_start_ns":%s,"t_end_ns":%s}\n',
-            kernels, lambda code, *ints: (names[code], *map(_digits, ints))))
+        f.writelines(_text(_PHASE_LINE, phases,
+                           lambda kind, *ints: (_KINDS[kind], *map(_digits, ints))))
+        f.writelines(_text(_KERNEL_LINE, kernels,
+                           lambda code, *ints: (names[code], *map(_digits, ints))))
 
 
 def _window_fields(kind, turn, token, start, end, busy) -> list:
@@ -187,26 +193,23 @@ _INT = rb"(-?(?:0|[1-9][0-9]{0,18}))"
 _KIND_CODE = {kind.value.encode(): code for kind, code in _INDEX_BY_KIND.items()}
 
 
-def _lines_pattern(fields: bytes) -> re.Pattern:
-    """The pattern of every canonical line in LF + block, for ``findall``:
-    a match runs from the LF before a line up to the LF that ends it. (A
-    leading ``(?m)^`` would anchor the same lines, but it stops ``re``
-    from scanning for the literal prefix and doubles the search time.)"""
+def _lines_pattern(template: bytes, *slots: bytes) -> re.Pattern:
+    """The pattern of every line of ``template`` whose ``%s`` slots match
+    ``slots`` in turn, in LF + block, for ``findall``: a match runs from
+    the LF before a line up to the LF that ends it. (A leading ``(?m)^``
+    would anchor the same lines, but it stops ``re`` from scanning for the
+    literal prefix and doubles the search time.)"""
+    first, *pieces = map(re.escape, template.removesuffix(b"\n").split(b"%s"))
+    fields = first + b"".join(slot + piece for slot, piece in zip(slots, pieces, strict=True))
     return re.compile(rb"\n" + fields + rb"(?=\n)")
 
 
-_PHASE_LINES = _lines_pattern(
-    rb'\{"ev":"phase","kind":"(' + b"|".join(_KIND_CODE) + rb')","turn":' + _INT
-    + rb',"token":(null|' + _INT[1:-1] + rb'),"t_start_ns":' + _INT
-    + rb',"t_end_ns":' + _INT + rb'\}'
-)
+# A token is null or a nonnegative integer: a negative one breaks the rule
+# of every phase kind and takes the json.loads route for its message.
+_PHASE_LINES = _lines_pattern(_PHASE_LINE, b"(" + b"|".join(_KIND_CODE) + b")", _INT,
+                              rb"(null|0|[1-9][0-9]{0,18})", _INT, _INT)
 # Names are printable ASCII without '"' or '\', so the bytes are the text.
-_KERNEL_LINES = _lines_pattern(
-    rb'\{"ev":"kernel","name":"([\x20\x21\x23-\x5b\x5d-\x7e]*)","queue":' + _INT
-    + rb',"t_cpu_enqueue_ns":' + _INT + rb',"t_queued_ns":' + _INT
-    + rb',"t_submit_ns":' + _INT + rb',"t_start_ns":' + _INT
-    + rb',"t_end_ns":' + _INT + rb'\}'
-)
+_KERNEL_LINES = _lines_pattern(_KERNEL_LINE, rb'"([\x20\x21\x23-\x5b\x5d-\x7e]*)"', *[_INT] * 6)
 _BLOCK_BYTES = 1 << 16  # the reader reads this many bytes at a time, then up to the next LF
 
 
@@ -306,8 +309,8 @@ def _bulk_rows(columns: RecordColumns, block: bytes, lines: int) -> bool:
     """Append the rows of a block of ``lines`` canonical lines, each ending
     in LF, to ``columns`` at once and return True; return False, appending
     nothing, for any block the per-line route must read: one with another
-    line or no final LF, a value outside int64, a row that breaks a rule,
-    or a token of -1 (the column's code for null)."""
+    line (a negative token among them) or no final LF, a value outside
+    int64, or a row that breaks a rule."""
     if not block.endswith(b"\n"):
         return False
     text = b"\n" + block
@@ -317,8 +320,6 @@ def _bulk_rows(columns: RecordColumns, block: bytes, lines: int) -> bool:
         return False
     kind, turn, token, start, end = zip(*phases) if phases else [()] * 5
     name, *times = zip(*kernels) if kernels else [()] * 7
-    if b"-1" in token:
-        return False
     codes = {raw: code for code, raw in enumerate(dict.fromkeys(name))}  # first-seen order
     names = [raw.decode("ascii") for raw in codes]
     try:

@@ -118,6 +118,22 @@ def test_name_code_outside_the_names_is_refused(names, code):
         check_columns(columns([], 5), ["k"], kernels)
 
 
+@pytest.mark.parametrize("code", [-1, 6, 9])
+def test_phase_kind_code_outside_the_kinds_is_refused(code):
+    """Also in a Trace made from tables, where -1 would read as sampling
+    and 6 or 9 be numpy's IndexError. The code is checked before the other
+    rules of its row, and after the rows above it."""
+    message = f"phase kind code {code} is not in range(6)"
+    phases = columns([[code, -1, 0, -5, -9]], 5)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_columns(phases, [], columns([], 7))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Trace("x", 0, PhaseTable(*phases), KernelTable((), *columns([], 7)))
+    phases = columns([[0, -1, -1, 0, 0], [code, 0, -1, 0, 0]], 5)
+    with pytest.raises(ValueError, match="^turn must be nonnegative$"):
+        check_columns(phases, [], columns([], 7))
+
+
 def _record_calls(session, clock, phase_list, names, kernel_list):
     for kind, turn, token, start, end in phase_list:
         clock.advance_to(start)

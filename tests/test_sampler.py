@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmmk import sampler
-from lmmk.errors import BinMismatch, EmptyDataset, FractionOutOfRange, UnsupportedZero
+from lmmk.errors import BinMismatch, EmptyDataset, FractionOutOfRange, ParseError, UnsupportedZero
 from lmmk.sampler import SubsetPlan, TokenLengthHistogram
 
 
@@ -186,6 +186,23 @@ class TestFiles:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("{")
         assert len(lines) == 1 + len(plan.indices)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: invalid JSON (Expecting value)"),
+        ("plan\n3\n", "line 1: invalid JSON (Expecting value)"),
+        ('{"fraction":0.1,"size":1}\n3\n', "line 1: plan header lacks 'achieved_kl_nats'"),
+        ("[0.1, 0.0]\n3\n", "line 1: plan header must be an object, got [0.1, 0.0]"),
+        ('{"fraction":0.1,"size":2,"achieved_kl_nats":0.0}\n3\n\nx\n',
+         "line 4: invalid literal for int() with base 10: 'x'"),
+        ('{"fraction":0.1,"size":2,"achieved_kl_nats":0.0}\n3\n\xff\n',
+         "line 3: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["empty", "not-json", "missing-key", "list-header", "index-x", "not-utf-8"])
+    def test_malformed_plan_is_a_parse_error_naming_the_line(self, tmp_path, text, message):
+        path = tmp_path / "plan.txt"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ParseError) as info:
+            sampler.read_plan_file(str(path))
+        assert str(info.value) == message
 
 
 # -- the scalar selection, kept as the oracle -----------------------------------

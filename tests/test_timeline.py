@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import build_trace, single_kernel_workload
 from lmmk import sim_engine, timeline
 from lmmk.errors import UnalignedClocks
-from lmmk.recorder import PER_TOKEN_KINDS, KernelRecord, PhaseKind
+from lmmk.recorder import (INT64_MAX, INT64_MIN, PER_TOKEN_KINDS, KernelRecord, KernelTable,
+                           PhaseKind, PhaseTable, Trace)
 from lmmk.sim_engine import JitterModel, KernelSpec, PhaseScript, WorkloadSpec
 from lmmk.timeline import Interval, PhaseUsage, UNATTRIBUTED
 
@@ -460,6 +461,40 @@ def test_phase_attribution_with_host_times_past_int64(offset):
     got = timeline.phase_attribution(trace)
     want = loop_phase_attribution(trace)
     assert got == want and list(got) == list(want)
+
+
+@st.composite
+def far_owner_cases(draw):
+    """Disjoint phases anywhere in [0, INT64_MAX], an offset anywhere in
+    int64, and device starts on both sides of where the host instant
+    leaves int64 or meets a phase bound."""
+    offset = draw(st.one_of(
+        st.sampled_from([INT64_MIN, -(2**62), -1, 0, 1, 2**62, INT64_MAX]),
+        st.integers(INT64_MIN, INT64_MAX)))
+    edges = st.sampled_from([0, 1, 2**62, INT64_MAX - 1, INT64_MAX])
+    bounds = sorted(draw(st.lists(st.one_of(edges, st.integers(0, INT64_MAX)), max_size=10)))
+    m = len(bounds) // 2  # embedding phases [bounds[0], bounds[1]), [bounds[2], bounds[3]), ...
+    phases = PhaseTable([0] * m, [0] * m, [-1] * m, bounds[0:2 * m:2], bounds[1:2 * m:2])
+    trace = Trace("x", offset, phases, KernelTable((), *[[]] * 7))
+    near = [0, INT64_MAX, INT64_MIN, INT64_MAX - offset, INT64_MIN - offset,
+            *(b - offset for b in bounds)]
+    candidates = [s + d for s in near for d in (-1, 0, 1)]
+    special = [s for s in candidates if INT64_MIN <= s <= INT64_MAX]
+    starts = draw(st.lists(st.one_of(st.sampled_from(special),
+                                     st.integers(INT64_MIN, INT64_MAX)), max_size=30))
+    return trace, np.array(starts, dtype=np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(far_owner_cases())
+def test_phase_owners_follows_the_python_int_rule(case):
+    """The owner is the phase with t_start_ns <= s + offset < t_end_ns in
+    Python ints, wherever s + offset lies, int64 or beyond."""
+    trace, starts = case
+    offset = trace.clock_offset_ns
+    want = [next((i for i, p in enumerate(trace.phases) if p.t_start_ns <= s + offset < p.t_end_ns),
+                 -1) for s in starts.tolist()]
+    assert timeline.phase_owners(trace, starts).tolist() == want
 
 
 def test_interval_validation():

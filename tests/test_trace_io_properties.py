@@ -755,6 +755,36 @@ def test_block_reader_matches_per_line_reader(scratch, data, block_bytes):
             assert read_with_names(path) == bulk
 
 
+@pytest.mark.parametrize("kind, token, message", [
+    ("decode", -1, "token_index must be nonnegative"),
+    ("sampling", -5, "token_index must be nonnegative"),
+    ("embedding", -1, "embedding phases must not carry a token_index"),
+])
+def test_a_negative_token_is_read_line_by_line(tmp_path, kind, token, message):
+    """The bulk pattern takes a token only as null or a nonnegative integer,
+    so a negative one gets the json.loads route and its message."""
+    line = phase_line(kind, token, 0, 1)
+    assert not trace_io._PHASE_LINES.findall(b"\n" + line + b"\n")
+    path = tmp_path / "token.jsonl"
+    path.write_bytes(lines_of(HEADER, GOOD, line))
+    with pytest.raises(ParseError, match=f"^line 3: {re.escape(message)}$"):
+        trace_io.read_jsonl(str(path))
+
+
+def test_bulk_patterns_are_the_writer_templates():
+    """The kernel pattern is the writer's line with its slots filled; the
+    phase pattern too, its token slot null or a nonnegative integer."""
+    fields = [rb"(-?(?:0|[1-9][0-9]{0,18}))"] * 4
+    kinds = b"(" + b"|".join(k.value.encode() for k in PhaseKind) + b")"
+    assert trace_io._PHASE_LINES.pattern == (
+        rb'\n\{"ev":"phase","kind":"%s","turn":%s,"token":(null|0|[1-9][0-9]{0,18}),'
+        rb'"t_start_ns":%s,"t_end_ns":%s\}(?=\n)' % (kinds, *fields[:3]))
+    assert trace_io._KERNEL_LINES.pattern == (
+        rb'\n\{"ev":"kernel","name":"([\x20\x21\x23-\x5b\x5d-\x7e]*)","queue":%s,'
+        rb'"t_cpu_enqueue_ns":%s,"t_queued_ns":%s,"t_submit_ns":%s,"t_start_ns":%s,'
+        rb'"t_end_ns":%s\}(?=\n)' % (*fields, *fields[:2]))
+
+
 def read_spying_on_bulk(path, block_bytes):
     """The trace read from ``path``, and the number of lines the bulk route
     took from each block it was offered (0 for a block it refused)."""

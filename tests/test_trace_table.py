@@ -28,6 +28,8 @@ from lmmk.recorder import (
     Trace,
     TraceSession,
 )
+from lmmk.sim_engine import WindowTable
+from lmmk.timeline import GapTable
 
 
 def oracle_seal(phases, kernels):
@@ -158,6 +160,18 @@ def test_tables_compare_rows_by_name_not_by_code():
     assert a != KernelTable(("y", "x"), [0, 1], [0, 0], [0, 0], *times)
 
 
+def test_kernel_table_refuses_a_repeated_name():
+    """Each distinct name is held once, so ``name_mask`` and aggregation
+    see every row of a name."""
+    message = "KernelTable names hold 'a' more than once"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        KernelTable(("a", "a"), [0, 1], *[[0, 0]] * 6)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        KernelTable(("b", "a", "a", "b"), *[[]] * 7)
+    with pytest.raises(TypeError, match=r"^kernel name must be a str, got \[1\]$"):
+        Trace("x", 0, PhaseTable(*[[]] * 5), KernelTable(([1], [1]), [0], *[[0]] * 6))
+
+
 def test_conversion_rejects_values_outside_int64():
     message = f"KernelRecord.t_end_ns out of int64 range, got {2**63}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -261,3 +275,47 @@ def test_tables_refuse_columns_of_unequal_length():
     message = "KernelTable columns differ in length: [1, 1, 1, 1, 1, 1, 0]"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         KernelTable(("k",), [0], [0], [0], [0], [0], [0], [])
+
+
+@st.composite
+def any_tables(draw):
+    """A PhaseTable, KernelTable, WindowTable or GapTable of arbitrary rows
+    whose codes name a kind or a name."""
+    n = draw(st.integers(0, 8))
+
+    def column(values=st.integers(-(2**63), 2**63 - 1)):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    kinds = st.integers(0, len(PhaseKind) - 1)
+    table = draw(st.sampled_from([PhaseTable, KernelTable, WindowTable, GapTable]))
+    if table is PhaseTable:
+        return PhaseTable(column(kinds), *[column() for _ in range(4)])
+    if table is KernelTable:
+        return KernelTable(("a", "b", "c"), column(st.integers(0, 2)), *[column() for _ in range(6)])
+    if table is WindowTable:
+        return WindowTable(column(kinds), *[column() for _ in range(5)])
+    starts = np.array(column(st.integers(-(2**63), 2**62)), dtype=np.int64)
+    ends = starts + np.array(column(st.integers(0, 2**62 - 1)), dtype=np.int64)
+    return GapTable(np.column_stack((starts, ends)).ravel())
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_tables(), st.data())
+def test_an_index_reads_the_row_that_iteration_yields(table, data):
+    """Every index in range(-n, n), as an int or a numpy integer, gives the
+    row iteration gives, with exact values; an index outside it is numpy's
+    IndexError, a float a TypeError; a mask takes exactly its rows."""
+    rows, n = tuple(table), len(table)
+    for i in range(-n, n):
+        assert table[i] == rows[i] == table[np.int64(i)]
+        assert all(type(v) in (int, str, type(None), PhaseKind) for v in vars(table[i]).values())
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError, match="out of bounds"):
+            table[i]
+    with pytest.raises(TypeError):
+        table[1.0]
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    kept = table.take(mask)
+    assert type(kept) is type(table)
+    assert kept == tuple(row for row, keep in zip(rows, mask) if keep)
+    assert table[::2] == rows[::2]
