@@ -1,6 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 runtime or data error, 2 usage error. All
+Exit codes: 0 success, 1 runtime or data error, 2 usage error. The
+commands raise and :func:`main` decides the code, in one place: an
+argument check (``_UsageError``) or an error the command's subparser
+declares in ``usage_errors`` exits 2, and every other
+:class:`~lmmk.errors.LmmkError`, ``OSError`` or ``ValueError`` exits 1.
+Either way stderr gets the one line ``lmmk: error: <message>``. All
 diagnostics go to stderr; machine-readable output goes to stdout or the
 --out path. Every command is a thin wrapper over library calls, and the
 deterministic ones (simulate with a fixed seed, sample, metrics) produce
@@ -19,9 +24,7 @@ from typing import Optional
 from . import metrics, predictor, sampler, sim_engine, timeline, trace_io
 from .errors import (
     FractionOutOfRange,
-    InsufficientSteps,
     InvalidSpec,
-    KernelNotFound,
     LmmkError,
     NegativeDelta,
     NonPositiveComponent,
@@ -35,8 +38,19 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-def _err(message: str) -> None:
-    print(f"lmmk: error: {message}", file=sys.stderr)
+class _UsageError(LmmkError):
+    """An argument check failed: exit 2, whatever the command."""
+
+
+def _seed(flag: Optional[int]) -> Optional[int]:
+    """LMMK_SEED when it is set, else the --seed value."""
+    text = os.environ.get("LMMK_SEED")
+    if text is None:
+        return flag
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"LMMK_SEED must be an integer, got {text!r}") from None
 
 
 def _resolve_workload(ref: str) -> sim_engine.WorkloadSpec:
@@ -58,41 +72,18 @@ def _parse_duplicate(text: str) -> sim_engine.DuplicationPlan:
     return sim_engine.DuplicationPlan(kernel_name=kernel, n=int(count))
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    seed_env = os.environ.get("LMMK_SEED")
-    seed: Optional[int]
-    if seed_env is not None:
-        try:
-            seed = int(seed_env)
-        except ValueError:
-            _err(f"LMMK_SEED must be an integer, got {seed_env!r}")
-            return EXIT_USAGE
+def _cmd_simulate(args: argparse.Namespace) -> None:
+    seed = _seed(args.seed)
+    spec = _resolve_workload(args.workload).with_jitter(seed=seed, sigma_rel=args.jitter)
+    if args.duplicate:
+        trace, truth = sim_engine.run_with_duplication(
+            spec, _parse_duplicate(args.duplicate), args.prompt_tokens, args.output_tokens
+        )
     else:
-        seed = args.seed
-    try:
-        spec = _resolve_workload(args.workload)
-        spec = spec.with_jitter(seed=seed, sigma_rel=args.jitter)
-        plan = _parse_duplicate(args.duplicate) if args.duplicate else None
-    except (InvalidSpec, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_USAGE
-    except OSError as exc:
-        _err(str(exc))
-        return EXIT_RUNTIME
-    try:
-        if plan is None:
-            trace, truth = sim_engine.run(spec, args.prompt_tokens, args.output_tokens)
-        else:
-            trace, truth = sim_engine.run_with_duplication(
-                spec, plan, args.prompt_tokens, args.output_tokens
-            )
-    except (UnknownKernel, InvalidSpec, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_USAGE
+        trace, truth = sim_engine.run(spec, args.prompt_tokens, args.output_tokens)
     trace_io.write_jsonl(trace, args.out)
     trace_io.write_ground_truth(truth, args.out + ".gt.json")
     print(f"wrote {args.out} ({len(trace.kernels)} kernels, {len(trace.phases)} phases)")
-    return EXIT_OK
 
 
 def _analysis_sections(args: argparse.Namespace) -> list[str]:
@@ -100,12 +91,11 @@ def _analysis_sections(args: argparse.Namespace) -> list[str]:
     return sections or ["idle", "aggregate", "phases"]
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> None:
     trace = trace_io.read_jsonl(args.trace)
     sections = _analysis_sections(args)
     if args.report == "csv" and len(sections) != 1:
-        _err("--report csv needs exactly one of --idle/--aggregate/--phases")
-        return EXIT_USAGE
+        raise _UsageError("--report csv needs exactly one of --idle/--aggregate/--phases")
 
     payload: dict = {}
     gaps = ()
@@ -154,114 +144,88 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 {"phase": name, **stats} for name, stats in sorted(payload["phases"].items())
             ]
         if not rows:
-            _err("nothing to report")
-            return EXIT_RUNTIME
-        out = args.out or "/dev/stdout"
-        trace_io.write_csv_report(rows, out)
+            raise LmmkError("nothing to report")
+        text = trace_io.csv_report(rows)
     else:
-        text = json.dumps(payload, indent=2)
+        text = json.dumps(payload, indent=2) + "\n"
         if gaps:  # indent's pure-Python encoder is slow on them: splice in its text
             digits = trace_io._digits
             rows = b"".join(trace_io._text(b",\n      [\n        %s,\n        %s\n      ]",
                                            gaps._arrays(), lambda s, e: (digits(s), digits(e))))
             text = text.replace('"gaps": []', f'"gaps": [\n{rows[2:].decode()}\n    ]', 1)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-                f.write(text + "\n")
-        else:
-            print(text)
-    return EXIT_OK
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    try:
-        if args.metric == "accuracy":
-            pair = metrics.MetricPair(t_lm_ms=args.lm, t_gt_ms=args.gt)
-            result = metrics.evaluate_pair(pair)
-            print(f"alpha={result.alpha_pct:.2f} eps_star={result.eps_star_us_per_ms:.3f}")
-        elif args.metric == "hq":
-            inputs = metrics.HQInputs(
-                task_id="cli",
-                acc_quant=args.acc_q,
-                acc_full=args.acc_f,
-                prefill_quant_ms=args.prefill_q,
-                prefill_full_ms=args.prefill_f,
-                decode_quant_ms=args.decode_q,
-                decode_full_ms=args.decode_f,
-            )
-            print(f"hq={metrics.hq_from_measurements(inputs):.4f}")
-        else:
-            estimate = metrics.duplication_estimate(args.base, args.dup, args.n)
-            print(f"estimate_ms={estimate:.4f}")
-    except (NonPositiveGroundTruth, NonPositiveComponent, NegativeDelta, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_USAGE
-    return EXIT_OK
-
-
-def _cmd_sample(args: argparse.Namespace) -> int:
-    if args.bins < 2:
-        _err(f"--bins must be at least 2, got {args.bins}")
-        return EXIT_USAGE
-    try:
-        lengths = sampler.read_lengths_file(args.lengths)
-        plan = sampler.sample_subset(
-            lengths, fraction=args.fraction, num_bins=args.bins, seed=args.seed
+def _cmd_metrics(args: argparse.Namespace) -> None:
+    if args.metric == "accuracy":
+        pair = metrics.MetricPair(t_lm_ms=args.lm, t_gt_ms=args.gt)
+        result = metrics.evaluate_pair(pair)
+        print(f"alpha={result.alpha_pct:.2f} eps_star={result.eps_star_us_per_ms:.3f}")
+    elif args.metric == "hq":
+        inputs = metrics.HQInputs(
+            task_id="cli",
+            acc_quant=args.acc_q,
+            acc_full=args.acc_f,
+            prefill_quant_ms=args.prefill_q,
+            prefill_full_ms=args.prefill_f,
+            decode_quant_ms=args.decode_q,
+            decode_full_ms=args.decode_f,
         )
-    except FractionOutOfRange as exc:
-        _err(str(exc))
-        return EXIT_USAGE
-    except (LmmkError, ValueError, OSError) as exc:
-        _err(str(exc))
-        return EXIT_RUNTIME
+        print(f"hq={metrics.hq_from_measurements(inputs):.4f}")
+    else:
+        estimate = metrics.duplication_estimate(args.base, args.dup, args.n)
+        print(f"estimate_ms={estimate:.4f}")
+
+
+def _cmd_sample(args: argparse.Namespace) -> None:
+    if args.bins < 2:
+        raise _UsageError(f"--bins must be at least 2, got {args.bins}")
+    lengths = sampler.read_lengths_file(args.lengths)
+    plan = sampler.sample_subset(
+        lengths, fraction=args.fraction, num_bins=args.bins, seed=args.seed
+    )
     if args.out:
         sampler.write_plan_file(plan, args.out)
     print(f"kl_nats={plan.achieved_kl_nats:.6f} size={len(plan.indices)}")
-    return EXIT_OK
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
+def _cmd_predict(args: argparse.Namespace) -> None:
     if args.train_steps < 2:  # a fit needs steps 0 and 1, whatever the trace holds
-        _err(f"--train-steps must be at least 2, got {args.train_steps}")
-        return EXIT_USAGE
+        raise _UsageError(f"--train-steps must be at least 2, got {args.train_steps}")
     trace = trace_io.read_jsonl(args.trace)
-    try:
-        series = predictor.extract_step_series(trace, args.kernel)
-        train = series.between(max_step=args.train_steps)
-        model = predictor.fit(train)
-        floor = predictor.estimate_constant_floor(trace, args.kernel, max_step=args.train_steps)
-        holdout = predictor.decode_wall_series(trace).between(min_step=args.train_steps)
-        scores = predictor.evaluate(model, holdout, floor)
-    except (KernelNotFound, InsufficientSteps) as exc:
-        _err(str(exc))
-        return EXIT_RUNTIME
+    series = predictor.extract_step_series(trace, args.kernel)
+    train = series.between(max_step=args.train_steps)
+    model = predictor.fit(train)
+    floor = predictor.estimate_constant_floor(trace, args.kernel, max_step=args.train_steps)
+    holdout = predictor.decode_wall_series(trace).between(min_step=args.train_steps)
+    scores = predictor.evaluate(model, holdout, floor)
     print(
         f"slope_ns_per_step={model.slope_ns_per_step:.4f} "
         f"intercept_ns={model.intercept_ns:.4f} "
         f"constant_floor_ns={floor:.4f} "
         f"mape={scores['mape']:.4f} max_ape={scores['max_ape']:.4f}"
     )
-    return EXIT_OK
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
+def _cmd_export(args: argparse.Namespace) -> None:
     trace = trace_io.read_jsonl(args.trace)
     trace_io.export_chrome_trace(trace, args.out)
     print(f"wrote {args.out}")
-    return EXIT_OK
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
+def _cmd_calibrate(args: argparse.Namespace) -> None:
     if args.iterations < 1000:
-        _err("--iterations must be at least 1000")
-        return EXIT_USAGE
+        raise _UsageError("--iterations must be at least 1000")
     cal = calibrate_timer(args.iterations)
     print(json.dumps({
         "resolution_ns": cal.resolution_ns,
         "overhead_ns_median": cal.overhead_ns_median,
         "iterations": cal.iterations,
     }))
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,6 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Phase- and kernel-level latency profiling toolkit with a simulated backend",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each subparser sets usage_errors, the errors main() exits 2 for. The
+    # top-level parser sets none: which of the two defaults wins changed
+    # within Python 3.10's patch releases.
 
     p = sub.add_parser("simulate", help="run a simulated workload and write a trace")
     p.add_argument("--workload", required=True,
@@ -281,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duplicate", default=None, metavar="KERNEL:N",
                    help="duplicate a kernel N times after each invocation")
     p.add_argument("--out", required=True, help="trace output path (JSONL)")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, usage_errors=(InvalidSpec, UnknownKernel, ValueError))
 
     p = sub.add_parser("analyze", help="idle gaps, kernel aggregates and phase attribution")
     p.add_argument("trace")
@@ -289,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aggregate", action="store_true")
     p.add_argument("--phases", action="store_true")
     p.add_argument("--report", choices=("csv", "json"), default="json")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_analyze)
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
+    p.set_defaults(func=_cmd_analyze, usage_errors=())
 
     p = sub.add_parser("metrics", help="profiling fidelity and quantization metrics")
     msub = p.add_subparsers(dest="metric", required=True)
@@ -308,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--base", type=float, required=True, help="baseline phase latency (ms)")
     m.add_argument("--dup", type=float, required=True, help="duplicated phase latency (ms)")
     m.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_metrics)
+    p.set_defaults(func=_cmd_metrics, usage_errors=(
+        NonPositiveGroundTruth, NonPositiveComponent, NegativeDelta, ValueError))
 
     p = sub.add_parser("sample", help="KL-matched subset of a token-length corpus")
     p.add_argument("--lengths", required=True, help="newline-delimited token lengths")
@@ -316,38 +284,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="subset plan output path")
-    p.set_defaults(func=_cmd_sample)
+    p.set_defaults(func=_cmd_sample, usage_errors=(FractionOutOfRange,))
 
     p = sub.add_parser("predict", help="fit and evaluate per-step decode latency")
     p.add_argument("trace")
     p.add_argument("--kernel", required=True, help="step-scaling kernel name")
     p.add_argument("--train-steps", type=int, default=100,
                    help="fit on steps < K, evaluate on the rest")
-    p.set_defaults(func=_cmd_predict)
+    p.set_defaults(func=_cmd_predict, usage_errors=())
 
     p = sub.add_parser("export", help="export a trace for standard timeline viewers")
     p.add_argument("trace")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_export)
+    p.set_defaults(func=_cmd_export, usage_errors=())
 
     p = sub.add_parser("calibrate", help="measure timer resolution and record overhead")
     p.add_argument("--iterations", type=int, default=10_000)
-    p.set_defaults(func=_cmd_calibrate)
+    p.set_defaults(func=_cmd_calibrate, usage_errors=())
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except OSError as exc:
-        _err(str(exc))
-        return EXIT_RUNTIME
-    except LmmkError as exc:
-        _err(str(exc))
-        return EXIT_RUNTIME
+        args.func(args)
+    except (LmmkError, OSError, ValueError) as exc:
+        print(f"lmmk: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE if isinstance(exc, (_UsageError, *args.usage_errors)) else EXIT_RUNTIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":

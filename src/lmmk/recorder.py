@@ -389,13 +389,14 @@ class Trace:
     :class:`PhaseRecord`/:class:`KernelRecord` rows lazily to callers that
     iterate or index them; a table equals a tuple of the same records.
     The constructor, and so ``dataclasses.replace``, also takes iterables
-    of records. However the rows come (from :meth:`TraceSession.seal`,
-    :func:`~lmmk.trace_io.read_jsonl`, tables or records), the constructor
-    raises what :func:`check_columns` raises for them in the order given,
-    orders them by a stable argsort (phases by t_start_ns, kernels by
-    t_queued_ns, ties in the order given) into columns of its own, and
-    raises :class:`PhaseOverlap` for the first two phases, in start order,
-    that overlap. So every Trace writes a file that reads back equal.
+    of records, for either side or both. However the rows come (from
+    :meth:`TraceSession.seal`, :func:`~lmmk.trace_io.read_jsonl`, tables
+    or records), the constructor raises what :func:`check_columns` raises
+    for them in the order given, orders them by a stable argsort (phases
+    by t_start_ns, kernels by t_queued_ns, ties in the order given) into
+    columns of its own, and raises :class:`PhaseOverlap` for the first two
+    phases, in start order, that overlap. So every Trace writes a file
+    that reads back equal.
 
     ``clock_offset_ns`` maps device timestamps into the host domain
     (host = device + offset); ``None`` means the domains were never
@@ -420,14 +421,17 @@ class Trace:
         header = ("clock_offset_ns", "prompt_tokens", "output_tokens")
         _check_int64(self, header, header, "an int or None")
         phases, kernels = self.phases, self.kernels
-        if not (isinstance(phases, PhaseTable) and isinstance(kernels, KernelTable)):
+        if not isinstance(phases, PhaseTable):
             rows = RecordColumns(0)
             for r in phases:
                 rows.add_phase(r.kind, r.turn, r.token_index, r.t_start_ns, r.t_end_ns)
+            phases = rows.tables()[0]
+        if not isinstance(kernels, KernelTable):
+            rows = RecordColumns(0)
             for r in kernels:
                 rows.add_kernel(r.name, r.queue_id, r.t_cpu_enqueue_ns, r.t_queued_ns,
                                 r.t_submit_ns, r.t_start_ns, r.t_end_ns)
-            phases, kernels = rows.tables()
+            kernels = rows.tables()[1]
         check_columns(phases._arrays(), kernels.names, kernels._arrays())
         phases = phases.take(np.argsort(phases.t_start_ns, kind="stable"))
         kernels = kernels.take(np.argsort(kernels.t_queued_ns, kind="stable"))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -229,8 +230,20 @@ def sample_subset(lengths: Sequence[int], fraction: float, num_bins: int = 30, s
 
 # -- file interfaces ----------------------------------------------------------
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """``int(text)`` for ASCII ``-?[0-9]+`` only: ``int`` also takes
+    ``1_000``, ``+5`` and non-ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def read_lengths_file(path: str) -> list[int]:
-    """Read newline-delimited positive integer token lengths."""
+    """Read newline-delimited positive integer token lengths, each written
+    as ASCII decimal digits."""
     lengths = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -238,7 +251,7 @@ def read_lengths_file(path: str) -> list[int]:
             if not text:
                 continue
             try:
-                lengths.append(int(text))
+                lengths.append(_integer(text))
             except ValueError:
                 raise ValueError(f"line {lineno}: not an integer: {text!r}") from None
             if lengths[-1] <= 0:
@@ -271,13 +284,15 @@ def read_plan_file(path: str) -> SubsetPlan:
             for key in ("fraction", "achieved_kl_nats"):
                 if key not in header:
                     raise ValueError(f"plan header lacks {key!r}")
+                if not isinstance(header[key], (int, float)) or isinstance(header[key], bool):
+                    raise ValueError(f"plan header {key!r} must be a number, got {header[key]!r}")
             fraction, kl = float(header["fraction"]), float(header["achieved_kl_nats"])
             indices = []
             for lineno, line in enumerate(f, start=2):
                 if text := line.decode("utf-8").strip():
-                    indices.append(int(text))
+                    indices.append(_integer(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise ParseError(f"line {lineno}: {exc}") from None
     return SubsetPlan(indices=tuple(indices), achieved_kl_nats=kl, fraction=fraction)

@@ -434,17 +434,25 @@ def format_cell(column: str, value: object) -> str:
     return str(value)
 
 
-def write_csv_report(rows: Sequence[Mapping[str, object]], path: str) -> None:
-    """Header row plus one formatted line per row; all rows must share the
-    first row's columns."""
+def csv_report(rows: Sequence[Mapping[str, object]]) -> str:
+    """Header row plus one formatted line per row, each ending in LF; all
+    rows must share the first row's columns."""
     if not rows:
         raise ValueError("report needs at least one row")
     columns = list(rows[0].keys())
     for i, row in enumerate(rows):
         if list(row.keys()) != columns:
             raise ValueError(f"row {i} columns differ from header {columns}")
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([format_cell(c, row[c]) for c in columns])
+    return text.getvalue()
+
+
+def write_csv_report(rows: Sequence[Mapping[str, object]], path: str) -> None:
+    """Write :func:`csv_report` of ``rows`` to ``path`` as UTF-8."""
+    text = csv_report(rows)
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([format_cell(c, row[c]) for c in columns])
+        f.write(text)

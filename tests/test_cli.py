@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lmmk
 from conftest import build_trace
 from lmmk import sim_engine, timeline, trace_io
 from lmmk.cli import main
@@ -166,6 +171,28 @@ class TestAnalyze:
         ) == 0
         header = out.read_text().splitlines()[0]
         assert header == "name,count,mean_ms,total_ms,share"
+
+    def test_csv_without_out_goes_to_sys_stdout(self, sim_trace_path, tmp_path, capsys):
+        out = tmp_path / "agg.csv"
+        argv = ("analyze", str(sim_trace_path), "--aggregate", "--report", "csv")
+        assert run_cli(*argv, "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_csv_on_stdout_appends_to_a_redirect(self, sim_trace_path, tmp_path):
+        out = tmp_path / "idle.csv"
+        argv = ["analyze", str(sim_trace_path), "--idle", "--report", "csv"]
+        assert run_cli(*argv, "--out", str(out)) == 0
+        log = tmp_path / "log.csv"
+        log.write_text("earlier line\n")
+        src = str(Path(lmmk.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with open(log, "a") as f:  # what `lmmk ... >> log.csv` hands the process
+            subprocess.run([sys.executable, "-m", "lmmk.cli", *argv], stdout=f, env=env,
+                           check=True, timeout=60)
+        assert log.read_text() == "earlier line\n" + out.read_text()
 
     def test_csv_needs_single_section(self, sim_trace_path, capsys):
         code = run_cli(
@@ -410,3 +437,119 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+SIMULATE = ("simulate", "--workload", "preset:gemma2-decode", "--output-tokens", "2")
+UNALIGNED = "{tmp}/unaligned.jsonl"
+
+
+@pytest.fixture()
+def failure_files(tmp_path):
+    """The inputs the failure-path table names, under ``tmp_path``."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "two.txt").write_text("5\n6\n")
+    (tmp_path / "huge.txt").write_text(f"{2**53}\n")
+    (tmp_path / "huge-pair.txt").write_text(f"{2**53}\n{2**53 + 1}\n")
+    kernel = ("k", 0, 0, 10, 10, 10, 20)
+    trace_io.write_jsonl(build_trace([kernel], [(PhaseKind.PREFILL, 0, None, 0, 50)],
+                                     clock_offset_ns=None), str(tmp_path / "unaligned.jsonl"))
+    trace_io.write_jsonl(build_trace(phases=[(PhaseKind.PREFILL, 0, None, 0, 50)]),
+                         str(tmp_path / "kernel-free.jsonl"))
+    return tmp_path
+
+
+# argv, environment, exit code, error message; {tmp} is the fixture's directory
+FAILURES = {
+    "seed-not-int": (
+        (*SIMULATE, "--out", "{tmp}/t.jsonl"), {"LMMK_SEED": "abc"}, 2,
+        "LMMK_SEED must be an integer, got 'abc'"),
+    "workload-missing": (
+        ("simulate", "--workload", "{tmp}/missing.json", "--out", "{tmp}/t.jsonl"), {}, 1,
+        "[Errno 2] No such file or directory: '{tmp}/missing.json'"),
+    "duplicate-no-count": (
+        (*SIMULATE, "--duplicate", "k", "--out", "{tmp}/t.jsonl"), {}, 2,
+        "--duplicate expects KERNEL:N, got 'k'"),
+    "duplicate-zero": (
+        (*SIMULATE, "--duplicate", "K:0", "--out", "{tmp}/t.jsonl"), {}, 2,
+        "duplication count must be at least 1"),
+    "duplicate-ghost": (
+        (*SIMULATE, "--duplicate", "ghost:3", "--out", "{tmp}/t.jsonl"), {}, 2,
+        "kernel 'ghost' is not in workload 'gemma2-decode'"),
+    "output-tokens-zero": (
+        (*SIMULATE, "--output-tokens", "0", "--out", "{tmp}/t.jsonl"), {}, 2,
+        "prompt_tokens and output_tokens must be at least 1"),
+    "jitter-negative": (
+        (*SIMULATE, "--jitter", "-1", "--out", "{tmp}/t.jsonl"), {}, 2,
+        "sigma_rel must be finite and nonnegative, got -1.0"),
+    "simulate-out-dir": (
+        (*SIMULATE, "--out", "{tmp}/dir"), {}, 1, "[Errno 21] Is a directory: '{tmp}/dir'"),
+    "export-out-dir": (
+        ("export", "{tmp}/kernel-free.jsonl", "--out", "{tmp}/dir"), {}, 1,
+        "[Errno 21] Is a directory: '{tmp}/dir'"),
+    "lengths-missing": (
+        ("sample", "--lengths", "{tmp}/missing.txt", "--fraction", "0.5"), {}, 1,
+        "[Errno 2] No such file or directory: '{tmp}/missing.txt'"),
+    "lengths-empty": (
+        ("sample", "--lengths", "{tmp}/empty.txt", "--fraction", "0.5"), {}, 1,
+        "no token lengths supplied"),
+    "lengths-2**53": (
+        ("sample", "--lengths", "{tmp}/huge.txt", "--fraction", "0.5"), {}, 1,
+        "bin edges must be strictly increasing"),
+    "lengths-2**53+1": (
+        ("sample", "--lengths", "{tmp}/huge-pair.txt", "--fraction", "0.5"), {}, 1,
+        "bin edges must be strictly increasing"),
+    "fraction-selects-nothing": (
+        ("sample", "--lengths", "{tmp}/two.txt", "--fraction", "0.1"), {}, 2,
+        "fraction=0.1 selects no items from 2"),
+    "bins-one": (
+        ("sample", "--lengths", "{tmp}/two.txt", "--fraction", "0.5", "--bins", "1"), {}, 2,
+        "--bins must be at least 2, got 1"),
+    "analyze-unaligned": (
+        ("analyze", UNALIGNED, "--phases"), {}, 1,
+        "clocks unaligned: mapping device timestamps into the host domain needs a clock offset"),
+    "predict-unaligned": (
+        ("predict", UNALIGNED, "--kernel", "k"), {}, 1,
+        "clocks unaligned: mapping device timestamps into the host domain needs a clock offset"),
+    "analyze-trace-missing": (
+        ("analyze", "{tmp}/missing.jsonl"), {}, 1,
+        "[Errno 2] No such file or directory: '{tmp}/missing.jsonl'"),
+    "predict-trace-missing": (
+        ("predict", "{tmp}/missing.jsonl", "--kernel", "k"), {}, 1,
+        "[Errno 2] No such file or directory: '{tmp}/missing.jsonl'"),
+    "export-trace-missing": (
+        ("export", "{tmp}/missing.jsonl", "--out", "{tmp}/v.json"), {}, 1,
+        "[Errno 2] No such file or directory: '{tmp}/missing.jsonl'"),
+    "csv-two-sections": (
+        ("analyze", UNALIGNED, "--idle", "--aggregate", "--report", "csv"), {}, 2,
+        "--report csv needs exactly one of --idle/--aggregate/--phases"),
+    "csv-nothing-to-report": (
+        ("analyze", "{tmp}/kernel-free.jsonl", "--aggregate", "--report", "csv"), {}, 1,
+        "nothing to report"),
+    "train-steps-one": (
+        ("predict", UNALIGNED, "--kernel", "k", "--train-steps", "1"), {}, 2,
+        "--train-steps must be at least 2, got 1"),
+    "iterations-low": (
+        ("calibrate", "--iterations", "10"), {}, 2, "--iterations must be at least 1000"),
+    "dup-below-base": (
+        ("metrics", "duplication", "--base", "2", "--dup", "1", "--n", "2"), {}, 2,
+        "duplicated phase was faster than baseline; measurement noise exceeds signal"),
+    "dup-n-zero": (
+        ("metrics", "duplication", "--base", "1", "--dup", "2", "--n", "0"), {}, 2,
+        "n must be at least 1"),
+    "hq-acc-q-zero": (
+        ("metrics", "hq", "--acc-q", "0", "--acc-f", "1", "--prefill-q", "1", "--prefill-f",
+         "1", "--decode-q", "1", "--decode-f", "1"), {}, 2, "m_a=0.0 must be finite and > 0"),
+}
+
+
+@pytest.mark.parametrize("argv, env, code, message", FAILURES.values(), ids=FAILURES.keys())
+def test_failure_exit_code_and_stderr(failure_files, capsys, monkeypatch, argv, env, code,
+                                      message):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    tmp = str(failure_files)
+    assert run_cli(*(arg.format(tmp=tmp) for arg in argv)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lmmk: error: {message.format(tmp=tmp)}\n"

@@ -177,6 +177,14 @@ class TestFiles:
             sampler.read_lengths_file(str(path))
         assert str(info.value) == f"line 2: token length must be positive, got {int(value)}"
 
+    @pytest.mark.parametrize("value", ["1_000", "+5", "\u0663"])
+    def test_a_length_is_ascii_digits(self, tmp_path, value):
+        path = tmp_path / "lengths.txt"
+        path.write_text(f"12\n{value}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            sampler.read_lengths_file(str(path))
+        assert str(info.value) == f"line 2: not an integer: {value!r}"
+
     def test_plan_round_trip(self, tmp_path):
         plan = sampler.sample_subset(lognormal_lengths(400), 0.1, num_bins=10, seed=1)
         path = tmp_path / "plan.txt"
@@ -196,7 +204,18 @@ class TestFiles:
          "line 4: invalid literal for int() with base 10: 'x'"),
         ('{"fraction":0.1,"size":2,"achieved_kl_nats":0.0}\n3\n\xff\n',
          "line 3: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-    ], ids=["empty", "not-json", "missing-key", "list-header", "index-x", "not-utf-8"])
+        ('{"fraction":0.1,"size":2,"achieved_kl_nats":0.0}\n3\n1_0\n',
+         "line 3: invalid literal for int() with base 10: '1_0'"),
+        ('{"fraction":0.1,"size":1,"achieved_kl_nats":0.0}\n+3\n',
+         "line 2: invalid literal for int() with base 10: '+3'"),
+        ('{"fraction":"0.5","size":1,"achieved_kl_nats":0.0}\n3\n',
+         "line 1: plan header 'fraction' must be a number, got '0.5'"),
+        ('{"fraction":0.5,"size":1,"achieved_kl_nats":true}\n3\n',
+         "line 1: plan header 'achieved_kl_nats' must be a number, got True"),
+        ('{"fraction":1%s,"size":1,"achieved_kl_nats":0.0}\n3\n' % ("0" * 400),
+         "line 1: int too large to convert to float"),
+    ], ids=["empty", "not-json", "missing-key", "list-header", "index-x", "not-utf-8",
+            "index-underscore", "index-plus", "fraction-str", "kl-bool", "fraction-overflow"])
     def test_malformed_plan_is_a_parse_error_naming_the_line(self, tmp_path, text, message):
         path = tmp_path / "plan.txt"
         path.write_bytes(text.encode("latin-1"))

@@ -172,6 +172,17 @@ def test_kernel_table_refuses_a_repeated_name():
         Trace("x", 0, PhaseTable(*[[]] * 5), KernelTable(([1], [1]), [0], *[[0]] * 6))
 
 
+@pytest.mark.parametrize("phases, kernels, error, message", [
+    ((), KernelTable(([1],), [0], *[[0]] * 6), TypeError, "kernel name must be a str, got [1]"),
+    (PhaseTable([9], [0], [-1], [0], [5]), (), ValueError, "phase kind code 9 is not in range(6)"),
+], ids=["kernel-table", "phase-table"])
+def test_a_table_beside_records_is_checked_as_a_table(phases, kernels, error, message):
+    """Only the side given as records is converted; the table side reaches
+    ``check_columns`` as it is."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        Trace("x", 0, phases, kernels)
+
+
 def test_conversion_rejects_values_outside_int64():
     message = f"KernelRecord.t_end_ns out of int64 range, got {2**63}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
