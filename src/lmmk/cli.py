@@ -48,7 +48,7 @@ def _seed(flag: Optional[int]) -> Optional[int]:
     if text is None:
         return flag
     try:
-        return int(text)
+        return sampler._integer(text)
     except ValueError:
         raise _UsageError(f"LMMK_SEED must be an integer, got {text!r}") from None
 
@@ -69,7 +69,7 @@ def _parse_duplicate(text: str) -> sim_engine.DuplicationPlan:
     kernel, sep, count = text.rpartition(":")
     if not sep or not kernel:
         raise ValueError(f"--duplicate expects KERNEL:N, got {text!r}")
-    return sim_engine.DuplicationPlan(kernel_name=kernel, n=int(count))
+    return sim_engine.DuplicationPlan(kernel_name=kernel, n=sampler._integer(count))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:

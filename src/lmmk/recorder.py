@@ -402,7 +402,7 @@ class Trace:
     (host = device + offset); ``None`` means the domains were never
     aligned and cross-domain analyses must refuse to run. It and the
     token counts must be None or exact ints within int64 (TypeError,
-    ValueError at construction). ``created_at`` is incidental wall-clock
+    ValueError at construction), and ``device_label`` a str (TypeError). ``created_at`` is incidental wall-clock
     metadata and excluded from equality.
     :mod:`lmmk.timeline` caches a window index in the instance ``__dict__``
     on the first window query; it is not a field, so equality and
@@ -418,6 +418,8 @@ class Trace:
     created_at: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.device_label, str):
+            raise TypeError(f"Trace.device_label must be a str, got {self.device_label!r}")
         header = ("clock_offset_ns", "prompt_tokens", "output_tokens")
         _check_int64(self, header, header, "an int or None")
         phases, kernels = self.phases, self.kernels

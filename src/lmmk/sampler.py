@@ -6,8 +6,9 @@ against full corpus) to the full dataset. Selection runs in two stages:
 proportional stratified allocation per histogram bin, then greedy swaps
 of one selected prompt for one unselected one. The moves (drop bin, add
 bin) are scanned in that order, and the swap made is the last one that
-improved on the running best KL by more than 1e-15. The plan is a pure
-function of (lengths, fraction, num_bins, seed, smoothing_alpha).
+improved on the running best KL by more than 1e-15. The KL is smoothed
+with ``SMOOTHING_ALPHA``, and the plan is a pure function of (lengths,
+fraction, num_bins, seed).
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BinMismatch, EmptyDataset, FractionOutOfRange, ParseError, UnsupportedZero
+
+#: Additive smoothing of the subset and corpus histograms that
+#: :func:`sample_subset` compares.
+SMOOTHING_ALPHA = 0.5
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,10 @@ def _bins(lengths: Sequence[int], num_bins: int) -> tuple[np.ndarray, np.ndarray
     is widened by one so a single bin holds everything."""
     if num_bins < 2:
         raise ValueError("num_bins must be at least 2")
-    values = np.asarray(lengths, dtype=float)
+    try:
+        values = np.asarray(lengths, dtype=float)
+    except OverflowError:
+        raise ValueError("token lengths must fit a float") from None
     if np.any(values <= 0):
         raise ValueError("token lengths must be positive")
     lo, hi = float(values.min()), float(values.max())
@@ -88,7 +96,7 @@ def _bins(lengths: Sequence[int], num_bins: int) -> tuple[np.ndarray, np.ndarray
 
 
 def histogram(lengths: Sequence[int], num_bins: int,
-              smoothing_alpha: float = 0.5) -> TokenLengthHistogram:
+              smoothing_alpha: float = SMOOTHING_ALPHA) -> TokenLengthHistogram:
     """Equal-width histogram of token lengths (see :func:`_bins`)."""
     if len(lengths) == 0:
         raise EmptyDataset("no token lengths supplied")
@@ -193,8 +201,8 @@ def _greedy_swaps(chosen: np.ndarray, members: list[np.ndarray], full_counts: np
     return history
 
 
-def sample_subset(lengths: Sequence[int], fraction: float, num_bins: int = 30, seed: int = 0,
-                  smoothing_alpha: float = 0.5) -> SubsetPlan:
+def sample_subset(lengths: Sequence[int], fraction: float, num_bins: int = 30,
+                  seed: int = 0) -> SubsetPlan:
     """Select round(fraction * N) prompts whose length histogram matches the
     full corpus, reporting the achieved KL divergence in nats."""
     if not 0.0 < fraction <= 1.0:
@@ -207,8 +215,6 @@ def sample_subset(lengths: Sequence[int], fraction: float, num_bins: int = 30, s
         raise FractionOutOfRange(f"fraction={fraction} selects no items from {n}")
 
     _, idx = _bins(lengths, num_bins)
-    if smoothing_alpha < 0:
-        raise ValueError("smoothing_alpha must be nonnegative")
     full_counts = np.bincount(idx, minlength=num_bins)
     # A stable (radix) sort on a small int dtype: each bin's members in ascending order.
     order = np.argsort(idx.astype(np.min_scalar_type(num_bins)), kind="stable")
@@ -222,7 +228,7 @@ def sample_subset(lengths: Sequence[int], fraction: float, num_bins: int = 30, s
             picked = rng.choice(members[b], size=int(quotas[b]), replace=False)
             chosen[picked] = True
 
-    history = _greedy_swaps(chosen, members, full_counts.astype(float), smoothing_alpha, rng,
+    history = _greedy_swaps(chosen, members, full_counts.astype(float), SMOOTHING_ALPHA, rng,
                             10 * target)
     indices = tuple(np.flatnonzero(chosen).tolist())
     return SubsetPlan(indices=indices, achieved_kl_nats=history[-1], fraction=fraction)

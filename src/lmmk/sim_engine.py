@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -37,6 +37,13 @@ from .recorder import (INT64_MAX, INT64_MIN, PhaseKind, Trace, TraceSession, _IN
                        _KIND_BY_INDEX, _NO_TOKEN, _RecordTable)
 
 QUEUE_ID = 0  # single in-order device queue
+
+
+def _require_int64(name: str, value: object) -> None:
+    """Refuse anything but an exact int within int64: a bool, a float or a
+    numpy integer fails."""
+    if type(value) is not int or not INT64_MIN <= value <= INT64_MAX:
+        raise ValueError(f"field {name!r} must be an integer within int64, got {value!r}")
 
 
 class VirtualClock:
@@ -76,6 +83,8 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if type(self.name) is not str or not self.name:
             raise ValueError(f"kernel name must be a non-empty str, got {self.name!r}")
+        for f in fields(self)[1:]:
+            _require_int64(f.name, getattr(self, f.name))
         if self.base_latency_ns < 1:
             raise ValueError("base_latency_ns must be at least 1")
         if min(self.per_step_slope_ns, self.dispatch_gap_ns,
@@ -96,6 +105,7 @@ class PhaseScript:
     host_ns: int = 0
 
     def __post_init__(self) -> None:
+        _require_int64("host_ns", self.host_ns)
         if self.host_ns < 0:
             raise ValueError("host_ns must be nonnegative")
 
@@ -110,6 +120,10 @@ class JitterModel:
     sigma_rel: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_int64("seed", self.seed)
+        if type(self.sigma_rel) not in (int, float):
+            raise ValueError(f"field 'sigma_rel' must be a number, got {self.sigma_rel!r}")
+        object.__setattr__(self, "sigma_rel", float(self.sigma_rel))
         if not math.isfinite(self.sigma_rel) or self.sigma_rel < 0:
             raise ValueError(f"sigma_rel must be finite and nonnegative, got {self.sigma_rel!r}")
         if self.seed < 0:
@@ -121,6 +135,10 @@ class WorkloadSpec:
     name: str
     scripts: dict[PhaseKind, PhaseScript] = field(default_factory=dict)
     jitter: JitterModel = JitterModel()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"field 'name' must be a string, got {self.name!r}")
 
     def kernel_names(self) -> set[str]:
         return {ks.name for script in self.scripts.values() for ks in script.kernels}
@@ -142,6 +160,7 @@ class DuplicationPlan:
     n: int
 
     def __post_init__(self) -> None:
+        _require_int64("n", self.n)
         if self.n < 1:
             raise ValueError("duplication count must be at least 1")
 
@@ -377,6 +396,8 @@ def _run(
     session: Optional[TraceSession],
     plan: Optional[DuplicationPlan],
 ) -> tuple[Trace, GroundTruth]:
+    _require_int64("prompt_tokens", prompt_tokens)
+    _require_int64("output_tokens", output_tokens)
     if prompt_tokens < 1 or output_tokens < 1:
         raise ValueError("prompt_tokens and output_tokens must be at least 1")
     validate_workload(spec)
@@ -487,81 +508,29 @@ PRESETS = {
 
 # -- declarative workload files ----------------------------------------------
 
-_KERNEL_FIELDS = (
-    "per_step_slope_ns",
-    "dispatch_gap_ns",
-    "queue_delay_ns",
-    "submit_delay_ns",
-    "invocations_per_phase",
-)
-
-
 def workload_to_dict(spec: WorkloadSpec) -> dict:
     return {
         "name": spec.name,
-        "jitter": {"seed": spec.jitter.seed, "sigma_rel": spec.jitter.sigma_rel},
+        "jitter": asdict(spec.jitter),
         "phases": {
-            kind.value: {
-                "host_ns": script.host_ns,
-                "kernels": [
-                    {
-                        "name": ks.name,
-                        "base_latency_ns": ks.base_latency_ns,
-                        **{f: getattr(ks, f) for f in _KERNEL_FIELDS},
-                    }
-                    for ks in script.kernels
-                ],
-            }
+            kind.value: {"host_ns": script.host_ns, "kernels": list(map(asdict, script.kernels))}
             for kind, script in spec.scripts.items()
         },
     }
 
 
-def _int_field(obj: dict, key: str, default: Optional[int] = None) -> int:
-    """The JSON integer under ``key`` (``default`` when absent and given),
-    within int64."""
-    value = obj[key] if default is None else obj.get(key, default)
-    if type(value) is not int or not INT64_MIN <= value <= INT64_MAX:
-        raise ValueError(f"field {key!r} must be an integer within int64, got {value!r}")
-    return value
-
-
-def _str_field(obj: dict, key: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise ValueError(f"field {key!r} must be a string, got {value!r}")
-    return value
-
-
 def workload_from_dict(data: dict) -> WorkloadSpec:
-    """Build a workload from its JSON form (schema in docs/).
-
-    Names must be strings, integer fields JSON integers within int64 and
-    ``sigma_rel`` a finite number; anything else raises
-    :class:`InvalidSpec`.
-    """
+    """Build a workload from its JSON form (schema in docs/). The keys are
+    the spec types' fields, and the types check the values: a malformed
+    value or an unknown key raises :class:`InvalidSpec`."""
     try:
-        jitter_data = data.get("jitter", {})
-        sigma_rel = jitter_data.get("sigma_rel", 0.0)
-        if type(sigma_rel) not in (int, float):
-            raise ValueError(f"field 'sigma_rel' must be a number, got {sigma_rel!r}")
-        jitter = JitterModel(seed=_int_field(jitter_data, "seed", 0), sigma_rel=float(sigma_rel))
+        top = {**data}
         scripts = {}
-        for kind_name, phase_data in data["phases"].items():
+        for kind_name, phase in top.pop("phases").items():
             kind = PhaseKind(kind_name)
-            kernels = tuple(
-                KernelSpec(
-                    name=_str_field(k, "name"),
-                    base_latency_ns=_int_field(k, "base_latency_ns"),
-                    **{f: _int_field(k, f, 1 if f == "invocations_per_phase" else 0)
-                       for f in _KERNEL_FIELDS},
-                )
-                for k in phase_data.get("kernels", [])
-            )
-            scripts[kind] = PhaseScript(
-                kind=kind, kernels=kernels, host_ns=_int_field(phase_data, "host_ns", 0)
-            )
-        spec = WorkloadSpec(name=_str_field(data, "name"), scripts=scripts, jitter=jitter)
+            kernels = tuple(KernelSpec(**kernel) for kernel in phase.get("kernels", ()))
+            scripts[kind] = PhaseScript(kind, **{**phase, "kernels": kernels})
+        spec = WorkloadSpec(scripts=scripts, jitter=JitterModel(**top.pop("jitter", {})), **top)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed workload config: {exc}") from exc
     validate_workload(spec)

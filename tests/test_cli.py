@@ -113,7 +113,7 @@ class TestSimulate:
     @pytest.mark.parametrize("edit, message", [
         (lambda d: decode_kernel(d).update(base_latency_ns=float("inf")),
          "field 'base_latency_ns' must be an integer within int64, got inf"),
-        (lambda d: decode_kernel(d).update(name=5), "field 'name' must be a string, got 5"),
+        (lambda d: decode_kernel(d).update(name=5), "kernel name must be a non-empty str, got 5"),
         (lambda d: d["phases"]["sampling"].update(host_ns=1.5),
          "field 'host_ns' must be an integer within int64, got 1.5"),
         (lambda d: d["jitter"].update(sigma_rel=float("nan")),
@@ -451,6 +451,7 @@ def failure_files(tmp_path):
     (tmp_path / "two.txt").write_text("5\n6\n")
     (tmp_path / "huge.txt").write_text(f"{2**53}\n")
     (tmp_path / "huge-pair.txt").write_text(f"{2**53}\n{2**53 + 1}\n")
+    (tmp_path / "past-float.txt").write_text(f"5\n{10**400}\n")
     kernel = ("k", 0, 0, 10, 10, 10, 20)
     trace_io.write_jsonl(build_trace([kernel], [(PhaseKind.PREFILL, 0, None, 0, 50)],
                                      clock_offset_ns=None), str(tmp_path / "unaligned.jsonl"))
@@ -464,12 +465,21 @@ FAILURES = {
     "seed-not-int": (
         (*SIMULATE, "--out", "{tmp}/t.jsonl"), {"LMMK_SEED": "abc"}, 2,
         "LMMK_SEED must be an integer, got 'abc'"),
+    "seed-plus": (
+        (*SIMULATE, "--out", "{tmp}/t.jsonl"), {"LMMK_SEED": "+5"}, 2,
+        "LMMK_SEED must be an integer, got '+5'"),
     "workload-missing": (
         ("simulate", "--workload", "{tmp}/missing.json", "--out", "{tmp}/t.jsonl"), {}, 1,
         "[Errno 2] No such file or directory: '{tmp}/missing.json'"),
     "duplicate-no-count": (
         (*SIMULATE, "--duplicate", "k", "--out", "{tmp}/t.jsonl"), {}, 2,
         "--duplicate expects KERNEL:N, got 'k'"),
+    "duplicate-plus-underscore": (
+        (*SIMULATE, "--duplicate", "batch_decode_paged_kv:+1_0", "--out", "{tmp}/t.jsonl"), {}, 2,
+        "invalid literal for int() with base 10: '+1_0'"),
+    "duplicate-space": (
+        (*SIMULATE, "--duplicate", "batch_decode_paged_kv: 3", "--out", "{tmp}/t.jsonl"), {}, 2,
+        "invalid literal for int() with base 10: ' 3'"),
     "duplicate-zero": (
         (*SIMULATE, "--duplicate", "K:0", "--out", "{tmp}/t.jsonl"), {}, 2,
         "duplication count must be at least 1"),
@@ -499,6 +509,9 @@ FAILURES = {
     "lengths-2**53+1": (
         ("sample", "--lengths", "{tmp}/huge-pair.txt", "--fraction", "0.5"), {}, 1,
         "bin edges must be strictly increasing"),
+    "lengths-past-float": (
+        ("sample", "--lengths", "{tmp}/past-float.txt", "--fraction", "0.5"), {}, 1,
+        "token lengths must fit a float"),
     "fraction-selects-nothing": (
         ("sample", "--lengths", "{tmp}/two.txt", "--fraction", "0.1"), {}, 2,
         "fraction=0.1 selects no items from 2"),

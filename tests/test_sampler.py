@@ -57,6 +57,13 @@ class TestHistogram:
         with pytest.raises(ValueError):
             sampler.histogram([1, 2, 3], num_bins=1)
 
+    def test_length_past_the_float_range_rejected(self):
+        lengths = [5, 10**400]
+        for select in (lambda: sampler.histogram(lengths, 2),
+                       lambda: sampler.sample_subset(lengths, 0.5)):
+            with pytest.raises(ValueError, match="^token lengths must fit a float$"):
+                select()
+
 
 class TestKLDivergence:
     def test_identical_histograms(self):
@@ -366,8 +373,9 @@ class TestAgainstScalarSelection:
     @given(corpora(), fractions, st.integers(1, 60), st.integers(0, 2**32 - 1),
            st.sampled_from([0.0, 0.5, 3.0]))
     def test_sample_subset_matches_oracle(self, lengths, fraction, num_bins, seed, alpha):
-        expected = outcome(oracle_sample_subset, lengths, fraction, num_bins, seed, alpha)
-        got = outcome(sampler.sample_subset, lengths, fraction, num_bins, seed, alpha)
+        expected = outcome(oracle_sample_subset, lengths, fraction, num_bins, seed,
+                           sampler.SMOOTHING_ALPHA)
+        got = outcome(sampler.sample_subset, lengths, fraction, num_bins, seed)
         assert got == expected
         if isinstance(expected, SubsetPlan):
             assert type(got.achieved_kl_nats) is float

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import single_kernel_workload
+from test_sim_replay import workloads
 from lmmk import sim_engine, timeline, trace_io
 from lmmk.errors import InvalidSpec, LmmkError, UnknownKernel
 from lmmk.recorder import PhaseKind
@@ -276,6 +278,74 @@ def test_jitter_model_validation():
         KernelSpec("k", base_latency_ns=0)
     with pytest.raises(ValueError):
         DuplicationPlan(kernel_name="k", n=0)
+
+
+# -- the spec types gate every value ------------------------------------------
+
+INT_FIELDS = [
+    (KernelSpec, {"name": "k", "base_latency_ns": 1}, f.name)
+    for f in dataclasses.fields(KernelSpec)[1:]
+] + [
+    (PhaseScript, {"kind": PhaseKind.DECODE}, "host_ns"),
+    (JitterModel, {}, "seed"),
+    (DuplicationPlan, {"kernel_name": "k", "n": 1}, "n"),
+]
+
+
+@pytest.mark.parametrize("cls, base, name", INT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, _, name in INT_FIELDS])
+@pytest.mark.parametrize("bad", [True, 1.5, np.int64(1), 2**63],
+                         ids=["bool", "float", "numpy", "2**63"])
+def test_spec_int_fields_refuse_non_int64_when_built(cls, base, name, bad):
+    """``KernelSpec("k", 1000, per_step_slope_ns=1.5)`` would otherwise
+    simulate a slope of 1 while the ground truth sums 1.5 per step."""
+    message = f"field {name!r} must be an integer within int64, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(**{**base, name: bad})
+
+
+@pytest.mark.parametrize("bad", [True, "0.1"], ids=["bool", "str"])
+def test_sigma_rel_must_be_a_number(bad):
+    message = f"field 'sigma_rel' must be a number, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        JitterModel(sigma_rel=bad)
+    assert type(JitterModel(sigma_rel=0).sigma_rel) is float
+
+
+def test_workload_name_must_be_a_str():
+    with pytest.raises(ValueError, match=r"^field 'name' must be a string, got 5$"):
+        WorkloadSpec(name=5)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda d: d["phases"]["decode"]["kernels"][0].update(dispatch_gap=5), "dispatch_gap"),
+    (lambda d: d["phases"]["decode"].update(host=5), "host"),
+    (lambda d: d["phases"]["decode"].update(kind="decode"), "kind"),
+    (lambda d: d["jitter"].update(sigma=0.1), "sigma"),
+    (lambda d: d.update(extra=1), "extra"),
+    (lambda d: d.update(scripts={}), "scripts"),
+], ids=["kernel", "phase", "phase-kind", "jitter", "top-level", "top-level-scripts"])
+def test_unknown_workload_key_is_invalid_spec(edit, key):
+    data = sim_engine.workload_to_dict(preset_gemma_decode())
+    edit(data)
+    with pytest.raises(InvalidSpec, match=f"^malformed workload config: .*'{key}'$"):
+        sim_engine.workload_from_dict(data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(workloads())
+def test_workload_dict_round_trips(workload):
+    spec, _ = workload
+    assert sim_engine.workload_from_dict(sim_engine.workload_to_dict(spec)) == spec
+
+
+def test_schema_doc_names_every_spec_field():
+    """A new workload setting is a dataclass field plus its doc line."""
+    with open(pathlib.Path(__file__).parents[1] / "docs" / "workload_schema.md") as f:
+        doc = f.read()
+    for cls in (KernelSpec, PhaseScript, JitterModel):
+        for f in dataclasses.fields(cls):
+            assert f"`{f.name}`" in doc, f"{cls.__name__}.{f.name} is not in the schema doc"
 
 
 # -- workload loader fuzz -----------------------------------------------------

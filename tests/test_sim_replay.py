@@ -337,13 +337,14 @@ def test_factor_past_the_float_range_raises_invalid_spec(sigma_rel):
     assert assert_same_replay(spec, None, 1, 2)[0] is InvalidSpec
 
 
-@pytest.mark.parametrize("start, error", [(INT64_MAX - 10, InvalidSpec), (-10, ValueError)],
-                         ids=["overflow", "negative-timestamp"])
-def test_failed_run_leaves_no_partial_rows(start, error):
+@pytest.mark.parametrize("start, prompt_tokens, error", [
+    (INT64_MAX - 10, 1, InvalidSpec), (-10, 1, ValueError), (0, 1.5, ValueError),
+], ids=["overflow", "negative-timestamp", "fractional-prompt-tokens"])
+def test_failed_run_leaves_no_partial_rows(start, prompt_tokens, error):
     clock = VirtualClock(start)
     session = TraceSession(clock_offset_ns=0, clock=clock)
     with pytest.raises(error):
-        sim_engine.run(sim_engine.preset_gemma_decode(), 1, 2, session=session)
+        sim_engine.run(sim_engine.preset_gemma_decode(), prompt_tokens, 2, session=session)
     assert clock() == start
     trace = session.seal()
     assert len(trace.phases) == 0 and len(trace.kernels) == 0

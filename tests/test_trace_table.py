@@ -208,6 +208,14 @@ def test_trace_refuses_header_fields_when_built(field, bad):
     assert getattr(edge, field) == -(2**63)
 
 
+@pytest.mark.parametrize("label", [5, None, b"x"], ids=["int", "none", "bytes"])
+def test_trace_refuses_a_non_str_device_label(label):
+    """Its reader would refuse the file it writes."""
+    message = f"Trace.device_label must be a str, got {label!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        Trace(label, 0, (), ())
+
+
 PHASE = PhaseRecord(PhaseKind.DECODE, 0, 0, 0, 1)
 KERNEL = KernelRecord("k", 0, 0, 0, 0, 0, 0)
 INT_FIELDS = [(PHASE, name) for name in ("turn", "token_index", "t_start_ns", "t_end_ns")] + [
