@@ -103,19 +103,18 @@ def _check_phase(
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
-def _check_int64(obj: object, fields: tuple[str, ...], nullable: tuple[str, ...] = (),
-                 expected: str = "an int") -> None:
-    """Raise TypeError for the first of ``fields`` of ``obj`` that is not an
-    exact int (None passes for a ``nullable`` field), or ValueError for one
-    outside int64."""
-    for name in fields:
-        value = getattr(obj, name)
-        if type(value) is not int:
-            if value is None and name in nullable:
-                continue
-            raise TypeError(f"{type(obj).__name__}.{name} must be {expected}, got {value!r}")
-        if not INT64_MIN <= value <= INT64_MAX:
-            raise ValueError(f"{type(obj).__name__}.{name} out of int64 range, got {value!r}")
+def check_int64(label: str, value: object, nullable: bool = False) -> None:
+    """The integer rule of every lmmk value: raise TypeError unless
+    ``value`` is an exact int (a bool, a float or a numpy integer fails;
+    None passes when ``nullable``), then ValueError for one outside int64.
+    ``label`` names the value in the message."""
+    if type(value) is not int:
+        if value is None and nullable:
+            return
+        raise TypeError(f"{label} must be {'an int or None' if nullable else 'an int'}, "
+                        f"got {value!r}")
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise ValueError(f"{label} out of int64 range, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,8 @@ class PhaseRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, PhaseKind):
             raise TypeError("kind must be a PhaseKind")
-        _check_int64(self, ("turn", "token_index", "t_start_ns", "t_end_ns"), ("token_index",))
+        for name in ("turn", "token_index", "t_start_ns", "t_end_ns"):
+            check_int64(f"PhaseRecord.{name}", getattr(self, name), name == "token_index")
         _check_phase(self.kind, self.turn, self.token_index, self.t_start_ns, self.t_end_ns)
 
     @property
@@ -157,8 +157,9 @@ class KernelRecord:
     t_end_ns: int
 
     def __post_init__(self) -> None:
-        _check_int64(self, ("queue_id", "t_cpu_enqueue_ns", "t_queued_ns", "t_submit_ns",
-                            "t_start_ns", "t_end_ns"))
+        for name in ("queue_id", "t_cpu_enqueue_ns", "t_queued_ns", "t_submit_ns",
+                     "t_start_ns", "t_end_ns"):
+            check_int64(f"KernelRecord.{name}", getattr(self, name))
         _check_kernel(
             self.name, self.queue_id, self.t_cpu_enqueue_ns,
             self.t_queued_ns, self.t_submit_ns, self.t_start_ns, self.t_end_ns,
@@ -401,9 +402,9 @@ class Trace:
     ``clock_offset_ns`` maps device timestamps into the host domain
     (host = device + offset); ``None`` means the domains were never
     aligned and cross-domain analyses must refuse to run. It and the
-    token counts must be None or exact ints within int64 (TypeError,
-    ValueError at construction), and ``device_label`` a str (TypeError). ``created_at`` is incidental wall-clock
-    metadata and excluded from equality.
+    token counts must pass :func:`check_int64` as nullable, and
+    ``device_label`` must be a str (TypeError). ``created_at`` is
+    incidental wall-clock metadata and excluded from equality.
     :mod:`lmmk.timeline` caches a window index in the instance ``__dict__``
     on the first window query; it is not a field, so equality and
     serialization ignore it and ``dataclasses.replace`` starts without it.
@@ -420,8 +421,8 @@ class Trace:
     def __post_init__(self) -> None:
         if not isinstance(self.device_label, str):
             raise TypeError(f"Trace.device_label must be a str, got {self.device_label!r}")
-        header = ("clock_offset_ns", "prompt_tokens", "output_tokens")
-        _check_int64(self, header, header, "an int or None")
+        for name in ("clock_offset_ns", "prompt_tokens", "output_tokens"):
+            check_int64(f"Trace.{name}", getattr(self, name), nullable=True)
         phases, kernels = self.phases, self.kernels
         if not isinstance(phases, PhaseTable):
             rows = RecordColumns(0)
@@ -509,16 +510,17 @@ class RecordColumns:
         i = self._k_len
         if i == len(self._k_name):
             self._grow(self._KERNEL_COLUMNS)
-        code = self._name_codes.get(name)
-        if code is None:
-            code = self._name_codes[name] = len(self._name_codes)
-        self._k_name[i] = code
         self._k_queue[i] = queue_id
         self._k_enqueue[i] = enqueue
         self._k_queued[i] = queued
         self._k_submit[i] = submit
         self._k_start[i] = start
         self._k_end[i] = end
+        # interned only once every column took its value, so a refused row leaves no name
+        code = self._name_codes.get(name)
+        if code is None:
+            code = self._name_codes[name] = len(self._name_codes)
+        self._k_name[i] = code
         self._k_len = i + 1
 
     def extend(self, phases: Columns, names: Sequence[str], kernels: Columns) -> None:

@@ -27,23 +27,17 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidSpec, UnknownKernel
-from .recorder import (INT64_MAX, INT64_MIN, PhaseKind, Trace, TraceSession, _INDEX_BY_KIND,
-                       _KIND_BY_INDEX, _NO_TOKEN, _RecordTable)
+from .recorder import (INT64_MAX, PhaseKind, Trace, TraceSession, _INDEX_BY_KIND, _KIND_BY_INDEX,
+                       _NO_TOKEN, _RecordTable, check_int64)
 
 QUEUE_ID = 0  # single in-order device queue
-
-
-def _require_int64(name: str, value: object) -> None:
-    """Refuse anything but an exact int within int64: a bool, a float or a
-    numpy integer fails."""
-    if type(value) is not int or not INT64_MIN <= value <= INT64_MAX:
-        raise ValueError(f"field {name!r} must be an integer within int64, got {value!r}")
 
 
 class VirtualClock:
@@ -84,7 +78,7 @@ class KernelSpec:
         if type(self.name) is not str or not self.name:
             raise ValueError(f"kernel name must be a non-empty str, got {self.name!r}")
         for f in fields(self)[1:]:
-            _require_int64(f.name, getattr(self, f.name))
+            check_int64(f"field {f.name!r}", getattr(self, f.name))
         if self.base_latency_ns < 1:
             raise ValueError("base_latency_ns must be at least 1")
         if min(self.per_step_slope_ns, self.dispatch_gap_ns,
@@ -105,7 +99,7 @@ class PhaseScript:
     host_ns: int = 0
 
     def __post_init__(self) -> None:
-        _require_int64("host_ns", self.host_ns)
+        check_int64("field 'host_ns'", self.host_ns)
         if self.host_ns < 0:
             raise ValueError("host_ns must be nonnegative")
 
@@ -120,12 +114,12 @@ class JitterModel:
     sigma_rel: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_int64("seed", self.seed)
+        check_int64("field 'seed'", self.seed)
         if type(self.sigma_rel) not in (int, float):
             raise ValueError(f"field 'sigma_rel' must be a number, got {self.sigma_rel!r}")
-        object.__setattr__(self, "sigma_rel", float(self.sigma_rel))
-        if not math.isfinite(self.sigma_rel) or self.sigma_rel < 0:
+        if not 0 <= self.sigma_rel <= sys.float_info.max:  # exact for an int past the floats too
             raise ValueError(f"sigma_rel must be finite and nonnegative, got {self.sigma_rel!r}")
+        object.__setattr__(self, "sigma_rel", float(self.sigma_rel))
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 
@@ -160,7 +154,7 @@ class DuplicationPlan:
     n: int
 
     def __post_init__(self) -> None:
-        _require_int64("n", self.n)
+        check_int64("field 'n'", self.n)
         if self.n < 1:
             raise ValueError("duplication count must be at least 1")
 
@@ -304,7 +298,8 @@ def _terms(spec: WorkloadSpec, layouts: list, tokens: int) -> list:
     count = edges[2] + tokens * (edges[6] - edges[2])
     rng = np.random.Generator(np.random.Philox(spec.jitter.seed))
     # math.exp, not np.exp: the two differ in the last bit on some inputs
-    factors = np.fromiter(map(math.exp, sigma * rng.standard_normal(count)), np.float64, count)
+    with np.errstate(over="ignore"):  # a product past the floats is ±inf: a factor of inf or 0
+        factors = np.fromiter(map(math.exp, sigma * rng.standard_normal(count)), np.float64, count)
     per_token = factors[edges[2]:].reshape(tokens, edges[6] - edges[2])  # a row per token
     blocks = []
     for k, (slots, table, draw) in enumerate(zip(layouts, tables, draws)):
@@ -396,8 +391,8 @@ def _run(
     session: Optional[TraceSession],
     plan: Optional[DuplicationPlan],
 ) -> tuple[Trace, GroundTruth]:
-    _require_int64("prompt_tokens", prompt_tokens)
-    _require_int64("output_tokens", output_tokens)
+    check_int64("field 'prompt_tokens'", prompt_tokens)
+    check_int64("field 'output_tokens'", output_tokens)
     if prompt_tokens < 1 or output_tokens < 1:
         raise ValueError("prompt_tokens and output_tokens must be at least 1")
     validate_workload(spec)

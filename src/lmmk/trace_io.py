@@ -24,11 +24,12 @@ bulk: one ``findall`` per record type, int64 columns, one
 :func:`~lmmk.recorder.check_columns` and one append. The ``findall``
 patterns are compiled from the writer's line templates, and take a token
 only as null or a nonnegative integer. Any other block goes line by line
-through :func:`json.loads`, the reference the bulk route agrees with;
-after refused blocks in a row, the bulk route is tried at doubling
-intervals. Both routes fill the same columns the recorder fills, with
-the same records and the same error messages, and hand them to a Trace,
-which orders them.
+through :func:`json.loads`, the reference the bulk route agrees with:
+each line builds the :class:`~lmmk.recorder.PhaseRecord` or
+:class:`~lmmk.recorder.KernelRecord` it describes, which checks it, and
+the header builds a Trace of no rows. After refused blocks in a row, the
+bulk route is tried at doubling intervals. Both routes fill the columns
+the recorder fills and hand them to a Trace, which orders them.
 """
 
 from __future__ import annotations
@@ -45,16 +46,14 @@ import numpy as np
 
 from .errors import LmmkError, ParseError, PhaseOverlap, UnknownVersion
 from .recorder import (
-    INT64_MAX,
-    INT64_MIN,
+    KernelRecord,
     PhaseKind,
+    PhaseRecord,
     RecordColumns,
     Trace,
     _INDEX_BY_KIND,
     _NO_TOKEN,
     _ROW_CHUNK,
-    _check_kernel,
-    _check_phase,
     check_columns,
 )
 from .sim_engine import GroundTruth
@@ -233,50 +232,26 @@ def _load_object(raw: bytes) -> Optional[dict]:
     return obj
 
 
-def _require_int(obj: Mapping, key: str, nullable: bool = False) -> Optional[int]:
-    """The integer field ``key`` of a decoded record (None for a null
-    ``nullable`` field); ValueError for any other type or a value outside
-    int64."""
-    value = obj.get(key)
-    if value is None and nullable:
-        return None
-    if not isinstance(value, int) or isinstance(value, bool):
-        expected = "an integer or null" if nullable else "an integer"
-        raise ValueError(f"field {key!r} must be {expected}, got {value!r}")
-    if not INT64_MIN <= value <= INT64_MAX:
-        raise ValueError(f"field {key!r} out of int64 range")
-    return value
-
-
 def _append_record(columns: RecordColumns, obj: Mapping) -> None:
-    """Append the row of a decoded phase or kernel object to ``columns``,
-    checking each field's JSON type and range in key order, then the
-    record's own rules."""
+    """Append the row of a decoded phase or kernel object to ``columns``:
+    the :class:`PhaseRecord` or :class:`KernelRecord` it describes checks it."""
     if obj["ev"] == "phase":
-        args = (
-            PhaseKind(obj["kind"]), _require_int(obj, "turn"),
-            _require_int(obj, "token", nullable=True), _require_int(obj, "t_start_ns"),
-            _require_int(obj, "t_end_ns"),
-        )
-        _check_phase(*args)
-        columns.add_phase(*args)
+        r = PhaseRecord(PhaseKind(obj["kind"]), obj.get("turn"), obj.get("token"),
+                        obj.get("t_start_ns"), obj.get("t_end_ns"))
+        columns.add_phase(r.kind, r.turn, r.token_index, r.t_start_ns, r.t_end_ns)
     elif obj["ev"] == "kernel":
-        name = obj.get("name")
-        if not isinstance(name, str):
-            raise ValueError(f"field 'name' must be a string, got {name!r}")
-        args = (
-            name, _require_int(obj, "queue"), _require_int(obj, "t_cpu_enqueue_ns"),
-            _require_int(obj, "t_queued_ns"), _require_int(obj, "t_submit_ns"),
-            _require_int(obj, "t_start_ns"), _require_int(obj, "t_end_ns"),
-        )
-        _check_kernel(*args)
-        columns.add_kernel(*args)
+        r = KernelRecord(obj.get("name"), obj.get("queue"), obj.get("t_cpu_enqueue_ns"),
+                         obj.get("t_queued_ns"), obj.get("t_submit_ns"), obj.get("t_start_ns"),
+                         obj.get("t_end_ns"))
+        columns.add_kernel(r.name, r.queue_id, r.t_cpu_enqueue_ns, r.t_queued_ns, r.t_submit_ns,
+                           r.t_start_ns, r.t_end_ns)
     else:
         raise ParseError(f"unknown record type {obj['ev']!r}")
 
 
 def _header_fields(obj: Mapping) -> dict:
-    """Trace metadata from the session header object."""
+    """The Trace fields of the session header object, checked by a Trace
+    of no rows; this checks only the file format's own fields."""
     if obj["ev"] != "session":
         raise ParseError("first non-blank line must be the session header")
     version = obj.get("version")
@@ -284,25 +259,14 @@ def _header_fields(obj: Mapping) -> dict:
         raise ParseError(f"field 'version' must be an integer, got {version!r}")
     if version != FILE_VERSION:
         raise UnknownVersion(f"unsupported trace file version {version!r}")
-    label = obj.get("device_label", "")
-    if not isinstance(label, str):
-        raise ParseError(f"device_label must be a string, got {label!r}")
-    offset = obj.get("clock_offset_ns")
-    if offset is not None and (not isinstance(offset, int) or isinstance(offset, bool)):
-        raise ParseError("clock_offset_ns must be an integer or null")
-    for key in ("prompt_tokens", "output_tokens"):
-        value = obj.get(key)
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-            raise ParseError(f"{key} must be an integer when present")
-    for key in ("clock_offset_ns", "prompt_tokens", "output_tokens"):
-        if obj.get(key) is not None and not INT64_MIN <= obj[key] <= INT64_MAX:
-            raise ParseError(f"{key} out of int64 range")
-    return {
-        "device_label": label,
-        "clock_offset_ns": offset,
+    fields = {
+        "device_label": obj.get("device_label", ""),
+        "clock_offset_ns": obj.get("clock_offset_ns"),
         "prompt_tokens": obj.get("prompt_tokens"),
         "output_tokens": obj.get("output_tokens"),
     }
+    Trace(phases=(), kernels=(), **fields)
+    return fields
 
 
 def _bulk_rows(columns: RecordColumns, block: bytes, lines: int) -> bool:
@@ -378,7 +342,7 @@ def read_jsonl(path: str) -> Trace:
                     _append_record(columns, obj)
         except LmmkError as exc:
             raise type(exc)(f"line {lineno}: {exc}") from None
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
     if header is None:
         raise ParseError("line 1: file is empty; expected a session header")
@@ -449,10 +413,3 @@ def csv_report(rows: Sequence[Mapping[str, object]]) -> str:
     for row in rows:
         writer.writerow([format_cell(c, row[c]) for c in columns])
     return text.getvalue()
-
-
-def write_csv_report(rows: Sequence[Mapping[str, object]], path: str) -> None:
-    """Write :func:`csv_report` of ``rows`` to ``path`` as UTF-8."""
-    text = csv_report(rows)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(text)

@@ -288,9 +288,8 @@ def test_criterion_10_io_golden_files(tmp_path, phase_pairs, preset_run_16):
     trace_io.export_chrome_trace(trace, str(chrome))
     if chrome.read_bytes() != (GOLDEN_DIR / "trace.chrome.json").read_bytes():
         failures.append("chrome golden bytes")
-    report = tmp_path / "metric_report.csv"
-    trace_io.write_csv_report(metric_report_rows(phase_pairs), str(report))
-    if report.read_bytes() != (GOLDEN_DIR / "metric_report.csv").read_bytes():
+    report = trace_io.csv_report(metric_report_rows(phase_pairs))
+    if report.encode() != (GOLDEN_DIR / "metric_report.csv").read_bytes():
         failures.append("csv golden bytes")
     # lossless round trips
     sim_trace, _ = preset_run_16

@@ -112,10 +112,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: decode_kernel(d).update(base_latency_ns=float("inf")),
-         "field 'base_latency_ns' must be an integer within int64, got inf"),
+         "field 'base_latency_ns' must be an int, got inf"),
         (lambda d: decode_kernel(d).update(name=5), "kernel name must be a non-empty str, got 5"),
         (lambda d: d["phases"]["sampling"].update(host_ns=1.5),
-         "field 'host_ns' must be an integer within int64, got 1.5"),
+         "field 'host_ns' must be an int, got 1.5"),
         (lambda d: d["jitter"].update(sigma_rel=float("nan")),
          "sigma_rel must be finite and nonnegative, got nan"),
         (lambda d: decode_kernel(d).update(base_latency_ns=2**62),
@@ -492,6 +492,9 @@ FAILURES = {
     "jitter-negative": (
         (*SIMULATE, "--jitter", "-1", "--out", "{tmp}/t.jsonl"), {}, 2,
         "sigma_rel must be finite and nonnegative, got -1.0"),
+    "jitter-past-the-floats": (
+        (*SIMULATE, "--jitter", "1e308", "--out", "{tmp}/t.jsonl"), {}, 2,
+        "workload 'gemma2-decode' overflows the simulated nanosecond timeline (math range error)"),
     "simulate-out-dir": (
         (*SIMULATE, "--out", "{tmp}/dir"), {}, 1, "[Errno 21] Is a directory: '{tmp}/dir'"),
     "export-out-dir": (

@@ -169,6 +169,15 @@ class TestKernels:
         # nothing was appended
         assert len(session.seal().kernels) == 0
 
+    @pytest.mark.parametrize("end, error", [(2**63, OverflowError), (1.5, TypeError)],
+                             ids=["past-int64", "float"])
+    def test_column_refusal_records_no_name(self, end, error):
+        session = TraceSession()
+        with pytest.raises(error):
+            session.record_kernel("k", 0, 0, 0, 0, 0, end)
+        kernels = session.seal().kernels
+        assert len(kernels) == 0 and kernels.names == ()
+
     def test_record_on_sealed_session(self):
         session = TraceSession()
         session.seal()

@@ -274,6 +274,8 @@ def test_session_must_use_virtual_clock():
 def test_jitter_model_validation():
     with pytest.raises(ValueError):
         JitterModel(sigma_rel=-0.1)
+    with pytest.raises(ValueError, match="^sigma_rel must be finite and nonnegative, got 1000"):
+        JitterModel(sigma_rel=10**400)
     with pytest.raises(ValueError):
         KernelSpec("k", base_latency_ns=0)
     with pytest.raises(ValueError):
@@ -299,8 +301,11 @@ INT_FIELDS = [
 def test_spec_int_fields_refuse_non_int64_when_built(cls, base, name, bad):
     """``KernelSpec("k", 1000, per_step_slope_ns=1.5)`` would otherwise
     simulate a slope of 1 while the ground truth sums 1.5 per step."""
-    message = f"field {name!r} must be an integer within int64, got {bad!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    if type(bad) is int:
+        error, message = ValueError, f"field {name!r} out of int64 range, got {bad!r}"
+    else:
+        error, message = TypeError, f"field {name!r} must be an int, got {bad!r}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         cls(**{**base, name: bad})
 
 

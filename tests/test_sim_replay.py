@@ -338,8 +338,9 @@ def test_factor_past_the_float_range_raises_invalid_spec(sigma_rel):
 
 
 @pytest.mark.parametrize("start, prompt_tokens, error", [
-    (INT64_MAX - 10, 1, InvalidSpec), (-10, 1, ValueError), (0, 1.5, ValueError),
-], ids=["overflow", "negative-timestamp", "fractional-prompt-tokens"])
+    (INT64_MAX - 10, 1, InvalidSpec), (-10, 1, ValueError), (0, 1.5, TypeError),
+    (0, True, TypeError),
+], ids=["overflow", "negative-timestamp", "fractional-prompt-tokens", "bool-prompt-tokens"])
 def test_failed_run_leaves_no_partial_rows(start, prompt_tokens, error):
     clock = VirtualClock(start)
     session = TraceSession(clock_offset_ns=0, clock=clock)

@@ -338,7 +338,8 @@ def test_writers_reject_non_int_fields(tmp_path, writer, bad, field):
     """The Trace rejects the field when it is built, so no writer ever
     opens a file for it."""
     owner = "KernelRecord" if field == "t_end_ns" else "PhaseRecord"
-    message = f"{owner}.{field} must be an int, got {bad!r}"
+    expected = "an int or None" if field == "token_index" else "an int"
+    message = f"{owner}.{field} must be {expected}, got {bad!r}"
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         if field == "t_end_ns":
             trace = build_trace(kernels=[("k", 0, 0, 0, 0, 0, bad)])
@@ -495,30 +496,51 @@ def test_fast_path_matches_json_path(scratch, line, ending):
 PHASE_LINE = b'{"ev":"phase","kind":"decode","turn":%s,"token":%s,"t_start_ns":%s,"t_end_ns":%s}'
 
 
-@pytest.mark.parametrize("line, field", [
-    (KERNEL_LINE % (b"k", str(2**63).encode()), "queue"),
-    (KERNEL_LINE.replace(b'"t_end_ns":3', b'"t_end_ns":%d' % 2**63) % (b"k", b"0"), "t_end_ns"),
+@pytest.mark.parametrize("line, field, value", [
+    (KERNEL_LINE % (b"k", str(2**63).encode()), "KernelRecord.queue_id", 2**63),
+    (KERNEL_LINE.replace(b'"t_end_ns":3', b'"t_end_ns":%d' % 2**63) % (b"k", b"0"),
+     "KernelRecord.t_end_ns", 2**63),
     (KERNEL_LINE.replace(b'"t_queued_ns":0', b'"t_queued_ns":%d' % 2**63) % (b"k", b"0"),
-     "t_queued_ns"),
-    (KERNEL_LINE % (b"k", str(-(2**63) - 1).encode()), "queue"),
-    (PHASE_LINE % (b"0", str(2**63).encode(), b"0", b"1"), "token"),
-    (PHASE_LINE % (str(-(2**63) - 1).encode(), b"0", b"0", b"1"), "turn"),
-    (PHASE_LINE % (b"0", b"0", b"0", b"9" * 19), "t_end_ns"),
+     "KernelRecord.t_queued_ns", 2**63),
+    (KERNEL_LINE % (b"k", str(-(2**63) - 1).encode()), "KernelRecord.queue_id", -(2**63) - 1),
+    (PHASE_LINE % (b"0", str(2**63).encode(), b"0", b"1"), "PhaseRecord.token_index", 2**63),
+    (PHASE_LINE % (str(-(2**63) - 1).encode(), b"0", b"0", b"1"), "PhaseRecord.turn",
+     -(2**63) - 1),
+    (PHASE_LINE % (b"0", b"0", b"0", b"9" * 19), "PhaseRecord.t_end_ns", int("9" * 19)),
 ], ids=["queue-2**63", "end-2**63", "queued-2**63", "queue-below", "token-2**63",
         "turn-below", "end-19-nines"])
-def test_values_outside_int64_are_parse_errors(tmp_path, line, field):
+def test_values_outside_int64_are_parse_errors(tmp_path, line, field, value):
     """With the bulk route offered the line and through json.loads alone,
     and before the record's own checks (a queued time of 2**63 also breaks
-    queued <= submit)."""
+    queued <= submit). The message names the record's field."""
     path = tmp_path / "range.jsonl"
     path.write_bytes(HEADER + b"\n" + line + b"\n")
-    message = f"line 2: field {field!r} out of int64 range"
+    message = f"line 2: {field} out of int64 range, got {value}"
     text = b"\n" + line + b"\n"
     assert len(trace_io._KERNEL_LINES.findall(text) + trace_io._PHASE_LINES.findall(text)) == 1
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         trace_io.read_jsonl(str(path))
     with per_line_only():
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            trace_io.read_jsonl(str(path))
+
+
+@pytest.mark.parametrize("line, message", [
+    (PHASE_LINE % (b"1.5", b"0", b"0", b"1"), "PhaseRecord.turn must be an int, got 1.5"),
+    (PHASE_LINE % (b"0", b'"0"', b"0", b"1"),
+     "PhaseRecord.token_index must be an int or None, got '0'"),
+    (KERNEL_LINE % (b"k", b"true"), "KernelRecord.queue_id must be an int, got True"),
+], ids=["float-turn", "str-token", "bool-queue"])
+def test_non_int_values_are_parse_errors(tmp_path, line, message):
+    """With the bulk route offered the line and through json.loads alone,
+    the message is the record's own."""
+    path = tmp_path / "type.jsonl"
+    path.write_bytes(HEADER + b"\n" + line + b"\n")
+    expected = f"^{re.escape('line 2: ' + message)}$"
+    with pytest.raises(ParseError, match=expected):
+        trace_io.read_jsonl(str(path))
+    with per_line_only():
+        with pytest.raises(ParseError, match=expected):
             trace_io.read_jsonl(str(path))
 
 
@@ -636,14 +658,19 @@ def test_oversized_lines_are_parse_errors(tmp_path, capsys, line2, message):
 
 @pytest.mark.parametrize("header, message", [
     (b'{"ev":"session","version":1,"device_label":[1],"clock_offset_ns":0}',
-     "line 2: device_label must be a string, got [1]"),
+     "line 2: Trace.device_label must be a str, got [1]"),
+    (b'{"ev":"session","version":1,"clock_offset_ns":0,"prompt_tokens":1.5}',
+     "line 2: Trace.prompt_tokens must be an int or None, got 1.5"),
+    (b'{"ev":"session","version":1,"clock_offset_ns":true}',
+     "line 2: Trace.clock_offset_ns must be an int or None, got True"),
     (b'{"ev":"session","version":true,"clock_offset_ns":0}',
      "line 2: field 'version' must be an integer, got True"),
     (b'{"ev":"session","version":1.0,"clock_offset_ns":0}',
      "line 2: field 'version' must be an integer, got 1.0"),
     (b'{"ev":"session","version":1,"prompt_tokens":' + b"9" * 4400 + b"}",
      "line 2: invalid JSON (Exceeds the limit"),
-], ids=["list-label", "bool-version", "float-version", "4400-digit-count"])
+], ids=["list-label", "float-count", "bool-offset", "bool-version", "float-version",
+        "4400-digit-count"])
 def test_malformed_header_fields_are_parse_errors(tmp_path, capsys, header, message):
     path = tmp_path / "header.jsonl"
     path.write_bytes(b"\n" + header + b"\n")

@@ -236,7 +236,8 @@ def test_records_refuse_non_int64_fields_when_built(record, field, bad):
     if type(bad) is int:
         error, message = ValueError, f"{owner}.{field} out of int64 range, got {bad!r}"
     else:
-        error, message = TypeError, f"{owner}.{field} must be an int, got {bad!r}"
+        expected = "an int or None" if field == "token_index" else "an int"
+        error, message = TypeError, f"{owner}.{field} must be {expected}, got {bad!r}"
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         type(record)(**{**vars(record), field: bad})
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
