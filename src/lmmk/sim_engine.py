@@ -34,8 +34,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidSpec, UnknownKernel
-from .recorder import (INT64_MAX, PhaseKind, Trace, TraceSession, _INDEX_BY_KIND, _KIND_BY_INDEX,
-                       _NO_TOKEN, _RecordTable, check_int64)
+from .recorder import (INT64_MAX, PhaseKind, Trace, TraceSession, _INDEX_BY_VALUE, _KIND_BY_INDEX,
+                       _NO_TOKEN, _RecordTable, _shown, check_int64)
 
 QUEUE_ID = 0  # single in-order device queue
 
@@ -118,7 +118,8 @@ class JitterModel:
         if type(self.sigma_rel) not in (int, float):
             raise ValueError(f"field 'sigma_rel' must be a number, got {self.sigma_rel!r}")
         if not 0 <= self.sigma_rel <= sys.float_info.max:  # exact for an int past the floats too
-            raise ValueError(f"sigma_rel must be finite and nonnegative, got {self.sigma_rel!r}")
+            raise ValueError("sigma_rel must be finite and nonnegative, "
+                             f"got {_shown(self.sigma_rel)}")
         object.__setattr__(self, "sigma_rel", float(self.sigma_rel))
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
@@ -226,7 +227,7 @@ class GroundTruth:
 
     def decode_windows(self) -> list[PhaseWindowTruth]:
         windows = self.windows
-        return list(windows.take(windows.kind_code == _INDEX_BY_KIND[PhaseKind.DECODE]))
+        return list(windows.take(windows.kind_code == _INDEX_BY_VALUE[PhaseKind.DECODE.value]))
 
 
 def validate_workload(spec: WorkloadSpec) -> None:

@@ -51,7 +51,7 @@ from .recorder import (
     PhaseRecord,
     RecordColumns,
     Trace,
-    _INDEX_BY_KIND,
+    _INDEX_BY_VALUE,
     _NO_TOKEN,
     _ROW_CHUNK,
     check_columns,
@@ -189,7 +189,7 @@ def write_ground_truth(truth: GroundTruth, path: str) -> None:
 # a 19-digit value past int64); longer literals take the json.loads route,
 # which reports CPython's digit limit itself.
 _INT = rb"(-?(?:0|[1-9][0-9]{0,18}))"
-_KIND_CODE = {kind.value.encode(): code for kind, code in _INDEX_BY_KIND.items()}
+_KIND_CODE = {value.encode(): code for value, code in _INDEX_BY_VALUE.items()}
 
 
 def _lines_pattern(template: bytes, *slots: bytes) -> re.Pattern:

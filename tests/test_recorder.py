@@ -1,10 +1,14 @@
 import gc
 import re
+import sys
 import threading
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import manual_session
 from lmmk.errors import (
@@ -16,14 +20,18 @@ from lmmk.errors import (
     UnknownHandle,
 )
 from lmmk.recorder import (
+    INT64_MAX,
+    INT64_MIN,
     KernelRecord,
     PhaseKind,
     PhaseRecord,
     Trace,
     TraceSession,
     calibrate_timer,
+    int_rows,
     now,
 )
+from lmmk.sim_engine import VirtualClock
 
 
 class TestNow:
@@ -102,6 +110,17 @@ class TestPhases:
         with pytest.raises(UnknownHandle):
             session.end_phase(17)
 
+    @pytest.mark.parametrize("handle", [True, 1.0, np.int64(1)])
+    def test_a_handle_that_is_not_an_int_is_unknown(self, handle):
+        session = TraceSession()
+        session.end_phase(session.begin_phase(PhaseKind.PREFILL, 0))
+        session.begin_phase(PhaseKind.DECODE, 0, 0)
+        with pytest.raises(UnknownHandle, match=f"^handle {re.escape(repr(handle))} was not "
+                                                "issued by this session$"):
+            session.end_phase(handle)
+        with pytest.raises(OpenPhaseRemaining):
+            session.seal()
+
     def test_token_index_rules(self):
         session = TraceSession()
         with pytest.raises(ValueError):
@@ -169,11 +188,13 @@ class TestKernels:
         # nothing was appended
         assert len(session.seal().kernels) == 0
 
-    @pytest.mark.parametrize("end, error", [(2**63, OverflowError), (1.5, TypeError)],
-                             ids=["past-int64", "float"])
-    def test_column_refusal_records_no_name(self, end, error):
+    @pytest.mark.parametrize("end, error, message", [
+        (2**63, ValueError, "KernelRecord.t_end_ns out of int64 range, got 9223372036854775808"),
+        (1.5, TypeError, "KernelRecord.t_end_ns must be an int, got 1.5"),
+    ], ids=["past-int64", "float"])
+    def test_column_refusal_records_no_name(self, end, error, message):
         session = TraceSession()
-        with pytest.raises(error):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             session.record_kernel("k", 0, 0, 0, 0, 0, end)
         kernels = session.seal().kernels
         assert len(kernels) == 0 and kernels.names == ()
@@ -344,3 +365,211 @@ def test_virtual_clock_session_uses_injected_time():
     session.end_phase(handle)
     (record,) = session.seal().phases
     assert (record.t_start_ns, record.t_end_ns) == (1_000, 5_000)
+
+
+# -- the session applies the records' rules ------------------------------------
+
+def error_of(call, *args):
+    """(type, message) of what ``call(*args)`` raises, or None."""
+    try:
+        call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# small values often keep the lifecycle order; the rest break one rule each
+VALUES = st.one_of(
+    st.integers(0, 4),
+    st.sampled_from([-1, INT64_MAX, INT64_MAX + 1, INT64_MIN - 1, 10**5000, True, False, 1.5,
+                     np.int64(2), None, "3"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["k", "", 5, b"k", None]), st.lists(VALUES, min_size=6, max_size=6))
+def test_record_kernel_refuses_what_the_record_refuses(name, values):
+    session = TraceSession()
+    expected = error_of(KernelRecord, name, *values)
+    assert error_of(session.record_kernel, name, *values) == expected
+    kernels = session.seal().kernels
+    assert kernels == (() if expected else (KernelRecord(name, *values),))
+    assert kernels.names == (() if expected else (name,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([*PhaseKind, "decode", None, 2]), VALUES, VALUES)
+def test_begin_phase_refuses_what_the_record_refuses(kind, turn, token):
+    session = TraceSession(clock=VirtualClock(7))
+    expected = error_of(PhaseRecord, kind, turn, token, 7, 7)
+    assert error_of(session.begin_phase, kind, turn, token) == expected
+    if expected is None:
+        session.end_phase(0)
+    assert session.seal().phases == (() if expected else (PhaseRecord(kind, turn, token, 7, 7),))
+
+
+@pytest.mark.parametrize("reading, error, message", [
+    (1.5, TypeError, "must be an int, got 1.5"),
+    ("5", TypeError, "must be an int, got '5'"),
+    (2**63, ValueError, "out of int64 range, got 9223372036854775808"),
+    (INT64_MIN - 1, ValueError, "out of int64 range, got -9223372036854775809"),
+], ids=["float", "str", "past-int64", "below-int64"])
+def test_clock_reading_outside_int64_is_refused_by_name(reading, error, message):
+    """A clock reading the row cannot hold raises the record's error and
+    records nothing: a refused start leaves no phase, a refused end leaves
+    the phase open for the next reading."""
+    readings = iter([reading, 5, reading, 9])
+    session = TraceSession(clock=lambda: next(readings))
+    with pytest.raises(error, match=f"^PhaseRecord.t_start_ns {re.escape(message)}$"):
+        session.begin_phase(PhaseKind.PREFILL, 0)
+    handle = session.begin_phase(PhaseKind.PREFILL, 0)
+    with pytest.raises(error, match=f"^PhaseRecord.t_end_ns {re.escape(message)}$"):
+        session.end_phase(handle)
+    session.end_phase(handle)
+    assert session.seal().phases == (PhaseRecord(PhaseKind.PREFILL, 0, None, 5, 9),)
+
+
+def test_a_refused_reading_at_a_full_buffer_records_nothing():
+    """A start the row cannot hold, refused just as the phase buffer fills,
+    leaves no row behind in the buffer that takes over."""
+    readings = iter([*range(32), 1.5, 40, 41])
+    session = TraceSession(clock=lambda: next(readings), capacity=16)
+    for token in range(16):
+        session.end_phase(session.begin_phase(PhaseKind.DECODE, 0, token))
+    with pytest.raises(TypeError, match="^PhaseRecord.t_start_ns must be an int, got 1.5$"):
+        session.begin_phase(PhaseKind.DECODE, 0, 16)
+    session.end_phase(session.begin_phase(PhaseKind.DECODE, 0, 16))
+    assert [p.token_index for p in session.seal().phases] == list(range(17))
+
+
+def test_an_int_past_the_digit_limit_is_named():
+    """An int too long for CPython to print is reported by its size."""
+    message = "KernelRecord.t_end_ns out of int64 range, got a 16610-bit int"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        KernelRecord("k", 0, 0, 0, 0, 0, 10**5000)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TraceSession().record_kernel("k", 0, 0, 0, 0, 0, 10**5000)
+    with pytest.raises(ValueError, match="^PhaseRecord.turn out of int64 range, "
+                                         "got a negative 16610-bit int$"):
+        PhaseRecord(PhaseKind.PREFILL, -10**5000, None, 0, 0)
+
+
+# -- the row buffers -----------------------------------------------------------
+
+CALLS = st.one_of(
+    st.tuples(st.just("phase"), st.sampled_from([*PhaseKind, None]), VALUES, VALUES,
+              st.integers(0, 100)),
+    st.tuples(st.just("kernel"), st.sampled_from(["a", "b", "c", ""]),
+              st.lists(st.integers(0, 3) | VALUES, min_size=6, max_size=6)),
+    # one closed phase and these kernels, appended by record_columns
+    st.tuples(st.just("columns"), st.lists(st.tuples(st.sampled_from(["b", "z"]),
+                                                     st.integers(0, 5)), max_size=30)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(CALLS, st.integers(1, 40)), max_size=20))
+def test_session_seals_what_trace_of_the_records_holds(calls):
+    """Record calls and column appends that cross several doublings of a
+    16-row buffer seal to the Trace of the records the same calls make; a
+    refused call records nothing."""
+    clock = VirtualClock(0)
+    session = TraceSession(device_label="d", clock_offset_ns=0, clock=clock, capacity=16)
+    phases, kernels = [], []
+    for call, repeat in calls:
+        for _ in range(repeat):
+            if call[0] == "phase":
+                _, kind, turn, token, duration = call
+                start = clock()
+                expected = error_of(PhaseRecord, kind, turn, token, start, start + duration)
+                try:
+                    handle = session.begin_phase(kind, turn, token)
+                except Exception as exc:
+                    assert (type(exc), str(exc)) == expected
+                    continue
+                clock.advance_to(start + duration)
+                session.end_phase(handle)
+                phases.append(PhaseRecord(kind, turn, token, start, start + duration))
+            elif call[0] == "columns":
+                start = clock()
+                clock.advance_to(start + 1)
+                names = ["z", "b"]
+                rows = [(names.index(name), 0, t, t, t, t, t) for name, t in call[1]]
+                session.record_columns(
+                    [np.array([value]) for value in (2, 0, 0, start, start + 1)], names,
+                    [np.array(column, dtype=np.int64) for column in zip(*rows)] if rows
+                    else [np.zeros(0, dtype=np.int64)] * 7)
+                phases.append(PhaseRecord(PhaseKind.DECODE, 0, 0, start, start + 1))
+                kernels += [KernelRecord(name, 0, t, t, t, t, t) for name, t in call[1]]
+            else:
+                _, name, values = call
+                expected = error_of(KernelRecord, name, *values)
+                assert error_of(session.record_kernel, name, *values) == expected
+                if expected is None:
+                    kernels.append(KernelRecord(name, *values))
+    assert session.seal() == Trace("d", 0, phases, kernels)
+
+
+def test_first_row_converts_a_small_chunk():
+    """Iterating a table converts rows a growing chunk at a time, so the
+    first row of a 4096-token run's 16,386 phase rows converts 16 rows."""
+
+    class Counting(np.ndarray):
+        converted = 0
+
+        def tolist(self):
+            Counting.converted += len(self)
+            return super().tolist()
+
+    column = np.arange(16_386, dtype=np.int64).view(Counting)
+    rows = int_rows(column, column)
+    assert next(rows) == (0, 0)
+    assert Counting.converted == 2 * 16
+    assert list(rows) == [(i, i) for i in range(1, 16_386)]
+    assert Counting.converted == 2 * 16_386
+
+
+def test_a_record_that_races_seal_is_in_the_trace_or_refused():
+    """Two threads record while a third seals: the Trace holds exactly the
+    record_kernel calls that returned, and every later call raised
+    SessionSealed. A session whose record path skipped the lock would
+    return calls whose rows the Trace lacks."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            session = TraceSession(capacity=16)
+            returned, refusals = [0, 0], [[], []]
+
+            def record(queue):
+                while not refusals[queue]:
+                    try:
+                        session.record_kernel("k", queue, 0, 0, 0, 0, 0)
+                        returned[queue] += 1
+                    except Exception as exc:
+                        refusals[queue].append(exc)
+                for _ in range(3):
+                    try:
+                        session.record_kernel("k", queue, 0, 0, 0, 0, 0)
+                    except Exception as exc:
+                        refusals[queue].append(exc)
+
+            def seal():
+                deadline = time.monotonic() + 10
+                while min(returned) < 100 and time.monotonic() < deadline:
+                    time.sleep(0)
+                session.seal()
+
+            threads = [threading.Thread(target=record, args=(queue,)) for queue in (0, 1)]
+            threads.append(threading.Thread(target=seal))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            trace = session.seal()
+            assert [int((trace.kernels.queue_id == q).sum()) for q in (0, 1)] == returned
+            assert all(type(exc) is SessionSealed for calls in refusals for exc in calls)
+            assert [len(calls) for calls in refusals] == [4, 4]
+    finally:
+        sys.setswitchinterval(interval)

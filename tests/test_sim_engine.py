@@ -271,6 +271,13 @@ def test_session_must_use_virtual_clock():
         sim_engine.run(single_kernel_workload(), 1, 1, session=TraceSession())
 
 
+def test_sigma_rel_past_the_digit_limit_is_named():
+    """An int too long for CPython to print is reported by its size."""
+    with pytest.raises(ValueError, match="^sigma_rel must be finite and nonnegative, "
+                                         "got a 16610-bit int$"):
+        JitterModel(sigma_rel=10**5000)
+
+
 def test_jitter_model_validation():
     with pytest.raises(ValueError):
         JitterModel(sigma_rel=-0.1)

@@ -80,6 +80,8 @@ class _Engine:
         true_duration = ks.base_latency_ns + ks.per_step_slope_ns * step
         duration = jit(true_duration)
         end = start + duration
+        if end > INT64_MAX:  # every other stamp of the kernel is at most its end
+            raise OverflowError("kernel end past int64")
         self.session.record_kernel(ks.name, QUEUE_ID, enqueue, queued, submit, start, end)
         self.device_free = end
         t = self.truth
@@ -107,6 +109,8 @@ class _Engine:
                         )
                         busy += duration
         phase_end = max(host, device_end) + script.host_ns
+        if phase_end > INT64_MAX:
+            raise OverflowError("phase end past int64")
         self.clock.advance_to(phase_end)
         self.session.end_phase(handle)
         self.windows.append((list(PhaseKind).index(kind), turn,
@@ -146,8 +150,7 @@ def scalar_run(
             engine.emit_phase(PhaseKind.COPY_PROBS_TO_CPU, turn, step, step)
             engine.emit_phase(PhaseKind.SAMPLING, turn, step, step)
     except OverflowError as exc:
-        # a timestamp past the recorder's int64 columns, or a jitter factor
-        # past the float range
+        # a timestamp past int64, or a jitter factor past the float range
         raise InvalidSpec(
             f"workload {spec.name!r} overflows the simulated nanosecond timeline ({exc})"
         ) from None
