@@ -71,7 +71,9 @@ PER_TOKEN_KINDS = frozenset(
 )
 
 
-def _check_phase(kind: PhaseKind, turn: int, token_index: Optional[int], start: int, end: int):
+def _check_phase(
+    kind: PhaseKind, turn: int, token_index: Optional[int], start: int, end: int
+) -> None:
     """Raise ValueError for a negative turn, a token index that breaks the
     kind's rule or a negative start, then TimestampOrderViolation for
     end < start."""
@@ -159,16 +161,19 @@ class KernelRecord:
         for name in ("queue_id", "t_cpu_enqueue_ns", "t_queued_ns", "t_submit_ns",
                      "t_start_ns", "t_end_ns"):
             check_int64(f"KernelRecord.{name}", getattr(self, name))
-        _check_kernel(self.name, self.queue_id, self.t_cpu_enqueue_ns, self.t_queued_ns,
-                      self.t_submit_ns, self.t_start_ns, self.t_end_ns)
+        _check_kernel(
+            self.name, self.queue_id, self.t_cpu_enqueue_ns,
+            self.t_queued_ns, self.t_submit_ns, self.t_start_ns, self.t_end_ns,
+        )
 
     @property
     def execution_ns(self) -> int:
         return self.t_end_ns - self.t_start_ns
 
 
-def _check_kernel(name: str, queue_id: int, enqueue: int, queued: int, submit: int, start: int,
-                  end: int) -> None:
+def _check_kernel(
+    name: str, queue_id: int, enqueue: int, queued: int, submit: int, start: int, end: int
+) -> None:
     """Raise TypeError for a name that is not a str, ValueError for an empty
     name, a negative queue id or a negative host or queued timestamp, then
     TimestampOrderViolation naming the first violated lifecycle inequality."""
@@ -443,8 +448,10 @@ class Trace:
         overlaps = np.flatnonzero(phases.t_start_ns[1:] < phases.t_end_ns[:-1])
         if len(overlaps):
             a, b = phases[overlaps[0]:overlaps[0] + 2]
-            raise PhaseOverlap(f"phase records overlap: {a.kind.value} [{a.t_start_ns}, "
-                               f"{a.t_end_ns}] and {b.kind.value} [{b.t_start_ns}, {b.t_end_ns}]")
+            raise PhaseOverlap(
+                f"phase records overlap: {a.kind.value} [{a.t_start_ns}, {a.t_end_ns}] "
+                f"and {b.kind.value} [{b.t_start_ns}, {b.t_end_ns}]"
+            )
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "kernels", kernels)
 
@@ -469,91 +476,109 @@ class RecordColumns:
     :class:`TraceSession`, :func:`lmmk.trace_io.read_jsonl` and
     :class:`Trace` fill and hand to a Trace as :meth:`tables`. Rows are
     int64 in :class:`PhaseTable`/:class:`KernelTable` column order (5 and 7
-    wide), each written into a row buffer by one ``struct.pack_into``. A
-    full buffer is kept as a segment and a new one of up to
-    ``_SEGMENT_ROWS`` rows takes over: nothing is copied to grow, and no
-    block reaches glibc's 128 KiB mmap threshold, which freeing so large a
-    block would raise. Kernel names are interned: the name column holds
-    codes into the distinct names. Appends check nothing; a value outside
-    int64 raises ``struct.error``."""
+    wide), each written into a row buffer by one ``struct.pack_into``.
+    ``capacity`` rows of each table are allocated up front in buffers of at
+    most ``_SEGMENT_ROWS`` rows; a full buffer is kept as a segment and the
+    next one, or a new one of up to ``_SEGMENT_ROWS`` rows, takes over.
+    Nothing is copied to grow, and no row buffer reaches glibc's 128 KiB
+    mmap threshold, which freeing so large a block would raise. Rows
+    appended as columns become one segment, a copy of each column, so the
+    bulk route writes no row and makes no block wider than one column (a
+    wider one, freed, would raise the threshold). Kernel names are
+    interned: the name column holds codes into the distinct names. Appends
+    check nothing; a row with a value outside int64 raises ``struct.error``
+    and leaves no row and no name."""
 
     def __init__(self, capacity: int = 1024) -> None:
-        self._phases = bytearray(_PHASE_ROW.size * max(16, capacity))
-        self._kernels = bytearray(_KERNEL_ROW.size * max(16, capacity))
+        self._p_spares = _buffers(_PHASE_ROW.size, max(16, capacity))  # next buffer last
+        self._k_spares = _buffers(_KERNEL_ROW.size, max(16, capacity))
+        self._phases, self._kernels = self._p_spares.pop(), self._k_spares.pop()
         self._p_at = self._k_at = 0  # bytes of each row buffer filled
-        self._p_segments, self._k_segments = [], []  # full buffers' rows, oldest first
+        self._p_from = self._k_from = 0  # bytes of each row buffer already in a segment
+        self._p_segments, self._k_segments = [], []  # earlier rows' columns, oldest first
         self._p_len = 0
         self._name_codes: dict[str, int] = {}  # distinct names in interning order
 
-    def add_phase(self, kind: PhaseKind, turn: int, token_index: Optional[int], start: int,
-                  end: int) -> int:
+    def add_phase(
+        self, kind: PhaseKind, turn: int, token_index: Optional[int], start: int, end: int
+    ) -> int:
         """Append one phase row and return its row index."""
         i, at = self._p_len, self._p_at
         if at == len(self._phases):
-            self._phases = _closed(self._p_segments, self._phases, _PHASE_ROW.size)
-            self._p_at = at = 0  # stored now, so a refused row leaves the new buffer empty
+            self._phases = _closed(self._p_segments, self._p_spares, self._phases,
+                                   self._p_from, _PHASE_ROW.size)
+            self._p_at = self._p_from = at = 0  # stored now: a refused row leaves no row
         _PHASE_ROW.pack_into(self._phases, at, _INDEX_BY_VALUE[kind._value_], turn,
                              _NO_TOKEN if token_index is None else token_index, start, end)
         self._p_at, self._p_len = at + _PHASE_ROW.size, i + 1
         return i
 
-    def add_kernel(self, name: str, queue_id: int, enqueue: int, queued: int, submit: int,
-                   start: int, end: int) -> None:
+    def add_kernel(
+        self, name: str, queue_id: int, enqueue: int, queued: int, submit: int, start: int,
+        end: int,
+    ) -> None:
         """Append one kernel row."""
         at = self._k_at
         if at == len(self._kernels):
-            self._kernels = _closed(self._k_segments, self._kernels, _KERNEL_ROW.size)
-            self._k_at = at = 0
-        code = self._name_codes.get(name)
-        if code is None:
-            code = self._name_codes[name] = len(self._name_codes)
-        _KERNEL_ROW.pack_into(self._kernels, at, code, queue_id, enqueue, queued, submit, start,
-                              end)
+            self._kernels = _closed(self._k_segments, self._k_spares, self._kernels,
+                                    self._k_from, _KERNEL_ROW.size)
+            self._k_at = self._k_from = at = 0
+        codes = self._name_codes
+        code = codes.get(name)
+        _KERNEL_ROW.pack_into(self._kernels, at, len(codes) if code is None else code, queue_id,
+                              enqueue, queued, submit, start, end)
+        if code is None:  # interned only once the row is stored, so a refused row leaves no name
+            codes[name] = len(codes)
         self._k_at = at + _KERNEL_ROW.size
 
     def extend(self, phases: Columns, names: Sequence[str], kernels: Columns) -> None:
         """Append rows given as columns in the order of :class:`PhaseTable`
         and :class:`KernelTable`; name codes index ``names``, which are
-        interned in the order given."""
+        interned in the order given. The rows of the row buffers become a
+        segment first, and a copy of each column the next one."""
         codes = self._name_codes
         remap = np.array([codes.setdefault(name, len(codes)) for name in names], dtype=np.int64)
-        self._phases, self._p_at = _put(self._p_segments, self._phases, self._p_at, phases)
-        self._kernels, self._k_at = _put(self._k_segments, self._kernels, self._k_at,
-                                         [remap[kernels[0]], *kernels[1:]])
+        kernels = [remap[kernels[0]], *(np.array(c, dtype=np.int64) for c in kernels[1:])]
+        self._p_segments += [_rows(self._phases, self._p_from, self._p_at, 5),
+                             [np.array(column, dtype=np.int64) for column in phases]]
+        self._k_segments += [_rows(self._kernels, self._k_from, self._k_at, 7), kernels]
+        self._p_from, self._k_from = self._p_at, self._k_at
         self._p_len += len(phases[0])
 
     def tables(self) -> tuple[PhaseTable, KernelTable]:
-        """The rows as unchecked tables in recording order (views of the buffer
-        while it holds them all): a :class:`Trace` checks, orders and copies them."""
-        phases = _joined(self._p_segments, self._phases, self._p_at, 5)
-        kernels = _joined(self._k_segments, self._kernels, self._k_at, 7)
+        """The rows as unchecked tables in recording order (views when one
+        buffer or segment holds them all): a :class:`Trace` checks, orders
+        and copies them."""
+        phases = _joined([*self._p_segments, _rows(self._phases, self._p_from, self._p_at, 5)])
+        kernels = _joined([*self._k_segments, _rows(self._kernels, self._k_from, self._k_at, 7)])
         return PhaseTable(*phases), KernelTable(self._name_codes, *kernels)
 
 
-def _closed(segments: list, buffer: bytearray, row: int) -> bytearray:
-    """Close a full row buffer into ``segments``; returns the buffer the next rows go to."""
-    segments.append(np.frombuffer(buffer, dtype=np.int64).reshape(-1, row // 8).T)
-    return bytearray(min(2 * len(buffer), row * _SEGMENT_ROWS))
+def _buffers(row: int, rows: int) -> list[bytearray]:
+    """Zeroed buffers of ``rows`` rows of ``row`` bytes, at most ``_SEGMENT_ROWS`` rows
+    each, the first to fill last."""
+    return [bytearray(row * min(_SEGMENT_ROWS, rows - lo))
+            for lo in reversed(range(0, rows, _SEGMENT_ROWS))]
 
 
-def _put(segments: list, buffer: bytearray, at: int, columns: Columns) -> tuple[bytearray, int]:
-    """Write ``columns`` as rows from byte ``at`` on; returns the buffer and ``at`` anew."""
-    row, lo = 8 * len(columns), 0
-    while lo < len(columns[0]):
-        if at == len(buffer):
-            buffer, at = _closed(segments, buffer, row), 0
-        n = min(len(columns[0]) - lo, (len(buffer) - at) // row)
-        rows = np.frombuffer(buffer, dtype=np.int64, count=n * row // 8, offset=at)
-        for target, column in zip(rows.reshape(n, -1).T, columns):
-            target[:] = column[lo:lo + n]
-        lo, at = lo + n, at + n * row
-    return buffer, at
+def _closed(segments: list, spares: list, buffer: bytearray, lo: int, row: int) -> bytearray:
+    """Close a full row buffer, whose rows from byte ``lo`` on are in no
+    segment yet, into ``segments``; returns the buffer the next rows go to."""
+    segments.append(_rows(buffer, lo, len(buffer), row // 8))
+    return spares.pop() if spares else bytearray(min(2 * len(buffer), row * _SEGMENT_ROWS))
 
 
-def _joined(segments: list, buffer: bytearray, at: int, width: int) -> Columns:
-    """A table's columns: its segments, then the first ``at`` bytes of its buffer."""
-    rows = np.frombuffer(buffer, dtype=np.int64, count=at // 8).reshape(-1, width).T
-    return [np.concatenate(c) for c in zip(*segments, rows)] if segments else rows
+def _rows(buffer: bytearray, lo: int, hi: int, width: int) -> np.ndarray:
+    """The rows in bytes ``lo`` to ``hi`` of a row buffer, as a (width, n) view."""
+    return np.frombuffer(buffer, dtype=np.int64, count=(hi - lo) // 8,
+                         offset=lo).reshape(-1, width).T
+
+
+def _joined(segments: list) -> Columns:
+    """A table's columns from its segments' columns; those of the one
+    segment that holds every row, if one does, as they are."""
+    parts = [part for part in segments if len(part[0])] or segments[-1:]
+    return parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
 
 
 class TraceSession:
@@ -566,11 +591,16 @@ class TraceSession:
     completion-callback paths) and puts a record that races :meth:`seal` in
     the Trace or refuses it with :class:`SessionSealed`; per-thread buffers
     measured at best 80 ns a record faster (1% of a recorder-bound pass)
-    and need more than one lock to seal. The Trace's stable argsort keeps ties in
-    recording order."""
+    and need more than one lock to seal. The Trace's stable argsort keeps
+    ties in recording order."""
 
-    def __init__(self, device_label: str = "", clock_offset_ns: Optional[int] = None,
-                 clock: Callable[[], int] = now, capacity: int = 1024) -> None:
+    def __init__(
+        self,
+        device_label: str = "",
+        clock_offset_ns: Optional[int] = None,
+        clock: Callable[[], int] = now,
+        capacity: int = 1024,
+    ) -> None:
         self._rows = RecordColumns(capacity)
         self.device_label = device_label
         self.clock_offset_ns = clock_offset_ns
@@ -606,7 +636,9 @@ class TraceSession:
             if self._sealed_trace is not None:
                 raise SessionSealed("cannot begin a phase on a sealed session")
             if self._open_handle != -1:
-                raise PhaseOverlap("a phase is already open; phase records must not overlap")
+                raise PhaseOverlap(
+                    "a phase is already open; phase records must not overlap"
+                )
             start = self.clock()
             try:
                 self._open_handle = self._rows.add_phase(kind, turn, token_index, start, _OPEN)
@@ -637,8 +669,16 @@ class TraceSession:
 
     # -- kernels --------------------------------------------------------
 
-    def record_kernel(self, name: str, queue_id: int, t_cpu_enqueue_ns: int, t_queued_ns: int,
-                      t_submit_ns: int, t_start_ns: int, t_end_ns: int) -> None:
+    def record_kernel(
+        self,
+        name: str,
+        queue_id: int,
+        t_cpu_enqueue_ns: int,
+        t_queued_ns: int,
+        t_submit_ns: int,
+        t_start_ns: int,
+        t_end_ns: int,
+    ) -> None:
         """Append one device command with its lifecycle timestamps.
 
         Refuses what :class:`KernelRecord` refuses, with its error, and
@@ -693,8 +733,15 @@ class TraceSession:
             if self._open_handle != -1:
                 raise OpenPhaseRemaining(f"phase handle {self._open_handle} is still open")
             phases, kernels = self._rows.tables()
-            self._sealed_trace = Trace(self.device_label, self.clock_offset_ns, phases, kernels,
-                                       self.prompt_tokens, self.output_tokens, self.created_at)
+            self._sealed_trace = Trace(
+                device_label=self.device_label,
+                clock_offset_ns=self.clock_offset_ns,
+                phases=phases,
+                kernels=kernels,
+                prompt_tokens=self.prompt_tokens,
+                output_tokens=self.output_tokens,
+                created_at=self.created_at,
+            )
             return self._sealed_trace
 
 

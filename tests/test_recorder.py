@@ -1,5 +1,6 @@
 import gc
 import re
+import struct
 import sys
 import threading
 import time
@@ -25,8 +26,10 @@ from lmmk.recorder import (
     KernelRecord,
     PhaseKind,
     PhaseRecord,
+    RecordColumns,
     Trace,
     TraceSession,
+    _SEGMENT_ROWS,
     calibrate_timer,
     int_rows,
     now,
@@ -508,6 +511,58 @@ def test_session_seals_what_trace_of_the_records_holds(calls):
                 if expected is None:
                     kernels.append(KernelRecord(name, *values))
     assert session.seal() == Trace("d", 0, phases, kernels)
+
+
+@pytest.mark.parametrize("capacity", [1, 16, 2_047, 2_048, 2_049, 10_000, 100_000])
+def test_no_row_buffer_exceeds_segment_rows(capacity):
+    """Whatever the capacity, every row buffer holds at most _SEGMENT_ROWS
+    rows (112 KiB of kernel rows), so none reaches glibc's 128 KiB mmap
+    threshold; capacity rows are allocated up front."""
+    rows = RecordColumns(capacity)
+
+    def buffers():
+        return [((rows._phases, *rows._p_spares), rows._p_segments, 5),
+                ((rows._kernels, *rows._k_spares), rows._k_segments, 7)]
+
+    for table, segments, width in buffers():
+        assert sum(len(b) for b in table) == 8 * width * max(16, capacity) and not segments
+    n = 5_000
+    for i in range(n):
+        rows.add_kernel("k", 0, i, i, i, i, i)
+        rows.add_phase(PhaseKind.DECODE, 0, i, i, i)
+    for table, segments, width in buffers():
+        assert max(len(b) for b in table) <= 8 * width * _SEGMENT_ROWS
+        assert sum(len(s[0]) for s in segments) + len(table[0]) // (8 * width) >= n
+        assert max(len(s[0]) for s in segments) <= _SEGMENT_ROWS
+    rows.extend([np.arange(n, dtype=np.int64)] * 5, ["k"], [np.zeros(n, dtype=np.int64)] * 7)
+    phases, kernels = rows.tables()
+    assert len(phases) == len(kernels) == 2 * n
+    assert kernels.t_start_ns.tolist() == [*range(n), *[0] * n]
+
+
+def test_tables_keep_their_rows_through_later_appends():
+    """tables() may view the row buffers, so appends after it, by column or
+    by row, must write past the rows it returned."""
+    rows = RecordColumns(capacity=16)
+    for i in range(3):
+        rows.add_kernel("k", 0, i, i, i, i, i)
+    _, before = rows.tables()
+    rows.extend([np.zeros(0, dtype=np.int64)] * 5, ["j"], [np.array([0, 0])] + [np.arange(2)] * 6)
+    for i in range(40):
+        rows.add_kernel("k", 0, 9, 9, 9, 9, 9)
+    assert before.t_start_ns.tolist() == [0, 1, 2]
+    assert rows.tables()[1].t_start_ns.tolist() == [0, 1, 2, 0, 1] + [9] * 40
+
+
+def test_a_row_the_buffer_refuses_leaves_no_name():
+    """A kernel row that struct refuses is interned under no name: the name
+    is stored only once the row is."""
+    rows = RecordColumns()
+    with pytest.raises(struct.error):
+        rows.add_kernel("k", 0, 0, 0, 0, 0, 2**63)
+    rows.add_kernel("j", 0, 0, 0, 0, 0, 1)
+    _, kernels = rows.tables()
+    assert kernels.names == ("j",) and kernels.name_code.tolist() == [0]
 
 
 def test_first_row_converts_a_small_chunk():
