@@ -640,6 +640,8 @@ class TraceSession:
                     "a phase is already open; phase records must not overlap"
                 )
             start = self.clock()
+            if type(start) is not int:  # pack would take a bool or a numpy integer
+                check_int64("PhaseRecord.t_start_ns", start)
             try:
                 self._open_handle = self._rows.add_phase(kind, turn, token_index, start, _OPEN)
             except struct.error:
@@ -659,6 +661,8 @@ class TraceSession:
             if handle != self._open_handle:
                 raise AlreadyEnded(f"phase handle {handle} was already ended")
             end = self.clock()
+            if type(end) is not int:
+                check_int64("PhaseRecord.t_end_ns", end)
             try:  # the open phase is the last row of the buffer, its end the last int64
                 _INT64.pack_into(self._rows._phases, self._rows._p_at - 8, end)
             except struct.error:
@@ -763,7 +767,8 @@ def calibrate_timer(iterations: int = 10_000) -> TimerCalibration:
         if delta > 0 and (resolution is None or delta < resolution):
             resolution = delta
         prev = cur
-    scratch = TraceSession(device_label="calibration", capacity=iterations)
+    # default capacity: no kernel rows, and the median ignores pairs that open a buffer
+    scratch = TraceSession(device_label="calibration")
     costs = [0] * iterations
     for i in range(iterations):
         t0 = now()

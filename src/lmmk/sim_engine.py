@@ -298,10 +298,12 @@ def _terms(spec: WorkloadSpec, layouts: list, tokens: int) -> list:
     edges = np.cumsum([0] + [draw.sum() for draw in draws])
     count = edges[2] + tokens * (edges[6] - edges[2])
     rng = np.random.Generator(np.random.Philox(spec.jitter.seed))
-    # math.exp, not np.exp: the two differ in the last bit on some inputs
+    # each term is max(1, round(value * math.exp(sigma * g))) bit for bit (see _jittered)
     with np.errstate(over="ignore"):  # a product past the floats is ±inf: a factor of inf or 0
-        factors = np.fromiter(map(math.exp, sigma * rng.standard_normal(count)), np.float64, count)
-    per_token = factors[edges[2]:].reshape(tokens, edges[6] - edges[2])  # a row per token
+        exponents = sigma * rng.standard_normal(count)
+    if exponents.max(initial=0) > math.log(sys.float_info.max):  # raise as math.exp does
+        np.fromiter(map(math.exp, exponents), np.float64, count)
+    per_token = exponents[edges[2]:].reshape(tokens, edges[6] - edges[2])  # a row per token
     blocks = []
     for k, (slots, table, draw) in enumerate(zip(layouts, tables, draws)):
         steps = np.arange(tokens if k >= 2 else 1)[:, None]  # embedding and prefill: step 0
@@ -314,15 +316,28 @@ def _terms(spec: WorkloadSpec, layouts: list, tokens: int) -> list:
         block[..., :3] = table[:, :3]
         block[..., 3] = table[:, 3] + table[:, 4] * steps
         if draw.any():
-            scaled = block[:, draw].astype(np.float64)
-            with np.errstate(over="ignore"):
-                scaled *= (factors[None, edges[k]:edges[k + 1]] if k < 2
-                           else per_token[:, edges[k] - edges[2]:edges[k + 1] - edges[2]])
+            scaled = _jittered(block[:, draw].astype(np.float64),
+                               exponents[None, edges[k]:edges[k + 1]] if k < 2
+                               else per_token[:, edges[k] - edges[2]:edges[k + 1] - edges[2]])
             if not scaled.max() < 2.0**63:
                 raise OverflowError("a jittered term is not a finite float within int64")
-            block[:, draw] = np.maximum(np.rint(scaled, out=scaled), 1, out=scaled)
+            block[:, draw] = scaled
         blocks.append(block.astype(np.int64))
     return blocks
+
+
+def _jittered(terms: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """``max(1, round(term * math.exp(x)))`` of each term and exponent, bit for bit: numpy's
+    exp is within 2**-40 of math.exp, so only a product within product * 2**-36 of a
+    half-integer (any of 2**35 or more, or not finite) may round apart; math.exp redoes it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = np.exp(exponents) * terms  # numpy reuses a large temporary in place
+        room = np.rint(product) - product  # becomes the distance to a half-integer * 2**36
+        np.subtract(0.5, np.abs(room, out=room), out=room)
+        room *= 2.0**36
+        near = ~(room > product)
+        product[near] = terms[near] * [math.exp(x) for x in exponents[near].tolist()]
+    return np.maximum(np.rint(product, out=product), 1, out=product)
 
 
 def _simulate(spec: WorkloadSpec, plan: Optional[DuplicationPlan], prompt_tokens: int,

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import manual_session
+from lmmk import recorder
 from lmmk.errors import (
     AlreadyEnded,
     OpenPhaseRemaining,
@@ -69,6 +70,24 @@ class TestCalibration:
         assert cal.overhead_ns_median == cal.overhead_ns_median  # not NaN
         assert cal.overhead_ns_median < float("inf")
         assert cal.iterations == 10_000
+
+    def test_allocates_no_more_kernel_rows_than_a_default_session(self, monkeypatch):
+        """It records only phases, so its session's kernel rows stay at the default."""
+        made = []
+
+        class Spy(TraceSession):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        def kernel_bytes(session):
+            rows = session._rows
+            return sum(map(len, [rows._kernels, *rows._k_spares]))
+
+        monkeypatch.setattr(recorder, "TraceSession", Spy)
+        calibrate_timer(10_000)
+        assert len(made) == 1
+        assert kernel_bytes(made[0]) <= kernel_bytes(TraceSession())
 
     def test_repeat_runs_agree_within_order_of_magnitude(self):
         # Environment-dependent soft check: medians of two runs on the same
@@ -427,6 +446,24 @@ def test_clock_reading_outside_int64_is_refused_by_name(reading, error, message)
         session.begin_phase(PhaseKind.PREFILL, 0)
     handle = session.begin_phase(PhaseKind.PREFILL, 0)
     with pytest.raises(error, match=f"^PhaseRecord.t_end_ns {re.escape(message)}$"):
+        session.end_phase(handle)
+    session.end_phase(handle)
+    assert session.seal().phases == (PhaseRecord(PhaseKind.PREFILL, 0, None, 5, 9),)
+
+
+@pytest.mark.parametrize("reading, shown", [
+    (True, "True"), (np.int64(5), "np.int64(5)"), (5.0, "5.0"),
+], ids=["bool", "numpy-int", "float"])
+def test_a_clock_reading_that_is_not_an_exact_int_is_refused(reading, shown):
+    """The int rule holds for clock readings too, though struct packs a bool
+    or a numpy integer: the record's TypeError, and nothing recorded."""
+    readings = iter([reading, 5, reading, 9])
+    session = TraceSession(clock=lambda: next(readings))
+    message = f"must be an int, got {re.escape(shown)}$"
+    with pytest.raises(TypeError, match=f"^PhaseRecord.t_start_ns {message}"):
+        session.begin_phase(PhaseKind.PREFILL, 0)
+    handle = session.begin_phase(PhaseKind.PREFILL, 0)
+    with pytest.raises(TypeError, match=f"^PhaseRecord.t_end_ns {message}"):
         session.end_phase(handle)
     session.end_phase(handle)
     assert session.seal().phases == (PhaseRecord(PhaseKind.PREFILL, 0, None, 5, 9),)

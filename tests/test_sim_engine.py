@@ -453,3 +453,31 @@ def test_load_workload_yields_valid_spec_or_lmmk_error(tmp_path_factory, raw):
     except LmmkError:
         return
     assert_valid_spec(spec)
+
+
+def _near_half_integers():
+    """Terms and exponents whose exact products sit a relative 2**-e (e from
+    30 to 52) either side of a half-integer, and a few that do not."""
+    terms, exponents = [], []
+    for term in (1.0, 7_000.0, 112_000.0, 2_500_000.0, 2.0**40):
+        for half in (0.5, 1.5, 9_000.5, 151_234.5, 2.0**36 + 0.5):
+            for e in range(30, 53):
+                for side in (-1, 1):
+                    terms.append(term)
+                    exponents.append(math.log(half * (1 + side * 2.0**-e) / term))
+    terms += [3.0, 5.0, 2.0**62, 2.0**62, 1e5]
+    exponents += [-800.0, 0.0, 1.5, -44.0, 709.0]  # below 1, exact, past int64, tiny, inf
+    return np.array(terms), np.array(exponents)
+
+
+@pytest.mark.parametrize("shift", [2.0**-40, -2.0**-40, 2.0**-41, 0.0])
+def test_jittered_equals_math_exp_whatever_the_last_bits_of_np_exp(monkeypatch, shift):
+    """numpy's exp off by up to 2**-40 relative moves no rounded result:
+    each is max(1, round(term * math.exp(x))), or inf past the floats."""
+    terms, exponents = _near_half_integers()
+    real_exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x: real_exp(x) * (1 + shift))
+    got = sim_engine._jittered(terms, exponents).tolist()
+    exact = [t * math.exp(x) for t, x in zip(terms.tolist(), exponents.tolist())]
+    assert got == [v if math.isinf(v) else max(1, round(v)) for v in exact]
+    assert math.isinf(got[-1]) and got[-2] == 1

@@ -12,6 +12,7 @@ reference dict.
 
 import json
 import math
+import sys
 from typing import Optional
 
 import numpy as np
@@ -352,3 +353,39 @@ def test_failed_run_leaves_no_partial_rows(start, prompt_tokens, error):
     assert clock() == start
     trace = session.seal()
     assert len(trace.phases) == 0 and len(trace.kernels) == 0
+
+
+@pytest.mark.parametrize("kernel, seed", [
+    ("fused_add_rms_norm", 42), (sim_engine.PAGED_KV_KERNEL, 7), ("dequantize_matmul_ffn_down", 0),
+])
+def test_duplication_study_shape_replays_scalar_engine(kernel, seed):
+    """The benchmark's duplication runs: 1000 copies of a decode kernel, 16 tokens, sigma 0.02."""
+    spec = sim_engine.preset_gemma_decode().with_jitter(seed=seed, sigma_rel=0.02)
+    assert_same_replay(spec, DuplicationPlan(kernel, 1000), 8, 16)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_an_exponent_past_log_dbl_max_raises_the_scalar_engines_error(seed):
+    """A draw whose exponent math.exp cannot take ends in the scalar engine's
+    InvalidSpec, detail included: no earlier draw passes int64 here."""
+    spec = sim_engine.preset_gemma_decode().with_jitter(seed=seed, sigma_rel=1e4)
+    exponents = 1e4 * np.random.Generator(np.random.Philox(seed)).standard_normal(100)
+    assert (exponents > math.log(sys.float_info.max)).any()
+    errors = []
+    for engine in (scalar_run, sim_engine._run):
+        with pytest.raises(InvalidSpec) as caught:
+            engine(spec, 1, 2, make_session(spec.name), None)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+    assert errors[0].endswith("(math range error)")
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_math_exps_error_comes_before_any_block_is_scaled(seed):
+    """An exponent past log(DBL_MAX) in a late block still raises math.exp's
+    error, not the int64 error an earlier block's product would raise."""
+    spec = sim_engine.preset_gemma_decode().with_jitter(seed=seed, sigma_rel=300.0)
+    exponents = 300.0 * np.random.Generator(np.random.Philox(seed)).standard_normal(164)
+    assert np.argmax(exponents > math.log(sys.float_info.max)) > 100  # a decode block's draw
+    with pytest.raises(InvalidSpec, match=r"\(math range error\)$"):
+        sim_engine.run(spec, 1, 2)
