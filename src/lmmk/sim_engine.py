@@ -9,9 +9,11 @@ the device frees up. That is what produces the idle gaps a real mobile
 GPU shows between kernel launches.
 
 A turn is computed as arrays. Every phase of one kind has the same kernel
-slots, so each kind is one (phases x slots) block. With ready_i a
-kernel's submit-ready time and D_i the running sum of durations, both
-from the phase start, the queue gives end_i = D_i + max over j <= i of
+slots, kept as two arrays (each slot's kernel index in its script and its
+duplicate flag), so each kind is one (phases x slots) block and per-kernel
+work is done once, then gathered by index. With ready_i a kernel's
+submit-ready time and D_i the running sum of durations, both from the
+phase start, the queue gives end_i = D_i + max over j <= i of
 (ready_j - D_(j-1)): one ``np.maximum.accumulate`` per block. A phase
 lasts max(host cursor, last end) + host_ns, and phases follow each other
 from the session clock's reading. The rows reach the recorder session in
@@ -38,6 +40,7 @@ from .recorder import (INT64_MAX, PhaseKind, Trace, TraceSession, _INDEX_BY_VALU
                        _NO_TOKEN, _RecordTable, _shown, check_int64)
 
 QUEUE_ID = 0  # single in-order device queue
+MAX_KERNEL_ROWS = 2**24  # a run that would record more is refused before anything is built
 
 
 class VirtualClock:
@@ -276,22 +279,29 @@ def run_with_duplication(
     return _run(spec, prompt_tokens, output_tokens, session, plan=plan)
 
 
-def _slots(script: PhaseScript, plan: Optional[DuplicationPlan]) -> list[tuple[KernelSpec, bool]]:
-    """The kernel and duplicate flag of each kernel slot of one phase: every
-    invocation, then the copies the plan inserts after it."""
-    copies = {} if plan is None else {plan.kernel_name: plan.n}
-    return [(ks, copy > 0) for ks in script.kernels for _ in range(ks.invocations_per_phase)
-            for copy in range(1 + copies.get(ks.name, 0))]
+def _slots(kernels: tuple, counts: list, copies: dict) -> tuple[np.ndarray, np.ndarray]:
+    """One phase's slots as two arrays, each slot's index in ``kernels`` and its duplicate
+    flag. Kernel j fills one run of ``counts[j]`` slots: each invocation, then the ``copies``
+    the plan inserts after it."""
+    index = np.repeat(np.arange(len(kernels)), np.array(counts, dtype=np.int64))
+    duplicate = np.zeros(len(index), dtype=bool)
+    for j, ks in enumerate(kernels):
+        if ks.name in copies:  # each invocation's slot, then its copies
+            duplicate[index == j] = np.arange(counts[j]) % (1 + copies[ks.name]) > 0
+    return index, duplicate
 
 
-def _terms(spec: WorkloadSpec, layouts: list, tokens: int) -> list:
-    """Each kind's (phases, slots, 4) int64 block of jittered dispatch gap,
-    queue delay, submit delay and duration, with the jitter drawn in the
-    order docs/workload_schema.md gives."""
+def _terms(spec: WorkloadSpec, scripts: list, layouts: list, tokens: int) -> list:
+    """Each kind's (phases, slots, 4) int64 block of jittered dispatch gap, queue delay, submit
+    delay and duration, jitter drawn in the order docs/workload_schema.md gives. The term table
+    and the int64 bound are worked out per kernel; the slots gather the table by index."""
     sigma = spec.jitter.sigma_rel
-    tables = [np.array([(0 if dup else ks.dispatch_gap_ns, ks.queue_delay_ns, ks.submit_delay_ns,
-                         ks.base_latency_ns, ks.per_step_slope_ns) for ks, dup in slots],
-                       dtype=np.int64).reshape(-1, 5) for slots in layouts]
+    tables = [np.array([(ks.dispatch_gap_ns, ks.queue_delay_ns, ks.submit_delay_ns,
+                         ks.base_latency_ns, ks.per_step_slope_ns) for ks in kernels],
+                       dtype=np.int64).reshape(-1, 5)[index]
+              for kernels, (index, _) in zip(scripts, layouts)]
+    for table, (_, duplicate) in zip(tables, layouts):
+        table[duplicate, 0] = 0  # a duplicate has no dispatch gap
     draws = [(table[:, :4] != 0) & (sigma > 0) for table in tables]  # [slot, term] draws
     # draws run embedding, prefill, then per token decode..sampling: edges[k] is where
     # kind k's draws start, counting the first token's
@@ -305,14 +315,14 @@ def _terms(spec: WorkloadSpec, layouts: list, tokens: int) -> list:
         np.fromiter(map(math.exp, exponents), np.float64, count)
     per_token = exponents[edges[2]:].reshape(tokens, edges[6] - edges[2])  # a row per token
     blocks = []
-    for k, (slots, table, draw) in enumerate(zip(layouts, tables, draws)):
+    for k, (kernels, table, draw) in enumerate(zip(scripts, tables, draws)):
         steps = np.arange(tokens if k >= 2 else 1)[:, None]  # embedding and prefill: step 0
         longest = max((ks.base_latency_ns + ks.per_step_slope_ns * int(steps[-1, 0])
-                       for ks, _ in slots), default=0)
+                       for ks in kernels), default=0)
         if longest > INT64_MAX and not sigma:
             raise OverflowError("a kernel duration passes int64")
         steps = steps.astype(object if longest > INT64_MAX else np.int64)  # object: exact ints
-        block = np.empty((len(steps), len(slots), 4), dtype=steps.dtype)
+        block = np.empty((len(steps), len(table), 4), dtype=steps.dtype)
         block[..., :3] = table[:, :3]
         block[..., 3] = table[:, 3] + table[:, 4] * steps
         if draw.any():
@@ -344,54 +354,60 @@ def _simulate(spec: WorkloadSpec, plan: Optional[DuplicationPlan], prompt_tokens
               output_tokens: int, t0: int) -> tuple[tuple, list[str], tuple, GroundTruth]:
     """The columns :meth:`TraceSession.record_columns` takes for a turn
     that starts at ``t0``, and the turn's ground truth."""
+    scripts = [spec.scripts[kind].kernels for kind in PhaseKind]
+    copies = {} if plan is None else {plan.kernel_name: plan.n}
+    counts = [[ks.invocations_per_phase * (1 + copies.get(ks.name, 0)) for ks in kernels]
+              for kernels in scripts]  # each kernel's slots in a phase, as exact ints
+    kernel_rows = sum(counts[0] + counts[1]) + output_tokens * sum(map(sum, counts[2:]))
+    if kernel_rows > MAX_KERNEL_ROWS:
+        raise InvalidSpec(f"the run needs {kernel_rows} kernel rows, past the "
+                          f"{MAX_KERNEL_ROWS}-row limit")
     # kind codes are positions in PhaseKind, whose order is also the turn's phase order
     kind_code = np.concatenate(([0, 1], np.tile(np.arange(2, 6), output_tokens)))
     token = np.concatenate(([-1, -1], np.repeat(np.arange(output_tokens), 4)))  # -1: none
-    step = np.maximum(token, 0)
-    layouts = [_slots(spec.scripts[kind], plan) for kind in PhaseKind]
-    blocks = _terms(spec, layouts, output_tokens)
+    layouts = [_slots(kernels, n, copies) for kernels, n in zip(scripts, counts)]
+    blocks = _terms(spec, scripts, layouts, output_tokens)
     host_ns = [spec.scripts[kind].host_ns for kind in PhaseKind]
     bound = t0 + sum(float(b.sum(dtype=np.float64)) + h * len(b) for b, h in zip(blocks, host_ns))
     if bound >= 2.0**62:  # a sum could pass int64: add as exact Python ints
         blocks = [block.astype(object) for block in blocks]
+    names = list(dict.fromkeys(ks.name for kernels in scripts for ks in kernels))
+    per_phase = np.array(list(map(sum, counts)))[kind_code]
+    first = np.cumsum(per_phase) - per_phase  # each phase's first kernel row
+    kernels = np.empty((5, kernel_rows), dtype=np.int64)  # name code, enqueue, submit, start, end
     lengths = np.empty(len(kind_code), dtype=blocks[0].dtype)
     busy = np.empty_like(lengths)
-    relative = []  # per kind: enqueue, submit, start and end from the phase start
-    for k, block in enumerate(blocks):
+    truth = GroundTruth(prompt_tokens=prompt_tokens, output_tokens=output_tokens)
+    totals = (truth.kernel_total_ns, truth.kernel_true_total_ns, truth.kernel_invocations)
+    for k, (kind, script, (index, _), block) in enumerate(zip(PhaseKind, scripts, layouts,
+                                                              blocks)):
+        pos = np.flatnonzero(kind_code == k)
         gap, queue, submit, duration = np.moveaxis(block, 2, 0)
         host = np.cumsum(gap, axis=1)
         done = np.cumsum(duration, axis=1)
         end = done + np.maximum.accumulate(host + queue + submit - done + duration, axis=1)
         tail = block.shape[1] > 0
-        lengths[kind_code == k] = (np.maximum(host[:, -1], end[:, -1]) if tail else 0) + host_ns[k]
-        busy[kind_code == k] = done[:, -1] if tail else 0
-        relative.append((host, host + queue, end - duration, end))
+        lengths[pos] = (np.maximum(host[:, -1], end[:, -1]) if tail else 0) + host_ns[k]
+        busy[pos] = done[:, -1] if tail else 0
+        truth.phase_busy_ns[kind] = int(busy[pos].sum())
+        truth.phase_wall_ns[kind] = int(lengths[pos].sum())
+        rows = first[pos, None] + np.arange(len(index))
+        kernels[0, rows] = np.array([names.index(ks.name) for ks in script], dtype=np.int64)[index]
+        for column, values in zip(kernels[1:], (host, host + queue, end - duration, end)):
+            column[rows] = values  # from the phase start until the starts are known
+        # a kernel's slots are one run: its realized total is an exact int sum, never a float
+        realized = np.add.reduceat(duration.sum(axis=0), np.cumsum([0, *counts[k]])[:-1]).tolist()
+        step_sum = output_tokens * (output_tokens - 1) // 2 if k >= 2 else 0  # steps 0..T-1
+        for ks, n, total in zip(script, counts[k], realized):
+            true_total = n * (len(pos) * ks.base_latency_ns + ks.per_step_slope_ns * step_sum)
+            for by_name, value in zip(totals, (total, true_total, n * len(pos))):
+                by_name[ks.name] = by_name.get(ks.name, 0) + value
     ends = t0 + np.cumsum(lengths)
     if ends[-1] > INT64_MAX:
         raise OverflowError("the last phase ends past int64")
     ends = ends.astype(np.int64)
     starts = ends - lengths.astype(np.int64)
-
-    names = list(dict.fromkeys(ks.name for slots in layouts for ks, _ in slots))
-    codes = {name: i for i, name in enumerate(names)}
-    per_phase = np.array([len(slots) for slots in layouts])[kind_code]
-    first = np.cumsum(per_phase) - per_phase  # each phase's first kernel row
-    kernels = np.empty((5, per_phase.sum()), dtype=np.int64)  # name code, then `relative`
-    truth = GroundTruth(prompt_tokens=prompt_tokens, output_tokens=output_tokens)
-    totals = (truth.kernel_total_ns, truth.kernel_true_total_ns, truth.kernel_invocations)
-    for k, (kind, slots, block) in enumerate(zip(PhaseKind, layouts, blocks)):
-        pos = np.flatnonzero(kind_code == k)
-        rows = first[pos, None] + np.arange(len(slots))
-        kernels[0, rows] = [codes[ks.name] for ks, _ in slots]
-        for column, values in zip(kernels[1:], relative[k]):
-            column[rows] = starts[pos, None] + values
-        truth.phase_busy_ns[kind] = int(busy[pos].sum())
-        truth.phase_wall_ns[kind] = int(lengths[pos].sum())
-        step_sum = int(step[pos].sum())
-        for (ks, _), total in zip(slots, block[..., 3].sum(axis=0).tolist()):
-            true_total = len(pos) * ks.base_latency_ns + ks.per_step_slope_ns * step_sum
-            for by_name, value in zip(totals, (total, true_total, len(pos))):
-                by_name[ks.name] = by_name.get(ks.name, 0) + value
+    kernels[1:] += np.repeat(starts, per_phase)  # now from the session clock's origin
     phases = (kind_code, np.zeros_like(token), token, starts, ends)
     truth.windows = WindowTable(*phases, busy)
     code, enqueue, submit, start, end = kernels

@@ -486,6 +486,13 @@ FAILURES = {
     "duplicate-ghost": (
         (*SIMULATE, "--duplicate", "ghost:3", "--out", "{tmp}/t.jsonl"), {}, 2,
         "kernel 'ghost' is not in workload 'gemma2-decode'"),
+    "duplicate-past-row-limit": (
+        (*SIMULATE, "--duplicate", "batch_decode_paged_kv:100000000", "--out", "{tmp}/t.jsonl"),
+        {}, 2, "the run needs 200000041 kernel rows, past the 16777216-row limit"),
+    "output-tokens-past-row-limit": (
+        ("simulate", "--workload", "preset:gemma2-decode", "--output-tokens", "400000000",
+         "--out", "{tmp}/t.jsonl"), {}, 2,
+        "the run needs 6000000011 kernel rows, past the 16777216-row limit"),
     "output-tokens-zero": (
         (*SIMULATE, "--output-tokens", "0", "--out", "{tmp}/t.jsonl"), {}, 2,
         "prompt_tokens and output_tokens must be at least 1"),
@@ -569,3 +576,4 @@ def test_failure_exit_code_and_stderr(failure_files, capsys, monkeypatch, argv, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"lmmk: error: {message.format(tmp=tmp)}\n"
+    assert not list(failure_files.glob("t.jsonl*"))  # a failed simulate writes no file

@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,6 +350,60 @@ def test_unknown_workload_key_is_invalid_spec(edit, key):
 def test_workload_dict_round_trips(workload):
     spec, _ = workload
     assert sim_engine.workload_from_dict(sim_engine.workload_to_dict(spec)) == spec
+
+
+class TestRowLimit:
+    """A run past ``MAX_KERNEL_ROWS`` kernel rows is refused from exact counts, before
+    any array is built."""
+
+    def refused_rows(self, spec, plan, output_tokens):
+        """The row count a refused run names; the run allocates next to nothing and
+        leaves its session as it found it."""
+        session = sim_engine.make_session()
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidSpec) as caught:
+                sim_engine._run(spec, 1, output_tokens, session, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert session.clock() == 0
+        trace = session.seal()
+        assert len(trace.phases) == len(trace.kernels) == 0
+        rows, limit = re.fullmatch(r"the run needs (\d+) kernel rows, past the (\d+)-row limit",
+                                   str(caught.value)).groups()
+        assert int(limit) == sim_engine.MAX_KERNEL_ROWS
+        return int(rows)
+
+    def test_a_huge_plan_at_two_tokens(self):
+        # embedding 1, prefill 10, then per token 12 + n decode, 2 softmax and 1 copy rows
+        n = 2**62
+        plan = DuplicationPlan(sim_engine.PAGED_KV_KERNEL, n)
+        assert self.refused_rows(preset_gemma_decode(), plan, 2) == 11 + 2 * (15 + n)
+
+    def test_counts_past_int64_are_exact(self):
+        spec = single_kernel_workload()
+        decode = spec.scripts[PhaseKind.DECODE]
+        huge = KernelSpec("uniform_matmul", 1, invocations_per_phase=2**63 - 1)
+        spec = dataclasses.replace(spec, scripts={
+            **spec.scripts, PhaseKind.DECODE: dataclasses.replace(decode, kernels=(huge,))})
+        plan = DuplicationPlan("uniform_matmul", 2**63 - 1)
+        tokens = 2**63 - 1
+        assert self.refused_rows(spec, plan, tokens) == 2 + tokens * ((2**63 - 1) * 2**63 + 1)
+
+    def test_a_run_at_the_limit_is_made_and_one_row_more_is_not(self, monkeypatch):
+        # embedding 1 and prefill 1, then per token 1 + 4 decode rows and 1 softmax row
+        spec, plan = single_kernel_workload(), DuplicationPlan("uniform_matmul", 4)
+        monkeypatch.setattr(sim_engine, "MAX_KERNEL_ROWS", 20)
+        trace, _ = sim_engine.run_with_duplication(spec, plan, 1, 3)
+        assert len(trace.kernels) == 20
+        monkeypatch.setattr(sim_engine, "MAX_KERNEL_ROWS", 19)
+        assert self.refused_rows(spec, plan, 3) == 20
+
+    def test_the_limit_admits_the_largest_benchmark_run_a_hundredfold(self):
+        trace, _ = sim_engine.run(preset_gemma_decode(), 8, 4096)  # long-decode's turn
+        assert sim_engine.MAX_KERNEL_ROWS >= 100 * len(trace.kernels)
 
 
 def test_schema_doc_names_every_spec_field():

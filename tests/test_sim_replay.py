@@ -240,6 +240,43 @@ def workloads(draw):
     return spec, plan
 
 
+def example_workload(decode, sigma_rel=0.5):
+    """Scripts listed in reverse turn order, with "norm" in softmax too: a sidecar keyed
+    in the order of ``spec.scripts`` differs from one keyed by first appearance in the turn."""
+    kernels = {PhaseKind.PREFILL: (KernelSpec("rope", 40_000, 0, 9_000, 1_000, 2_000),),
+               PhaseKind.DECODE: decode,
+               PhaseKind.SOFTMAX: (KernelSpec("norm", 11_000, 0, 4_000, 500),)}
+    scripts = {kind: PhaseScript(kind, kernels.get(kind, ()), host_ns=3_000)
+               for kind in reversed(PhaseKind)}
+    return WorkloadSpec(name="examples", scripts=scripts,
+                        jitter=JitterModel(seed=5, sigma_rel=sigma_rel))
+
+
+# the plan's kernel runs three times a phase
+TRIPLED = example_workload((KernelSpec("gemm", 90_000, 1_000, 20_000, 2_000, 3_000,
+                                       invocations_per_phase=3),
+                            KernelSpec("norm", 7_000, 0, 500)))
+# "norm" names two decode kernels of different latencies and the softmax kernel
+SHARED = example_workload((KernelSpec("norm", 7_000, 0, 20_000, 2_000),
+                           KernelSpec("gemm", 100_000, 0, 500),
+                           KernelSpec("norm", 3_000, 50, 500, 0, 1_000, invocations_per_phase=2)))
+# per-name totals past 2**53, where a float64 sum of the durations is off
+HUGE = example_workload((KernelSpec("gemm", 10**17 + 1, 3, 1_000, invocations_per_phase=3),
+                         KernelSpec("norm", 10**17 + 3)), sigma_rel=0.02)
+EXAMPLES = [((TRIPLED, DuplicationPlan("gemm", 2)), 1, 3, 0),
+            ((SHARED, None), 1, 3, 0),
+            ((SHARED, DuplicationPlan("norm", 3)), 2, 3, 0),
+            ((HUGE, None), 1, 4, 0),
+            ((HUGE, DuplicationPlan("norm", 2)), 1, 4, 2**62)]  # exact Python ints past 2**62
+
+
+def with_examples(test):
+    for args in reversed(EXAMPLES):
+        test = example(*args)(test)
+    return test
+
+
+@with_examples
 @settings(max_examples=200, deadline=None)
 @given(workloads(), st.integers(1, 4), st.integers(1, 10),
        st.just(0) | st.integers(1, 10**15))
@@ -258,6 +295,7 @@ starts = st.just(0) | st.integers(1, 10**15) | st.integers(2**62, 2**62 + 10**15
 @example((single_kernel_workload(), None), 1, 3, 2**62)
 @example((sim_engine.preset_gemma_decode().with_jitter(seed=42, sigma_rel=0.02),
           DuplicationPlan(sim_engine.PAGED_KV_KERNEL, 3)), 8, 3, 0)
+@with_examples
 def test_sidecar_is_compact_dumps_of_the_reference(workload, prompt_tokens, output_tokens,
                                                    start_ns):
     spec, plan = workload
