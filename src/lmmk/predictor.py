@@ -13,7 +13,9 @@ per turn) raises :class:`~lmmk.errors.RepeatedDecodeStep`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -35,9 +37,9 @@ class StepSeries:
             raise ValueError("steps and latencies differ in length")
         if len(self.steps) < 2:
             raise InsufficientSteps("a step series needs at least 2 points")
-        if any(b <= a for a, b in zip(self.steps, self.steps[1:])):
+        if any(map(operator.ge, self.steps, self.steps[1:])):
             raise ValueError("steps must be strictly increasing")
-        if any(y <= 0 for y in self.latencies_ns):
+        if any(map(operator.le, self.latencies_ns, repeat(0))):
             raise ValueError("latencies must be positive")
 
     def __len__(self) -> int:
@@ -46,22 +48,16 @@ class StepSeries:
     @classmethod
     def from_pairs(cls, pairs) -> "StepSeries":
         """Build a series from (step, latency) pairs in any order."""
-        ordered = sorted(pairs)
-        return cls(
-            steps=tuple(s for s, _ in ordered),
-            latencies_ns=tuple(float(y) for _, y in ordered),
-        )
+        steps, latencies = tuple(zip(*sorted(pairs))) or ((), ())
+        return cls(steps, tuple(map(float, latencies)))
 
     def between(self, min_step: Optional[int] = None, max_step: Optional[int] = None) -> "StepSeries":
         """Sub-series with min_step <= step < max_step."""
-        pairs = [
-            (s, y)
-            for s, y in zip(self.steps, self.latencies_ns)
-            if (min_step is None or s >= min_step) and (max_step is None or s < max_step)
-        ]
+        pairs = [(s, y) for s, y in zip(self.steps, self.latencies_ns)
+                 if (min_step is None or s >= min_step) and (max_step is None or s < max_step)]
         if len(pairs) < 2:
             raise InsufficientSteps(f"only {len(pairs)} points in [{min_step}, {max_step})")
-        return StepSeries(tuple(s for s, _ in pairs), tuple(y for _, y in pairs))
+        return StepSeries(*zip(*pairs))
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,17 @@ backend (a real device runtime reports command-lifecycle times, the
 simulated engine computes them). A :class:`TraceSession` record call
 checks its values in one chained test and packs them as one int64 row of
 a preallocated buffer; it returns nothing but a phase handle, so the hot
-path builds no object and retains no allocation once warmed up. A
-backend that computes whole columns, as the simulated engine does,
-appends them in one checked bulk call. :meth:`TraceSession.seal` hands
-the rows, in recording order, to an immutable :class:`Trace` without
-building a record. However it is made, a Trace checks every row, orders
-the rows with a stable argsort (phases by start, kernels by queued time,
-ties in recording order, across threads too) and refuses overlapping
-phases. Its :class:`PhaseTable` and :class:`KernelTable` yield
-:class:`PhaseRecord` and :class:`KernelRecord` rows lazily for callers
-that want rows; the analyses and the trace writers read the columns.
+path builds no object and retains no allocation once warmed up. A backend
+that computes whole columns, as the simulated engine does, appends them
+in one checked bulk call. :meth:`TraceSession.seal` hands the rows, in
+recording order, to an immutable :class:`Trace` without building a
+record. However it is made, a Trace checks every row, copies the rows
+into columns of its own, sorted stably only if out of order (phases by
+start, kernels by queued time, ties in recording order, across threads
+too), and refuses overlapping phases. Its :class:`PhaseTable` and
+:class:`KernelTable` yield :class:`PhaseRecord` and :class:`KernelRecord`
+rows lazily for callers that want rows; the analyses and the trace
+writers read the columns.
 
 Sessions accept an injectable ``clock`` callable. Real backends use the
 default :data:`now`; the simulated engine injects a virtual clock it
@@ -203,7 +204,9 @@ _KIND_BY_INDEX = tuple(PhaseKind)
 _INDEX_BY_VALUE = {kind._value_: i for i, kind in enumerate(_KIND_BY_INDEX)}
 _PER_TOKEN_VALUES = frozenset(kind._value_ for kind in PER_TOKEN_KINDS)
 _PHASE_ROW, _KERNEL_ROW, _INT64 = struct.Struct("=5q"), struct.Struct("=7q"), struct.Struct("=q")
-_PER_TOKEN_BY_CODE = np.array([kind in PER_TOKEN_KINDS for kind in _KIND_BY_INDEX])
+# Token index bounds by kind code + 1; the ends, where out-of-range codes clip, are empty.
+_TOKEN_LO, _TOKEN_HI = np.array([(1, 0), *((0, INT64_MAX) if kind in PER_TOKEN_KINDS else (-1, -1)
+                                           for kind in _KIND_BY_INDEX), (1, 0)]).T.copy()
 Columns = Sequence[np.ndarray]  # equal-length int64 columns
 
 
@@ -216,25 +219,22 @@ def check_columns(phases: Columns, names: Sequence[str], kernels: Columns) -> No
     ValueError, checked before the name it would index, and so is a phase
     kind code outside ``range(len(PhaseKind))`` before the rest of its row."""
     kind, turn, token, start, end = phases
-    known = (kind >= 0) & (kind < len(_KIND_BY_INDEX))
-    per_token = _PER_TOKEN_BY_CODE[np.where(known, kind, 0)]
-    bad = (~known | (turn < 0) | np.where(per_token, token < 0, token != _NO_TOKEN) | (start < 0)
-           | (end < start))
+    at = kind + 1  # INT64_MAX + 1 wraps round, so it clips to the low end
+    bad = ((token < _TOKEN_LO.take(at, mode="clip")) | (token > _TOKEN_HI.take(at, mode="clip"))
+           | ((turn | start) < 0) | (end < start))
     if bad.any():
         i = bad.argmax()
-        if not known[i]:
+        if not 0 <= kind[i] < len(_KIND_BY_INDEX):
             raise ValueError(f"phase kind code {kind[i]} is not in range({len(_KIND_BY_INDEX)})")
         kind, turn, token, start, end = (int(c[i]) for c in phases)
         _check_phase(_KIND_BY_INDEX[kind], turn, None if token == _NO_TOKEN else token, start, end)
     code, queue, enqueue, queued, submit, start, end = kernels
-    known = (code >= 0) & (code < len(names))
-    # An unknown code looks up the last entry, which is False.
-    named = np.array([type(name) is str and name != "" for name in names] + [False], dtype=bool)
-    bad = (~named[np.where(known, code, -1)] | (queue < 0) | (enqueue < 0) | (queued < 0)
+    unnamed = np.array([True, *(type(name) is not str or name == "" for name in names), True])
+    bad = (unnamed.take(code + 1, mode="clip") | ((queue | enqueue | queued) < 0)
            | (submit < queued) | (start < submit) | (end < start))
     if bad.any():
         i = bad.argmax()
-        if not known[i]:
+        if not 0 <= code[i] < len(names):
             raise ValueError(f"kernel name code {code[i]} is not in range({len(names)})")
         _check_kernel(names[code[i]], *(int(c[i]) for c in kernels[1:]))
 
@@ -255,7 +255,8 @@ class _RecordTable(Sequence):
     Rows are built on demand, with exact ``int`` and ``str`` values, when
     the table is iterated or indexed; an index builds its one row and no
     table, and ``len`` is O(1). A table equals another table with the same
-    rows and a tuple of the same records.
+    rows and a tuple of the same records. A row skips its record class's
+    checks: a Trace checks every row of its tables when it is made.
     """
 
     __slots__ = ()
@@ -268,7 +269,7 @@ class _RecordTable(Sequence):
             raise ValueError(f"{type(self).__name__} columns differ in length: "
                              f"{[len(column) for column in columns]}")
         for name, column in zip(self._columns, columns, strict=True):
-            column.flags.writeable = False
+            column.setflags(write=False)
             setattr(self, name, column)
 
     def _arrays(self) -> list[np.ndarray]:
@@ -325,8 +326,6 @@ class PhaseTable(_RecordTable):
     _columns = __slots__
 
     def _row(self, values) -> PhaseRecord:
-        # A Trace checks every row of its tables when it is made, so the
-        # row skips PhaseRecord's checks.
         kind, turn, token, start, end = values
         row = _new_row(PhaseRecord)
         row.__dict__.update(
@@ -361,8 +360,6 @@ class KernelTable(_RecordTable):
         super().__init__(*columns)
 
     def _row(self, values) -> KernelRecord:
-        # A Trace checks every row of its tables when it is made, so the
-        # row skips KernelRecord's checks.
         code, queue, enqueue, queued, submit, start, end = values
         row = _new_row(KernelRecord)
         row.__dict__.update(
@@ -397,14 +394,15 @@ class Trace:
     :class:`PhaseRecord`/:class:`KernelRecord` rows lazily to callers that
     iterate or index them; a table equals a tuple of the same records.
     The constructor, and so ``dataclasses.replace``, also takes iterables
-    of records, for either side or both. However the rows come (from
-    :meth:`TraceSession.seal`, :func:`~lmmk.trace_io.read_jsonl`, tables
-    or records), the constructor raises what :func:`check_columns` raises
-    for them in the order given, orders them by a stable argsort (phases
-    by t_start_ns, kernels by t_queued_ns, ties in the order given) into
-    columns of its own, and raises :class:`PhaseOverlap` for the first two
-    phases, in start order, that overlap. So every Trace writes a file
-    that reads back equal.
+    of records or a :class:`RecordColumns`, for either side or both.
+    However the rows come (from :meth:`TraceSession.seal`,
+    :func:`~lmmk.trace_io.read_jsonl`, tables or records), the constructor
+    raises what :func:`check_columns` raises for them in the order given,
+    copies them into columns of its own, sorted stably only if out of
+    order (phases by t_start_ns, kernels by t_queued_ns, ties in the order
+    given), and raises :class:`PhaseOverlap` for the first two phases, in
+    start order, that overlap. So every Trace writes a file that reads
+    back equal.
 
     ``clock_offset_ns`` maps device timestamps into the host domain
     (host = device + offset); ``None`` means the domains were never
@@ -431,20 +429,21 @@ class Trace:
         for name in ("clock_offset_ns", "prompt_tokens", "output_tokens"):
             check_int64(f"Trace.{name}", getattr(self, name), nullable=True)
         phases, kernels = self.phases, self.kernels
-        if not isinstance(phases, PhaseTable):
-            rows = RecordColumns(0)
-            for r in phases:
-                rows.add_phase(r.kind, r.turn, r.token_index, r.t_start_ns, r.t_end_ns)
-            phases = rows.tables()[0]
-        if not isinstance(kernels, KernelTable):
-            rows = RecordColumns(0)
-            for r in kernels:
-                rows.add_kernel(r.name, r.queue_id, r.t_cpu_enqueue_ns, r.t_queued_ns,
-                                r.t_submit_ns, r.t_start_ns, r.t_end_ns)
-            kernels = rows.tables()[1]
-        check_columns(phases._arrays(), kernels.names, kernels._arrays())
-        phases = phases.take(np.argsort(phases.t_start_ns, kind="stable"))
-        kernels = kernels.take(np.argsort(kernels.t_queued_ns, kind="stable"))
+        if not isinstance(phases, (PhaseTable, RecordColumns)):
+            phases = RecordColumns(0)
+            for r in self.phases:
+                phases.add_phase(r.kind, r.turn, r.token_index, r.t_start_ns, r.t_end_ns)
+        if not isinstance(kernels, (KernelTable, RecordColumns)):
+            kernels = RecordColumns(0)
+            for r in self.kernels:
+                kernels.add_kernel(r.name, r.queue_id, r.t_cpu_enqueue_ns, r.t_queued_ns,
+                                   r.t_submit_ns, r.t_start_ns, r.t_end_ns)
+        phases = phases._arrays() if isinstance(phases, PhaseTable) else phases.phase_columns()
+        names, kernels = ((kernels.names, kernels._arrays()) if isinstance(kernels, KernelTable)
+                          else kernels.kernel_columns())
+        check_columns(phases, names, kernels)
+        phases = PhaseTable(*_owned(phases, 3))  # by t_start_ns
+        kernels = KernelTable(names, *_owned(kernels, 3))  # by t_queued_ns
         overlaps = np.flatnonzero(phases.t_start_ns[1:] < phases.t_end_ns[:-1])
         if len(overlaps):
             a, b = phases[overlaps[0]:overlaps[0] + 2]
@@ -454,6 +453,16 @@ class Trace:
             )
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "kernels", kernels)
+
+
+def _owned(columns: Columns, key: int) -> list[np.ndarray]:
+    """A copy of each column, its rows ordered by column ``key`` with ties
+    in the order given: sorted by a stable argsort only when out of order."""
+    t = columns[key]
+    if (t[1:] >= t[:-1]).all():
+        return [c.copy() for c in columns]
+    order = np.argsort(t, kind="stable")
+    return [c[order] for c in columns]
 
 
 @dataclass(frozen=True)
@@ -474,20 +483,20 @@ class TimerCalibration:
 class RecordColumns:
     """Growable phase and kernel rows in recording order, which
     :class:`TraceSession`, :func:`lmmk.trace_io.read_jsonl` and
-    :class:`Trace` fill and hand to a Trace as :meth:`tables`. Rows are
-    int64 in :class:`PhaseTable`/:class:`KernelTable` column order (5 and 7
-    wide), each written into a row buffer by one ``struct.pack_into``.
-    ``capacity`` rows of each table are allocated up front in buffers of at
-    most ``_SEGMENT_ROWS`` rows; a full buffer is kept as a segment and the
-    next one, or a new one of up to ``_SEGMENT_ROWS`` rows, takes over.
-    Nothing is copied to grow, and no row buffer reaches glibc's 128 KiB
-    mmap threshold, which freeing so large a block would raise. Rows
-    appended as columns become one segment, a copy of each column, so the
-    bulk route writes no row and makes no block wider than one column (a
-    wider one, freed, would raise the threshold). Kernel names are
-    interned: the name column holds codes into the distinct names. Appends
-    check nothing; a row with a value outside int64 raises ``struct.error``
-    and leaves no row and no name."""
+    :class:`Trace` fill and hand to a Trace, which copies their columns.
+    Rows are int64 in :class:`PhaseTable`/:class:`KernelTable` column order
+    (5 and 7 wide), each written into a row buffer by one
+    ``struct.pack_into``. ``capacity`` rows of each table are allocated up
+    front in buffers of at most ``_SEGMENT_ROWS`` rows; a full buffer is
+    kept as a segment and the next one, or a new one of up to
+    ``_SEGMENT_ROWS`` rows, takes over. Nothing is copied to grow, and no
+    row buffer reaches glibc's 128 KiB mmap threshold, which freeing so
+    large a block would raise. Rows appended as columns become one segment,
+    a copy of each column, so the bulk route writes no row and makes no
+    block wider than one column (a wider one, freed, would raise the
+    threshold). Kernel names are interned: the name column holds codes into
+    the distinct names. Appends check nothing; a row with a value outside
+    int64 raises ``struct.error`` and leaves no row and no name."""
 
     def __init__(self, capacity: int = 1024) -> None:
         self._p_spares = _buffers(_PHASE_ROW.size, max(16, capacity))  # next buffer last
@@ -545,13 +554,14 @@ class RecordColumns:
         self._p_from, self._k_from = self._p_at, self._k_at
         self._p_len += len(phases[0])
 
-    def tables(self) -> tuple[PhaseTable, KernelTable]:
-        """The rows as unchecked tables in recording order (views when one
-        buffer or segment holds them all): a :class:`Trace` checks, orders
-        and copies them."""
-        phases = _joined([*self._p_segments, _rows(self._phases, self._p_from, self._p_at, 5)])
+    def phase_columns(self) -> Columns:
+        """The phase rows' columns in recording order, unchecked; views if one segment holds all."""
+        return _joined([*self._p_segments, _rows(self._phases, self._p_from, self._p_at, 5)])
+
+    def kernel_columns(self) -> tuple[tuple[str, ...], Columns]:
+        """The distinct names, which name codes index, and the kernel rows' columns, likewise."""
         kernels = _joined([*self._k_segments, _rows(self._kernels, self._k_from, self._k_at, 7)])
-        return PhaseTable(*phases), KernelTable(self._name_codes, *kernels)
+        return tuple(self._name_codes), kernels
 
 
 def _buffers(row: int, rows: int) -> list[bytearray]:
@@ -591,8 +601,9 @@ class TraceSession:
     completion-callback paths) and puts a record that races :meth:`seal` in
     the Trace or refuses it with :class:`SessionSealed`; per-thread buffers
     measured at best 80 ns a record faster (1% of a recorder-bound pass)
-    and need more than one lock to seal. The Trace's stable argsort keeps
-    ties in recording order."""
+    and need more than one lock to seal. The Trace copies the rows into
+    columns of its own, sorted stably (ties in recording order) only if out
+    of order."""
 
     def __init__(
         self,
@@ -736,16 +747,10 @@ class TraceSession:
                 return self._sealed_trace
             if self._open_handle != -1:
                 raise OpenPhaseRemaining(f"phase handle {self._open_handle} is still open")
-            phases, kernels = self._rows.tables()
             self._sealed_trace = Trace(
-                device_label=self.device_label,
-                clock_offset_ns=self.clock_offset_ns,
-                phases=phases,
-                kernels=kernels,
-                prompt_tokens=self.prompt_tokens,
-                output_tokens=self.output_tokens,
-                created_at=self.created_at,
-            )
+                self.device_label, self.clock_offset_ns, phases=self._rows, kernels=self._rows,
+                prompt_tokens=self.prompt_tokens, output_tokens=self.output_tokens,
+                created_at=self.created_at)
             return self._sealed_trace
 
 

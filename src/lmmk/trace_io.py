@@ -347,9 +347,8 @@ def read_jsonl(path: str) -> Trace:
     if header is None:
         raise ParseError("line 1: file is empty; expected a session header")
 
-    phases, kernels = columns.tables()
     try:
-        return Trace(phases=phases, kernels=kernels, **header)
+        return Trace(phases=columns, kernels=columns, **header)
     except PhaseOverlap as exc:
         raise ParseError(str(exc)) from None
 

@@ -134,6 +134,19 @@ def test_phase_kind_code_outside_the_kinds_is_refused(code):
         check_columns(phases, [], columns([], 7))
 
 
+@pytest.mark.parametrize("code", [INT64_MIN, -2, -1, 6, 7, 9, INT64_MAX])
+@pytest.mark.parametrize("token", [-1, 0, 5])
+def test_a_code_outside_the_range_is_refused_in_an_otherwise_valid_row(code, token):
+    """Whatever token index the row holds; a name code among six names too."""
+    message = f"phase kind code {code} is not in range(6)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_columns(columns([[code, 0, token, 0, 0]], 5), [], columns([], 7))
+    message = f"kernel name code {code} is not in range(6)"
+    kernels = columns([[code, 0, 0, 0, 0, 0, 0]], 7)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_columns(columns([], 5), [f"k{i}" for i in range(6)], kernels)
+
+
 def _record_calls(session, clock, phase_list, names, kernel_list):
     for kind, turn, token, start, end in phase_list:
         clock.advance_to(start)
@@ -202,7 +215,7 @@ def test_extend_grows_past_capacity_in_one_call():
     rows = RecordColumns(capacity=16)
     kernels = columns([[i % 2, 0, i, i, i, i, i] for i in range(1000)], 7)
     rows.extend(columns([], 5), ["x", "y"], kernels)
-    _, table = rows.tables()
-    assert table.names == ("x", "y")
-    assert table.t_start_ns.tolist() == list(range(1000))
-    assert table.name_code.tolist() == [i % 2 for i in range(1000)]
+    names, table = rows.kernel_columns()
+    assert names == ("x", "y")
+    assert table[5].tolist() == list(range(1000))
+    assert table[0].tolist() == [i % 2 for i in range(1000)]

@@ -572,23 +572,23 @@ def test_no_row_buffer_exceeds_segment_rows(capacity):
         assert sum(len(s[0]) for s in segments) + len(table[0]) // (8 * width) >= n
         assert max(len(s[0]) for s in segments) <= _SEGMENT_ROWS
     rows.extend([np.arange(n, dtype=np.int64)] * 5, ["k"], [np.zeros(n, dtype=np.int64)] * 7)
-    phases, kernels = rows.tables()
-    assert len(phases) == len(kernels) == 2 * n
-    assert kernels.t_start_ns.tolist() == [*range(n), *[0] * n]
+    phases, (_, kernels) = rows.phase_columns(), rows.kernel_columns()
+    assert len(phases[0]) == len(kernels[0]) == 2 * n
+    assert kernels[5].tolist() == [*range(n), *[0] * n]
 
 
 def test_tables_keep_their_rows_through_later_appends():
-    """tables() may view the row buffers, so appends after it, by column or
+    """kernel_columns() may view the row buffers, so appends after it, by column or
     by row, must write past the rows it returned."""
     rows = RecordColumns(capacity=16)
     for i in range(3):
         rows.add_kernel("k", 0, i, i, i, i, i)
-    _, before = rows.tables()
+    _, before = rows.kernel_columns()
     rows.extend([np.zeros(0, dtype=np.int64)] * 5, ["j"], [np.array([0, 0])] + [np.arange(2)] * 6)
     for i in range(40):
         rows.add_kernel("k", 0, 9, 9, 9, 9, 9)
-    assert before.t_start_ns.tolist() == [0, 1, 2]
-    assert rows.tables()[1].t_start_ns.tolist() == [0, 1, 2, 0, 1] + [9] * 40
+    assert before[5].tolist() == [0, 1, 2]
+    assert rows.kernel_columns()[1][5].tolist() == [0, 1, 2, 0, 1] + [9] * 40
 
 
 def test_a_row_the_buffer_refuses_leaves_no_name():
@@ -598,8 +598,8 @@ def test_a_row_the_buffer_refuses_leaves_no_name():
     with pytest.raises(struct.error):
         rows.add_kernel("k", 0, 0, 0, 0, 0, 2**63)
     rows.add_kernel("j", 0, 0, 0, 0, 0, 1)
-    _, kernels = rows.tables()
-    assert kernels.names == ("j",) and kernels.name_code.tolist() == [0]
+    names, kernels = rows.kernel_columns()
+    assert names == ("j",) and kernels[0].tolist() == [0]
 
 
 def test_first_row_converts_a_small_chunk():

@@ -565,7 +565,9 @@ def test_fast_path_takes_every_line_the_writer_emits_for_plain_names(scratch, ke
     taken = trace_io._bulk_rows(columns, block, len(phases) + len(kernels))
     assert taken == all(json.dumps(k.name) == f'"{k.name}"' for k in kernels)
     if taken:
-        assert columns.tables() == (  # in the file's order, the Trace's
+        names, kernel_columns = columns.kernel_columns()
+        tables = PhaseTable(*columns.phase_columns()), KernelTable(names, *kernel_columns)
+        assert tables == (  # in the file's order, the Trace's
             tuple(sorted(phases, key=lambda p: p.t_start_ns)),
             tuple(sorted(kernels, key=lambda k: k.t_queued_ns)),
         )

@@ -1,6 +1,7 @@
 """The sealed Trace's column tables against the record tuples they replaced.
 
-A Trace orders its rows with a stable argsort; the oracle below is the
+A Trace copies its rows into columns of its own, sorting them stably only
+when they are out of order; the oracle below is the
 ``sorted(records, key=...)`` it replaced, over records built from the
 same calls. Tables must yield exactly those rows, with exact ``int`` and
 ``str`` values, and compare equal to tables converted from them.
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_trace, manual_session
+import lmmk.recorder
 from lmmk import trace_io
 from lmmk.errors import ParseError, PhaseOverlap
 from lmmk.recorder import (
@@ -25,6 +27,7 @@ from lmmk.recorder import (
     PhaseKind,
     PhaseRecord,
     PhaseTable,
+    RecordColumns,
     Trace,
     TraceSession,
 )
@@ -280,12 +283,97 @@ def test_overlapping_phases_are_refused_however_the_trace_is_made(tmp_path):
 
 
 def test_trace_orders_and_copies_the_tables_it_is_given():
-    phase_columns = [np.array(c) for c in ([1, 0], [0, 0], [-1, -1], [5, 0], [9, 5])]
-    trace = Trace("x", 0, PhaseTable(*phase_columns), NO_KERNELS)
-    assert trace.phases.t_start_ns.tolist() == [0, 5]
-    assert trace.phases.kind_code.tolist() == [0, 1]
-    assert not any(np.shares_memory(a, b)
-                   for a in trace.phases._arrays() for b in phase_columns)
+    out_of_order = ([1, 0], [0, 0], [-1, -1], [5, 0], [9, 5])
+    in_order = ([0, 1], [0, 0], [-1, -1], [0, 5], [5, 9])
+    for rows in (out_of_order, in_order):
+        phase_columns = [np.array(c) for c in rows]
+        trace = Trace("x", 0, PhaseTable(*phase_columns), NO_KERNELS)
+        assert trace.phases.t_start_ns.tolist() == [0, 5]
+        assert trace.phases.kind_code.tolist() == [0, 1]
+        assert not any(np.shares_memory(a, b)
+                       for a in trace.phases._arrays() for b in phase_columns)
+
+
+@st.composite
+def keyed_rows(draw, width, key):
+    """``width`` columns of valid rows keyed on column ``key``: in order,
+    reversed, or shuffled among many ties. Phase rows (width 5) have
+    disjoint windows, so every order of them makes a Trace."""
+    n = draw(st.integers(0, 40))
+    shape = draw(st.sampled_from(["in order", "reversed", "ties"]))
+    gaps = draw(st.lists(st.integers(0, 0 if shape == "ties" else 3), min_size=n, max_size=n))
+    keys = np.cumsum(gaps, dtype=np.int64)
+    spans = np.append(np.diff(keys), 3)  # a phase ends before the next starts,
+    spans[1:][np.diff(keys) == 0] = 0  # and a tied one is empty
+    lengths = np.array([draw(st.integers(0, int(span))) for span in spans], dtype=np.int64)
+    if width == 5:
+        rows = [np.full(n, 2), np.zeros(n), np.arange(n), keys, keys + lengths]
+    else:
+        codes = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        rows = [np.array(codes), np.zeros(n), keys, keys, keys + lengths, keys + lengths,
+                keys + 2 * lengths]
+    order = (np.arange(n) if shape == "in order" else np.arange(n)[::-1] if shape == "reversed"
+             else np.array(draw(st.permutations(range(n))), dtype=np.int64))
+    return [np.asarray(c, dtype=np.int64)[order] for c in rows]
+
+
+def buffers_of(rows: RecordColumns) -> list[np.ndarray]:
+    """Every array a RecordColumns holds rows in: row buffers and segments."""
+    held = [np.frombuffer(b, dtype=np.uint8)
+            for b in (rows._phases, rows._kernels, *rows._p_spares, *rows._k_spares) if len(b)]
+    return held + [c for segment in (*rows._p_segments, *rows._k_segments) for c in segment]
+
+
+def assert_owned(trace: Trace, *others: np.ndarray) -> None:
+    for column in (*trace.phases._arrays(), *trace.kernels._arrays()):
+        assert column.dtype == np.int64 and column.ndim == 1 and not column.flags.writeable
+        assert not any(np.shares_memory(column, other) for other in others)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keyed_rows(5, 3), keyed_rows(7, 3))
+def test_every_trace_owns_stably_sorted_copies_of_its_rows(phase_columns, kernel_columns):
+    """Tables, a RecordColumns filled by rows or by columns, and a sealed
+    session all give the oracle's stable sort, in read-only int64 columns
+    that share no memory with the caller's arrays or the recorded rows."""
+    names = ("a", "b", "c")
+    phases, kernels = PhaseTable(*phase_columns), KernelTable(names, *kernel_columns)
+    want_phases = phases.take(np.argsort(phases.t_start_ns, kind="stable"))
+    want_kernels = kernels.take(np.argsort(kernels.t_queued_ns, kind="stable"))
+    by_row, by_column = RecordColumns(4), RecordColumns(4)
+    for p in phases:
+        by_row.add_phase(p.kind, p.turn, p.token_index, p.t_start_ns, p.t_end_ns)
+    for k in kernels:
+        by_row.add_kernel(*dataclasses.astuple(k))
+    by_column.extend(phase_columns, names, kernel_columns)
+    session = TraceSession(clock=iter(np.column_stack(phase_columns[3:]).ravel().tolist()).__next__)
+    for p in phases:
+        session.end_phase(session.begin_phase(p.kind, p.turn, p.token_index))
+    for k in kernels:
+        session.record_kernel(*dataclasses.astuple(k))
+    made = [(Trace("x", 0, phases, kernels), ()), (Trace("x", 0, by_row, by_row), by_row),
+            (Trace("x", 0, by_column, by_column), by_column), (session.seal(), session._rows)]
+    for trace, rows in made:
+        assert trace.phases == want_phases and trace.kernels == want_kernels
+        held = buffers_of(rows) if rows else [*phases._arrays(), *kernels._arrays()]
+        assert_owned(trace, *phase_columns, *kernel_columns, *held)
+
+
+def test_an_in_order_session_seals_without_a_sort():
+    """Rows recorded in order are copied as they are: no argsort runs.
+    ``test_ties_keep_recording_order_past_the_small_sort_cutoff`` covers
+    the rows that must be sorted."""
+    session, clock = manual_session()
+    for token in range(64):
+        handle = session.begin_phase(PhaseKind.DECODE, 0, token)
+        session.record_kernel("k", 0, clock(), clock(), clock(), clock(), clock())
+        clock.advance_to(clock() + 5)
+        session.end_phase(handle)
+    with mock.patch.object(lmmk.recorder.np, "argsort", side_effect=AssertionError):
+        trace = session.seal()
+    assert trace.phases.t_start_ns.tolist() == list(range(0, 320, 5))
+    assert trace.kernels.t_queued_ns.tolist() == list(range(0, 320, 5))
+    assert_owned(trace, *buffers_of(session._rows))
 
 
 def test_tables_refuse_columns_of_unequal_length():
