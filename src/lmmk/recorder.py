@@ -6,17 +6,17 @@ backend (a real device runtime reports command-lifecycle times, the
 simulated engine computes them). A :class:`TraceSession` record call
 checks its values in one chained test and packs them as one int64 row of
 a preallocated buffer; it returns nothing but a phase handle, so the hot
-path builds no object and retains no allocation once warmed up. A backend
-that computes whole columns, as the simulated engine does, appends them
-in one checked bulk call. :meth:`TraceSession.seal` hands the rows, in
-recording order, to an immutable :class:`Trace` without building a
-record. However it is made, a Trace checks every row, copies the rows
-into columns of its own, sorted stably only if out of order (phases by
-start, kernels by queued time, ties in recording order, across threads
-too), and refuses overlapping phases. Its :class:`PhaseTable` and
-:class:`KernelTable` yield :class:`PhaseRecord` and :class:`KernelRecord`
-rows lazily for callers that want rows; the analyses and the trace
-writers read the columns.
+path builds no object and retains no allocation once warmed up. A
+backend that computes whole columns, as the simulated engine does,
+appends them in one checked bulk call. :meth:`TraceSession.seal` hands
+the rows, in recording order, to an immutable :class:`Trace` without
+building a record. However it is made, a Trace checks every row, copies
+the rows into columns of its own, sorted stably only if out of order
+(phases by start, kernels by queued time, ties in recording order, across
+threads too), and refuses overlapping phases. Its :class:`PhaseTable`
+and :class:`KernelTable` yield :class:`PhaseRecord` and
+:class:`KernelRecord` rows lazily for callers that want rows; the
+analyses and the trace writers read the columns.
 
 Sessions accept an injectable ``clock`` callable. Real backends use the
 default :data:`now`; the simulated engine injects a virtual clock it
@@ -204,7 +204,7 @@ _KIND_BY_INDEX = tuple(PhaseKind)
 _INDEX_BY_VALUE = {kind._value_: i for i, kind in enumerate(_KIND_BY_INDEX)}
 _PER_TOKEN_VALUES = frozenset(kind._value_ for kind in PER_TOKEN_KINDS)
 _PHASE_ROW, _KERNEL_ROW, _INT64 = struct.Struct("=5q"), struct.Struct("=7q"), struct.Struct("=q")
-# Token index bounds by kind code + 1; the ends, where out-of-range codes clip, are empty.
+# A phase row's token index bounds by kind code + 1; the two end entries admit no token.
 _TOKEN_LO, _TOKEN_HI = np.array([(1, 0), *((0, INT64_MAX) if kind in PER_TOKEN_KINDS else (-1, -1)
                                            for kind in _KIND_BY_INDEX), (1, 0)]).T.copy()
 Columns = Sequence[np.ndarray]  # equal-length int64 columns
@@ -219,7 +219,7 @@ def check_columns(phases: Columns, names: Sequence[str], kernels: Columns) -> No
     ValueError, checked before the name it would index, and so is a phase
     kind code outside ``range(len(PhaseKind))`` before the rest of its row."""
     kind, turn, token, start, end = phases
-    at = kind + 1  # INT64_MAX + 1 wraps round, so it clips to the low end
+    at = kind + 1  # clipped, every code out of range (INT64_MAX wraps) takes an end entry
     bad = ((token < _TOKEN_LO.take(at, mode="clip")) | (token > _TOKEN_HI.take(at, mode="clip"))
            | ((turn | start) < 0) | (end < start))
     if bad.any():
@@ -483,20 +483,20 @@ class TimerCalibration:
 class RecordColumns:
     """Growable phase and kernel rows in recording order, which
     :class:`TraceSession`, :func:`lmmk.trace_io.read_jsonl` and
-    :class:`Trace` fill and hand to a Trace, which copies their columns.
-    Rows are int64 in :class:`PhaseTable`/:class:`KernelTable` column order
-    (5 and 7 wide), each written into a row buffer by one
-    ``struct.pack_into``. ``capacity`` rows of each table are allocated up
-    front in buffers of at most ``_SEGMENT_ROWS`` rows; a full buffer is
-    kept as a segment and the next one, or a new one of up to
-    ``_SEGMENT_ROWS`` rows, takes over. Nothing is copied to grow, and no
-    row buffer reaches glibc's 128 KiB mmap threshold, which freeing so
-    large a block would raise. Rows appended as columns become one segment,
-    a copy of each column, so the bulk route writes no row and makes no
-    block wider than one column (a wider one, freed, would raise the
-    threshold). Kernel names are interned: the name column holds codes into
-    the distinct names. Appends check nothing; a row with a value outside
-    int64 raises ``struct.error`` and leaves no row and no name."""
+    :class:`Trace` fill and hand to a Trace, which copies them. Rows are
+    int64 in :class:`PhaseTable`/:class:`KernelTable` column order (5 and 7
+    wide), each written into a row buffer by one ``struct.pack_into``.
+    ``capacity`` rows of each table are allocated up front in buffers of at
+    most ``_SEGMENT_ROWS`` rows; a full buffer is kept as a segment and the
+    next one, or a new one of up to ``_SEGMENT_ROWS`` rows, takes over.
+    Nothing is copied to grow, and no row buffer reaches glibc's 128 KiB
+    mmap threshold, which freeing so large a block would raise. Rows
+    appended as columns become one segment, a copy of each column, so the
+    bulk route writes no row and makes no block wider than one column (a
+    wider one, freed, would raise the threshold). Kernel names are
+    interned: the name column holds codes into the distinct names. Appends
+    check nothing; a row with a value outside int64 raises ``struct.error``
+    and leaves no row and no name."""
 
     def __init__(self, capacity: int = 1024) -> None:
         self._p_spares = _buffers(_PHASE_ROW.size, max(16, capacity))  # next buffer last
@@ -559,7 +559,7 @@ class RecordColumns:
         return _joined([*self._p_segments, _rows(self._phases, self._p_from, self._p_at, 5)])
 
     def kernel_columns(self) -> tuple[tuple[str, ...], Columns]:
-        """The distinct names, which name codes index, and the kernel rows' columns, likewise."""
+        """The distinct names the codes index, and the kernel rows' columns as phase_columns."""
         kernels = _joined([*self._k_segments, _rows(self._kernels, self._k_from, self._k_at, 7)])
         return tuple(self._name_codes), kernels
 

@@ -295,10 +295,10 @@ def test_trace_orders_and_copies_the_tables_it_is_given():
 
 
 @st.composite
-def keyed_rows(draw, width, key):
-    """``width`` columns of valid rows keyed on column ``key``: in order,
-    reversed, or shuffled among many ties. Phase rows (width 5) have
-    disjoint windows, so every order of them makes a Trace."""
+def keyed_rows(draw, width):
+    """``width`` columns of valid phase (5) or kernel (7) rows whose sort
+    key, column 3, is in order, reversed, or shuffled among many ties.
+    Phase windows are disjoint, so every order of them makes a Trace."""
     n = draw(st.integers(0, 40))
     shape = draw(st.sampled_from(["in order", "reversed", "ties"]))
     gaps = draw(st.lists(st.integers(0, 0 if shape == "ties" else 3), min_size=n, max_size=n))
@@ -331,7 +331,7 @@ def assert_owned(trace: Trace, *others: np.ndarray) -> None:
 
 
 @settings(max_examples=200, deadline=None)
-@given(keyed_rows(5, 3), keyed_rows(7, 3))
+@given(keyed_rows(5), keyed_rows(7))
 def test_every_trace_owns_stably_sorted_copies_of_its_rows(phase_columns, kernel_columns):
     """Tables, a RecordColumns filled by rows or by columns, and a sealed
     session all give the oracle's stable sort, in read-only int64 columns
@@ -346,16 +346,17 @@ def test_every_trace_owns_stably_sorted_copies_of_its_rows(phase_columns, kernel
     for k in kernels:
         by_row.add_kernel(*dataclasses.astuple(k))
     by_column.extend(phase_columns, names, kernel_columns)
-    session = TraceSession(clock=iter(np.column_stack(phase_columns[3:]).ravel().tolist()).__next__)
+    readings = iter(np.column_stack(phase_columns[3:]).ravel().tolist())  # start, end, start...
+    session = TraceSession(clock=readings.__next__)
     for p in phases:
         session.end_phase(session.begin_phase(p.kind, p.turn, p.token_index))
     for k in kernels:
         session.record_kernel(*dataclasses.astuple(k))
-    made = [(Trace("x", 0, phases, kernels), ()), (Trace("x", 0, by_row, by_row), by_row),
+    made = [(Trace("x", 0, phases, kernels), None), (Trace("x", 0, by_row, by_row), by_row),
             (Trace("x", 0, by_column, by_column), by_column), (session.seal(), session._rows)]
     for trace, rows in made:
         assert trace.phases == want_phases and trace.kernels == want_kernels
-        held = buffers_of(rows) if rows else [*phases._arrays(), *kernels._arrays()]
+        held = [*phases._arrays(), *kernels._arrays()] if rows is None else buffers_of(rows)
         assert_owned(trace, *phase_columns, *kernel_columns, *held)
 
 
