@@ -8,7 +8,9 @@ of one selected prompt for one unselected one. The moves (drop bin, add
 bin) are scanned in that order, and the swap made is the last one that
 improved on the running best KL by more than 1e-15. The KL is smoothed
 with ``SMOOTHING_ALPHA``, and the plan is a pure function of (lengths,
-fraction, num_bins, seed).
+fraction, num_bins, seed). A corpus of whole numbers that spans no more
+values than it holds is binned through one table of each length's bin,
+built by the same search; any other corpus is searched value by value.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class TokenLengthHistogram:
     def __post_init__(self) -> None:
         if len(self.bin_edges) != len(self.counts) + 1:
             raise ValueError("need exactly len(counts)+1 bin edges")
-        if any(b >= a for a, b in zip(self.bin_edges[1:], self.bin_edges)):
+        if not all(a < b for a, b in zip(self.bin_edges, self.bin_edges[1:])):
             raise ValueError("bin edges must be strictly increasing")
         if self.smoothing_alpha < 0:
             raise ValueError("smoothing_alpha must be nonnegative")
@@ -77,14 +79,16 @@ def _bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def _bins(lengths: Sequence[int], num_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Edges of num_bins equal-width bins spanning [min, max] of nonempty
     ``lengths``, and each length's bin. If all lengths are equal, the span
-    is widened by one so a single bin holds everything."""
+    is widened by one so a single bin holds everything. A whole-number corpus
+    spanning no more values than it holds is binned through one table of each
+    length's bin, built by the same search; any other is searched value by value."""
     if num_bins < 2:
         raise ValueError("num_bins must be at least 2")
     try:
         values = np.asarray(lengths, dtype=float)
     except OverflowError:
         raise ValueError("token lengths must fit a float") from None
-    if np.any(values <= 0):
+    if not (values > 0).all():  # a NaN fails too
         raise ValueError("token lengths must be positive")
     lo, hi = float(values.min()), float(values.max())
     if hi == lo:
@@ -92,6 +96,10 @@ def _bins(lengths: Sequence[int], num_bins: int) -> tuple[np.ndarray, np.ndarray
     edges = np.linspace(lo, hi, num_bins + 1)
     if np.any(edges[:-1] >= edges[1:]):
         raise ValueError("bin edges must be strictly increasing")
+    keys = (values - lo).astype(np.intp) if hi - lo <= len(values) else None  # table <= corpus
+    if keys is not None and (keys + lo == values).all():  # each length is exactly lo + a key
+        table = _bin_indices(lo + np.arange(keys.max() + 1), edges)
+        return edges, table.astype(np.min_scalar_type(num_bins))[keys]
     return edges, _bin_indices(values, edges)
 
 
@@ -217,7 +225,7 @@ def sample_subset(lengths: Sequence[int], fraction: float, num_bins: int = 30,
     _, idx = _bins(lengths, num_bins)
     full_counts = np.bincount(idx, minlength=num_bins)
     # A stable (radix) sort on a small int dtype: each bin's members in ascending order.
-    order = np.argsort(idx.astype(np.min_scalar_type(num_bins)), kind="stable")
+    order = np.argsort(idx.astype(np.min_scalar_type(num_bins), copy=False), kind="stable")
     members = np.split(order, np.cumsum(full_counts)[:-1])
 
     quotas = _stratified_quotas(full_counts, fraction, target)

@@ -4,14 +4,17 @@
 ``oracle_sample_subset`` and ``_oracle_greedy_swaps`` below are the
 scalar selection that ``lmmk.sampler`` used to run (one KL per trial
 move, one scan per bin for its members), kept verbatim as an oracle.
+The oracle bins each length by its own search, sharing no binning code
+with ``lmmk.sampler``.
 """
 
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lmmk import sampler
@@ -63,6 +66,19 @@ class TestHistogram:
                        lambda: sampler.sample_subset(lengths, 0.5)):
             with pytest.raises(ValueError, match="^token lengths must fit a float$"):
                 select()
+
+    def test_a_nan_length_is_refused(self):
+        lengths = [1.0, float("nan"), 3.0]
+        for select in (lambda: sampler.histogram(lengths, 2),
+                       lambda: sampler.sample_subset(lengths, 0.5)):
+            with pytest.raises(ValueError, match="^token lengths must be positive$"):
+                select()
+
+    @pytest.mark.parametrize("edges", [(0.0, float("nan"), 2.0), (float("nan"), 1.0, 2.0),
+                                       (0.0, 1.0, float("nan"))])
+    def test_nan_edges_are_refused(self, edges):
+        with pytest.raises(ValueError, match="^bin edges must be strictly increasing$"):
+            TokenLengthHistogram(edges, (1, 1), 0.5)
 
 
 class TestKLDivergence:
@@ -233,20 +249,26 @@ class TestFiles:
 
 # -- the scalar selection, kept as the oracle -----------------------------------
 
+def _oracle_bin_indices(values, edges):
+    """Each value's bin by its own search: an interior edge belongs to the
+    lower bin, the last edge to the last bin."""
+    return np.clip(np.searchsorted(edges, values, "left") - 1, 0, len(edges) - 2)
+
+
 def _oracle_histogram(lengths, num_bins, smoothing_alpha=0.5):
     if len(lengths) == 0:
         raise EmptyDataset("no token lengths supplied")
     if num_bins < 2:
         raise ValueError("num_bins must be at least 2")
     values = np.asarray(lengths, dtype=float)
-    if np.any(values <= 0):
+    if not (values > 0).all():
         raise ValueError("token lengths must be positive")
     lo = float(values.min())
     hi = float(values.max())
     if hi == lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, num_bins + 1)
-    idx = sampler._bin_indices(values, edges)
+    idx = _oracle_bin_indices(values, edges)
     counts = np.bincount(idx, minlength=num_bins)
     return TokenLengthHistogram(
         bin_edges=tuple(edges.tolist()),
@@ -300,8 +322,15 @@ def _oracle_greedy_swaps(chosen, members, full_counts, alpha, rng, max_iteration
     return history
 
 
+def _oracle_bins(lengths, num_bins):
+    """``sampler._bins`` from the oracle: the histogram's edges and each
+    length's bin."""
+    edges = np.asarray(_oracle_histogram(lengths, num_bins).bin_edges)
+    return edges, _oracle_bin_indices(np.asarray(lengths, dtype=float), edges)
+
+
 def _oracle_members(lengths, full):
-    idx = sampler._bin_indices(np.asarray(lengths, dtype=float), np.asarray(full.bin_edges))
+    idx = _oracle_bin_indices(np.asarray(lengths, dtype=float), np.asarray(full.bin_edges))
     return [np.flatnonzero(idx == b) for b in range(len(full.counts))]
 
 
@@ -361,6 +390,34 @@ def corpora(draw):
     return lengths
 
 
+@st.composite
+def boundary_corpora(draw):
+    """(lengths, num_bins) on either side of the conditions under which
+    ``sampler._bins`` looks bins up in a table: whole numbers spanning
+    len - 1, len or len + 1 values; the same with some lengths moved off
+    the integers; integers past 2**53, where the float conversion rounds;
+    and every edge of a num_bins histogram, each held several times."""
+    num_bins = draw(st.one_of(st.sampled_from([255, 256, 300]), st.integers(2, 60)))
+    kind = draw(st.sampled_from(["whole", "non-integral", "past-2**53", "on-edges"]))
+    if kind == "on-edges":  # e.g. 1..31 with 30 bins: each interior length is an edge
+        width = draw(st.integers(1, 3))
+        lengths = np.tile(np.arange(num_bins + 1) * width, width + 1)
+        return (draw(st.integers(1, 10**6)) + lengths).tolist(), num_bins
+    step = draw(st.sampled_from([1, 2, 3, 256])) if kind == "past-2**53" else 1
+    n = draw(st.integers(2, 1_500 if step == 256 else 300))  # 2**60 + 256 * k needs span >= 512
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = max(1, (n + draw(st.sampled_from([-1, 0, 1]))) // step)
+    keys = rng.permutation(np.append(rng.integers(0, span + 1, n - 2), [0, span]))
+    if kind == "past-2**53":
+        base = draw(st.sampled_from([2**53, 2**53 + 1, 2**60]))
+        return [base + step * int(k) for k in keys], num_bins
+    lengths = draw(st.integers(1, 10**6)) + keys.astype(float)
+    if kind == "non-integral":
+        moved = rng.integers(0, n, draw(st.integers(1, n)))
+        lengths[moved] += draw(st.sampled_from([0.5, 0.25, 1e-6, 0.999]))
+    return lengths.tolist(), num_bins
+
+
 fractions = st.one_of(
     st.floats(0.002, 1.0),
     st.floats(0.0, 1.0, exclude_min=True),
@@ -400,6 +457,28 @@ class TestAgainstScalarSelection:
         assert len(history) > 2
         assert history == expected_history
         assert np.array_equal(chosen, expected_chosen)
+
+    @settings(max_examples=300, deadline=None)
+    @given(boundary_corpora(), st.one_of(st.floats(0.005, 0.2), st.just(1.0)),
+           st.integers(0, 2**32 - 1))
+    @example(([*range(1, 32)], 30), 0.1, 0)
+    @example(([2**60 + 256 * k for k in range(3)] * 200, 2), 0.1, 0)
+    def test_binning_matches_oracle_on_both_sides_of_the_table_route(self, case, fraction, seed):
+        lengths, num_bins = case
+        expected = outcome(_oracle_bins, lengths, num_bins)
+        got = outcome(sampler._bins, lengths, num_bins)
+        if isinstance(expected[0], np.ndarray):
+            assert np.array_equal(got[0], expected[0])
+            assert np.array_equal(got[1], expected[1])  # the values: the dtype may be narrower
+        else:
+            assert got == expected
+        assert (outcome(sampler.histogram, lengths, num_bins)
+                == outcome(_oracle_histogram, lengths, num_bins))
+        # The scalar selection is too slow at hundreds of bins, so the plan is
+        # checked against the same selection run on the oracle's bins.
+        with mock.patch.object(sampler, "_bins", _oracle_bins):
+            expected_plan = outcome(sampler.sample_subset, lengths, fraction, num_bins, seed)
+        assert outcome(sampler.sample_subset, lengths, fraction, num_bins, seed) == expected_plan
 
     def test_pinned_plan(self):
         # Selected on the scalar loop; any change to the selection shows here.
