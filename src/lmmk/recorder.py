@@ -438,12 +438,13 @@ class Trace:
             for r in self.kernels:
                 kernels.add_kernel(r.name, r.queue_id, r.t_cpu_enqueue_ns, r.t_queued_ns,
                                    r.t_submit_ns, r.t_start_ns, r.t_end_ns)
-        phases = phases._arrays() if isinstance(phases, PhaseTable) else phases.phase_columns()
-        names, kernels = ((kernels.names, kernels._arrays()) if isinstance(kernels, KernelTable)
-                          else kernels.kernel_columns())
+        phases = (_joined([phases._arrays()]) if isinstance(phases, PhaseTable)
+                  else phases.phase_columns())
+        names, kernels = ((kernels.names, _joined([kernels._arrays()]))
+                          if isinstance(kernels, KernelTable) else kernels.kernel_columns())
         check_columns(phases, names, kernels)
-        phases = PhaseTable(*_owned(phases, 3))  # by t_start_ns
-        kernels = KernelTable(names, *_owned(kernels, 3))  # by t_queued_ns
+        phases = PhaseTable(*_in_order(phases, 3))  # by t_start_ns
+        kernels = KernelTable(names, *_in_order(kernels, 3))  # by t_queued_ns
         overlaps = np.flatnonzero(phases.t_start_ns[1:] < phases.t_end_ns[:-1])
         if len(overlaps):
             a, b = phases[overlaps[0]:overlaps[0] + 2]
@@ -455,12 +456,12 @@ class Trace:
         object.__setattr__(self, "kernels", kernels)
 
 
-def _owned(columns: Columns, key: int) -> list[np.ndarray]:
-    """A copy of each column, its rows ordered by column ``key`` with ties
-    in the order given: sorted by a stable argsort only when out of order."""
+def _in_order(columns: Columns, key: int) -> Columns:
+    """The columns, their rows ordered by column ``key`` with ties in the
+    order given: as they are if in order, else gathered by a stable argsort."""
     t = columns[key]
     if (t[1:] >= t[:-1]).all():
-        return [c.copy() for c in columns]
+        return columns
     order = np.argsort(t, kind="stable")
     return [c[order] for c in columns]
 
@@ -555,7 +556,7 @@ class RecordColumns:
         self._p_len += len(phases[0])
 
     def phase_columns(self) -> Columns:
-        """The phase rows' columns in recording order, unchecked; views if one segment holds all."""
+        """The phase rows' columns in recording order, unchecked, in new arrays."""
         return _joined([*self._p_segments, _rows(self._phases, self._p_from, self._p_at, 5)])
 
     def kernel_columns(self) -> tuple[tuple[str, ...], Columns]:
@@ -585,10 +586,9 @@ def _rows(buffer: bytearray, lo: int, hi: int, width: int) -> np.ndarray:
 
 
 def _joined(segments: list) -> Columns:
-    """A table's columns from its segments' columns; those of the one
-    segment that holds every row, if one does, as they are."""
-    parts = [part for part in segments if len(part[0])] or segments[-1:]
-    return parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
+    """A table's columns from its segments' columns, each joined by one
+    ``np.concatenate`` into a new array that views no segment."""
+    return [np.concatenate(c) for c in zip(*segments)]
 
 
 class TraceSession:

@@ -20,12 +20,13 @@ equal. The ground-truth sidecar's windows are formatted from their
 columns the same way, after one check of the columns. The reader reads
 the header line on its own, then blocks of about 64 KiB that end on LF.
 A block of lines exactly as :func:`write_jsonl` emits them is taken in
-bulk: one ``findall`` per record type, int64 columns, one
-:func:`~lmmk.recorder.check_columns` and one append. The ``findall``
-patterns are compiled from the writer's line templates, and take a token
-only as null or a nonnegative integer. Any other block goes line by line
-through :func:`json.loads`, the reference the bulk route agrees with:
-each line builds the :class:`~lmmk.recorder.PhaseRecord` or
+bulk: one ``findall`` per record type, whose integers are parsed as one
+decimal text into int64 columns (again exactly if a value reads as an
+int64 end), one :func:`~lmmk.recorder.check_columns` and one append. The
+``findall`` patterns are compiled from the writer's line templates, and
+take a token only as null or a nonnegative integer. Any other block goes
+line by line through :func:`json.loads`, the reference the bulk route
+agrees with: each line builds the :class:`~lmmk.recorder.PhaseRecord` or
 :class:`~lmmk.recorder.KernelRecord` it describes, which checks it, and
 the header builds a Trace of no rows. After refused blocks in a row, the
 bulk route is tried at doubling intervals. Both routes fill the columns
@@ -46,6 +47,8 @@ import numpy as np
 
 from .errors import LmmkError, ParseError, PhaseOverlap, UnknownVersion
 from .recorder import (
+    INT64_MAX,
+    INT64_MIN,
     KernelRecord,
     PhaseKind,
     PhaseRecord,
@@ -188,27 +191,29 @@ def write_ground_truth(truth: GroundTruth, path: str) -> None:
 # A JSON integer of at most 19 digits (every int64 fits; the columns reject
 # a 19-digit value past int64); longer literals take the json.loads route,
 # which reports CPython's digit limit itself.
-_INT = rb"(-?(?:0|[1-9][0-9]{0,18}))"
+_INT = rb"-?(?:0|[1-9][0-9]{0,18})"
 _KIND_CODE = {value.encode(): code for value, code in _INDEX_BY_VALUE.items()}
 
 
-def _lines_pattern(template: bytes, *slots: bytes) -> re.Pattern:
+def _lines_pattern(template: bytes, head: bytes, *slots: bytes) -> re.Pattern:
     """The pattern of every line of ``template`` whose ``%s`` slots match
-    ``slots`` in turn, in LF + block, for ``findall``: a match runs from
-    the LF before a line up to the LF that ends it. (A leading ``(?m)^``
-    would anchor the same lines, but it stops ``re`` from scanning for the
-    literal prefix and doubles the search time.)"""
-    first, *pieces = map(re.escape, template.removesuffix(b"\n").split(b"%s"))
-    fields = first + b"".join(slot + piece for slot, piece in zip(slots, pieces, strict=True))
-    return re.compile(rb"\n" + fields + rb"(?=\n)")
+    ``head``, then ``slots``, in LF + block, for ``findall``: a match runs
+    from the LF before a line up to the LF that ends it, with two groups,
+    ``head`` and the span of ``slots``. (A leading ``(?m)^`` would anchor
+    the same lines, but it stops ``re`` scanning for the literal prefix.)"""
+    first, after_head, *pieces, last = map(re.escape, template.removesuffix(b"\n").split(b"%s"))
+    span = b"".join(slot + piece for slot, piece in zip(slots, [*pieces, b""], strict=True))
+    return re.compile(rb"\n" + first + head + after_head + b"(" + span + b")" + last + rb"(?=\n)")
 
 
 # A token is null or a nonnegative integer: a negative one breaks the rule
 # of every phase kind and takes the json.loads route for its message.
 _PHASE_LINES = _lines_pattern(_PHASE_LINE, b"(" + b"|".join(_KIND_CODE) + b")", _INT,
-                              rb"(null|0|[1-9][0-9]{0,18})", _INT, _INT)
+                              rb"(?:null|0|[1-9][0-9]{0,18})", _INT, _INT)
 # Names are printable ASCII without '"' or '\', so the bytes are the text.
 _KERNEL_LINES = _lines_pattern(_KERNEL_LINE, rb'"([\x20\x21\x23-\x5b\x5d-\x7e]*)"', *[_INT] * 6)
+# Every byte of a span but its integers' and the commas between its fields (no key holds a digit).
+_NOT_INT = bytes(sorted(set(range(256)) - set(b"-,0123456789")))
 _BLOCK_BYTES = 1 << 16  # the reader reads this many bytes at a time, then up to the next LF
 
 
@@ -269,6 +274,18 @@ def _header_fields(obj: Mapping) -> dict:
     return fields
 
 
+def _int_columns(text: bytes, rows: int, width: int) -> Sequence[np.ndarray]:
+    """The int64 columns of ``rows`` spans of ``width`` integers joined by
+    commas in ``text``. ``fromstring`` reads a literal past int64 as
+    INT64_MAX, so a text with a value at an int64 end, or too few values,
+    is parsed again exactly: one past int64 raises OverflowError."""
+    text = text.translate(None, _NOT_INT)
+    values = np.fromstring(text, np.int64, sep=",")
+    if len(values) != rows * width or INT64_MAX in values or INT64_MIN in values:
+        values = np.array(text.split(b","), dtype=np.int64)
+    return values.reshape(rows, width).T
+
+
 def _bulk_rows(columns: RecordColumns, block: bytes, lines: int) -> bool:
     """Append the rows of a block of ``lines`` canonical lines, each ending
     in LF, to ``columns`` at once and return True; return False, appending
@@ -282,16 +299,16 @@ def _bulk_rows(columns: RecordColumns, block: bytes, lines: int) -> bool:
     kernels = _KERNEL_LINES.findall(text)
     if len(phases) + len(kernels) != lines:
         return False
-    kind, turn, token, start, end = zip(*phases) if phases else [()] * 5
-    name, *times = zip(*kernels) if kernels else [()] * 7
+    kind, phase_spans = zip(*phases) if phases else [()] * 2
+    name, kernel_spans = zip(*kernels) if kernels else [()] * 2
     codes = {raw: code for code, raw in enumerate(dict.fromkeys(name))}  # first-seen order
     names = [raw.decode("ascii") for raw in codes]
     try:
-        phase_columns = [np.array(column, dtype=np.int64) for column in (
-            list(map(_KIND_CODE.__getitem__, kind)), turn,
-            [_NO_TOKEN if value == b"null" else value for value in token], start, end)]
-        kernel_columns = [np.array(column, dtype=np.int64)
-                          for column in (list(map(codes.__getitem__, name)), *times)]
+        phase_columns = [np.array(list(map(_KIND_CODE.__getitem__, kind)), dtype=np.int64),
+                         *_int_columns(b",".join(phase_spans).replace(b"null", b"%d" % _NO_TOKEN),
+                                       len(phases), 4)]
+        kernel_columns = [np.array(list(map(codes.__getitem__, name)), dtype=np.int64),
+                          *_int_columns(b",".join(kernel_spans), len(kernels), 6)]
         check_columns(phase_columns, names, kernel_columns)
     except (OverflowError, ValueError, LmmkError):
         return False

@@ -773,6 +773,17 @@ def lines_of(*lines, end=b"\n"):
 @example(lines_of(HEADER, GOOD, GOOD, kernel_line(b"a", 1, 2, 3, 2), end=b""), 1)
 @example(lines_of(b"", HEADER, GOOD, kernel_line(b"b", 0, 0, 0, 0), GOOD,
                   kernel_line(b"z", 0, 0, 0, 0)), 1)
+# int64 ends and literals just past them, inside blocks of canonical lines
+@example(lines_of(HEADER, phase_line("decode", INT64_TOP, 0, INT64_TOP, turn=INT64_TOP), GOOD,
+                  kernel_line(b"a", 0, 1, 2, INT64_TOP, queue=INT64_TOP, enqueue=INT64_TOP)), 400)
+@example(lines_of(HEADER, GOOD, kernel_line(b"a", 0, 1, 2, 3, enqueue=-(2**63)), GOOD), 400)
+@example(lines_of(HEADER, GOOD, phase_line("decode", 1, 0, 1, turn=-(2**63)), GOOD), 400)
+@example(lines_of(HEADER, GOOD, kernel_line(b"a", 0, 1, 2, 2**63), GOOD), 400)
+@example(lines_of(HEADER, GOOD, phase_line("prefill", None, 0, 2**63), GOOD), 400)
+@example(lines_of(HEADER, GOOD, kernel_line(b"a", 0, 1, 2, 3, queue=-(2**63) - 1), GOOD), 400)
+@example(lines_of(HEADER, GOOD, phase_line("decode", 10**19 - 1, 0, 1), GOOD), 400)
+@example(lines_of(HEADER, GOOD, kernel_line(b"a", -(10**19 - 1), 1, 2, 3), GOOD), 400)
+@example(lines_of(HEADER, GOOD, phase_line("decode", 1, 0, 1, turn=2**64), GOOD), 400)
 def test_block_reader_matches_per_line_reader(scratch, data, block_bytes):
     """Any block size gives what the per-line route gives: the same trace
     and kernel name order, or the same error and message."""
@@ -802,16 +813,18 @@ def test_a_negative_token_is_read_line_by_line(tmp_path, kind, token, message):
 
 def test_bulk_patterns_are_the_writer_templates():
     """The kernel pattern is the writer's line with its slots filled; the
-    phase pattern too, its token slot null or a nonnegative integer."""
-    fields = [rb"(-?(?:0|[1-9][0-9]{0,18}))"] * 4
+    phase pattern too, its token slot null or a nonnegative integer. Each
+    has two groups: the kind or name, and the span of its integers."""
+    fields = [rb"-?(?:0|[1-9][0-9]{0,18})"] * 4
     kinds = b"(" + b"|".join(k.value.encode() for k in PhaseKind) + b")"
     assert trace_io._PHASE_LINES.pattern == (
-        rb'\n\{"ev":"phase","kind":"%s","turn":%s,"token":(null|0|[1-9][0-9]{0,18}),'
-        rb'"t_start_ns":%s,"t_end_ns":%s\}(?=\n)' % (kinds, *fields[:3]))
+        rb'\n\{"ev":"phase","kind":"%s","turn":(%s,"token":(?:null|0|[1-9][0-9]{0,18}),'
+        rb'"t_start_ns":%s,"t_end_ns":%s)\}(?=\n)' % (kinds, *fields[:3]))
     assert trace_io._KERNEL_LINES.pattern == (
-        rb'\n\{"ev":"kernel","name":"([\x20\x21\x23-\x5b\x5d-\x7e]*)","queue":%s,'
+        rb'\n\{"ev":"kernel","name":"([\x20\x21\x23-\x5b\x5d-\x7e]*)","queue":(%s,'
         rb'"t_cpu_enqueue_ns":%s,"t_queued_ns":%s,"t_submit_ns":%s,"t_start_ns":%s,'
-        rb'"t_end_ns":%s\}(?=\n)' % (*fields, *fields[:2]))
+        rb'"t_end_ns":%s)\}(?=\n)' % (*fields, *fields[:2]))
+    assert trace_io._PHASE_LINES.groups == trace_io._KERNEL_LINES.groups == 2
 
 
 def read_spying_on_bulk(path, block_bytes):
@@ -861,6 +874,35 @@ def test_bulk_route_backs_off_from_refused_blocks(tmp_path, preset_run_16):
     assert loaded == trace
     assert taken[-1] and taken.count(0) <= 6
     assert sum(taken) >= blocks - 2 * crlf_stretch
+
+
+def test_bulk_route_takes_int64_ends_exactly(tmp_path):
+    """A block holding INT64_MAX in every integer field is taken in bulk and
+    reads back as the per-line route reads it; the integer text gives
+    INT64_MIN exactly too, and refuses a literal past either end."""
+    path = tmp_path / "ends.jsonl"
+    top = INT64_TOP
+    path.write_bytes(lines_of(HEADER, phase_line("decode", top, top, top, turn=top), GOOD,
+                              kernel_line(b"a", top, top, top, top, queue=top, enqueue=top)))
+    loaded, taken = read_spying_on_bulk(path, 4096)
+    assert taken == [3]
+    assert loaded.phases[0] == PhaseRecord(PhaseKind.DECODE, top, top, top, top)
+    assert loaded.kernels[1] == KernelRecord("a", top, top, top, top, top, top)
+    with per_line_only():
+        assert trace_io.read_jsonl(str(path)) == loaded
+    ends = trace_io._int_columns(b"%d,%d" % (-(2**63), top), 1, 2)
+    assert [column.tolist() for column in ends] == [[-(2**63)], [top]]
+    for past in (2**63, -(2**63) - 1, 10**19 - 1, -(10**19 - 1)):
+        with pytest.raises(OverflowError):
+            trace_io._int_columns(b"0,%d" % past, 1, 2)
+
+
+def test_numpy_text_parse_saturates_past_int64():
+    """The bulk route finds a literal past int64 by the int64 end it parses
+    to, so it relies on numpy's text parse reading every such literal as
+    INT64_MAX. A numpy that wraps instead would put wrong values in a Trace."""
+    for past in (2**63, 10**19 - 1, 2**64, -(2**63) - 1, -(10**19 - 1)):
+        assert np.fromstring(b"5,%d" % past, np.int64, sep=",").tolist() == [5, INT64_TOP]
 
 
 def test_reader_memory_is_bounded_by_columns_and_blocks(tmp_path):
