@@ -23,19 +23,26 @@ which come back as a column table with no object per gap, and
 O(log K + kernels in the window) for aggregates. The index is cached on
 the Trace instance; two threads racing on a fresh Trace may both build
 it, and since the builds are equal either one serves.
+
+The result records :class:`IdleReport`, :class:`KernelAggregate`,
+:class:`PhaseUsage` and :class:`LifecycleBreakdown` check nothing, so they
+are named tuples: a window query builds one or more per call, and a named
+tuple costs about a third of a frozen dataclass to make. :class:`Interval`
+stays a frozen dataclass that checks its bounds: integer nanoseconds inside
+int64 (``recorder.check_int64``), end not before start.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import UnalignedClocks
 from .recorder import (INT64_MAX, INT64_MIN, KernelRecord, KernelTable, PhaseKind, Trace,
-                       _RecordTable)
+                       _RecordTable, check_int64)
 
 #: Attribution bucket for kernels whose start falls inside no phase window.
 UNATTRIBUTED = "unattributed"
@@ -47,7 +54,10 @@ class Interval:
     end_ns: int
 
     def __post_init__(self) -> None:
-        if self.end_ns < self.start_ns:
+        start, end = self.start_ns, self.end_ns
+        if not (type(start) is type(end) is int and INT64_MIN <= start <= end <= INT64_MAX):
+            check_int64("Interval.start_ns", start)
+            check_int64("Interval.end_ns", end)
             raise ValueError("interval end precedes start")
 
     @property
@@ -55,8 +65,7 @@ class Interval:
         return self.end_ns - self.start_ns
 
 
-@dataclass(frozen=True)
-class LifecycleBreakdown:
+class LifecycleBreakdown(NamedTuple):
     """The three stages of one command: host-to-device queuing, scheduling
     and dispatch inside the device runtime, and device-side execution."""
 
@@ -69,8 +78,7 @@ class LifecycleBreakdown:
         return self.queuing_ns + self.dispatch_ns + self.execution_ns
 
 
-@dataclass(frozen=True)
-class KernelAggregate:
+class KernelAggregate(NamedTuple):
     name: str
     invocation_count: int
     total_execution_ns: int
@@ -104,8 +112,7 @@ class GapTable(_RecordTable):
 _NO_GAPS = GapTable(())
 
 
-@dataclass(frozen=True)
-class IdleReport:
+class IdleReport(NamedTuple):
     window: Interval
     busy_ns: int
     idle_ns: int
@@ -113,8 +120,7 @@ class IdleReport:
     gaps: GapTable
 
 
-@dataclass(frozen=True)
-class PhaseUsage:
+class PhaseUsage(NamedTuple):
     device_busy_ns: int
     phase_wall_ns: int
     kernel_count: int
@@ -283,13 +289,8 @@ def aggregate_kernels(trace: Trace, window: Optional[Interval] = None) -> list[K
             entry[1] += ns
     busy_total = sum(total for _, total in totals.values())
     result = [
-        KernelAggregate(
-            name=kernels.names[code],
-            invocation_count=count,
-            total_execution_ns=total,
-            mean_execution_ns=total / count,
-            share_of_busy=(total / busy_total) if busy_total > 0 else 0.0,
-        )
+        KernelAggregate(kernels.names[code], count, total, total / count,
+                        (total / busy_total) if busy_total > 0 else 0.0)
         for code, (count, total) in totals.items()
     ]
     result.sort(key=lambda a: (-a.total_execution_ns, a.name))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import lmmk
-from conftest import build_trace
+from conftest import GOLDEN_DIR, build_trace
 from lmmk import sim_engine, timeline, trace_io
 from lmmk.cli import main
 from lmmk.recorder import PhaseKind
@@ -162,6 +162,20 @@ class TestAnalyze:
             assert aggregates[agg.name]["count"] == agg.invocation_count
             assert aggregates[agg.name]["share"] == agg.share_of_busy
         assert payload["phases"]["decode"]["kernel_count"] == 16 * 12
+
+    @pytest.mark.parametrize("args, golden", [
+        ((), "analyze.json"),
+        (("--report", "csv", "--idle"), "analyze.idle.csv"),
+        (("--report", "csv", "--aggregate"), "analyze.aggregate.csv"),
+        (("--report", "csv", "--phases"), "analyze.phases.csv"),
+    ], ids=["json", "csv-idle", "csv-aggregate", "csv-phases"])
+    def test_golden_trace_report_bytes(self, args, golden, tmp_path, capsys):
+        out = tmp_path / golden
+        argv = ("analyze", str(GOLDEN_DIR / "trace.jsonl"), *args)
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
     def test_csv_aggregate_columns(self, sim_trace_path, tmp_path):
         out = tmp_path / "agg.csv"

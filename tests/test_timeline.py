@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from conftest import build_trace, single_kernel_workload
 from lmmk import sim_engine, timeline
 from lmmk.errors import UnalignedClocks
 from lmmk.recorder import (INT64_MAX, INT64_MIN, PER_TOKEN_KINDS, KernelRecord, KernelTable,
-                           PhaseKind, PhaseTable, Trace)
+                           PhaseKind, PhaseTable, Trace, check_int64)
 from lmmk.sim_engine import JitterModel, KernelSpec, PhaseScript, WorkloadSpec
 from lmmk.timeline import Interval, PhaseUsage, UNATTRIBUTED
 
@@ -500,6 +501,47 @@ def test_phase_owners_follows_the_python_int_rule(case):
 def test_interval_validation():
     with pytest.raises(ValueError):
         Interval(10, 5)
+
+
+@given(bad=st.one_of(st.floats(), st.booleans(), st.integers(INT64_MIN, INT64_MAX).map(np.int64),
+                     st.integers(min_value=INT64_MAX + 1), st.integers(max_value=INT64_MIN - 1)),
+       other=st.integers(INT64_MIN, INT64_MAX), at_end=st.booleans())
+@settings(max_examples=200)
+def test_interval_bounds_follow_the_int64_rule(bad, other, at_end):
+    name = "end_ns" if at_end else "start_ns"
+    with pytest.raises((TypeError, ValueError)) as rule:
+        check_int64(f"Interval.{name}", bad)
+    with pytest.raises(rule.type, match=f"^{re.escape(str(rule.value))}$"):
+        Interval(other, bad) if at_end else Interval(bad, other)
+
+
+# Field order and repr text of the records when they were frozen dataclasses.
+RESULT_RECORDS = [
+    (timeline.IdleReport(Interval(0, 10), 7, 3, 0.3, timeline.GapTable([2, 5])),
+     ("window", "busy_ns", "idle_ns", "idle_fraction", "gaps"),
+     "IdleReport(window=Interval(start_ns=0, end_ns=10), busy_ns=7, idle_ns=3, "
+     "idle_fraction=0.3, gaps=GapTable(Interval(start_ns=2, end_ns=5),))"),
+    (timeline.KernelAggregate("k", 2, 30, 15.0, 0.5),
+     ("name", "invocation_count", "total_execution_ns", "mean_execution_ns", "share_of_busy"),
+     "KernelAggregate(name='k', invocation_count=2, total_execution_ns=30, "
+     "mean_execution_ns=15.0, share_of_busy=0.5)"),
+    (PhaseUsage(5, 9, 2), ("device_busy_ns", "phase_wall_ns", "kernel_count"),
+     "PhaseUsage(device_busy_ns=5, phase_wall_ns=9, kernel_count=2)"),
+    (timeline.LifecycleBreakdown(1, 2, 3), ("queuing_ns", "dispatch_ns", "execution_ns"),
+     "LifecycleBreakdown(queuing_ns=1, dispatch_ns=2, execution_ns=3)"),
+]
+
+
+@pytest.mark.parametrize("record, fields, text", RESULT_RECORDS,
+                         ids=[type(r).__name__ for r, _, _ in RESULT_RECORDS])
+def test_result_record_contract(record, fields, text):
+    assert type(record)._fields == fields
+    assert repr(record) == text
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    twin = type(record)(**{name: getattr(record, name) for name in fields})
+    assert twin == record == tuple(record) and hash(twin) == hash(record)
 
 
 def test_kernel_span():
