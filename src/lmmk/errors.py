@@ -81,14 +81,6 @@ class EmptyDataset(LmmkError):
     """No token lengths were supplied."""
 
 
-class BinMismatch(LmmkError):
-    """KL divergence requires histograms over identical bin edges."""
-
-
-class UnsupportedZero(LmmkError):
-    """q has zero mass where p is positive and no smoothing is in effect."""
-
-
 class FractionOutOfRange(LmmkError):
     """Subset fraction must lie in (0, 1] and select at least one item."""
 

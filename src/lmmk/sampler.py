@@ -23,43 +23,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BinMismatch, EmptyDataset, FractionOutOfRange, ParseError, UnsupportedZero
+from .errors import EmptyDataset, FractionOutOfRange
 
 #: Additive smoothing of the subset and corpus histograms that
 #: :func:`sample_subset` compares.
 SMOOTHING_ALPHA = 0.5
-
-
-@dataclass(frozen=True)
-class TokenLengthHistogram:
-    """Equal-width histogram with additive smoothing.
-
-    Smoothed bin probabilities are (count + alpha) / (N + alpha * B); with
-    alpha > 0 they are strictly positive everywhere, which keeps the KL
-    divergence finite.
-    """
-
-    bin_edges: tuple[float, ...]
-    counts: tuple[int, ...]
-    smoothing_alpha: float
-
-    def __post_init__(self) -> None:
-        if len(self.bin_edges) != len(self.counts) + 1:
-            raise ValueError("need exactly len(counts)+1 bin edges")
-        if not all(a < b for a, b in zip(self.bin_edges, self.bin_edges[1:])):
-            raise ValueError("bin edges must be strictly increasing")
-        if self.smoothing_alpha < 0:
-            raise ValueError("smoothing_alpha must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def probabilities(self) -> np.ndarray:
-        alpha = self.smoothing_alpha
-        n_bins = len(self.counts)
-        counts = np.asarray(self.counts, dtype=float)
-        return (counts + alpha) / (self.total + alpha * n_bins)
 
 
 @dataclass(frozen=True)
@@ -94,39 +62,13 @@ def _bins(lengths: Sequence[int], num_bins: int) -> tuple[np.ndarray, np.ndarray
     if hi == lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, num_bins + 1)
-    if np.any(edges[:-1] >= edges[1:]):
+    if not (edges[:-1] < edges[1:]).all():  # a NaN edge fails too
         raise ValueError("bin edges must be strictly increasing")
     keys = (values - lo).astype(np.intp) if hi - lo <= len(values) else None  # table <= corpus
     if keys is not None and (keys + lo == values).all():  # each length is exactly lo + a key
         table = _bin_indices(lo + np.arange(keys.max() + 1), edges)
         return edges, table.astype(np.min_scalar_type(num_bins))[keys]
     return edges, _bin_indices(values, edges)
-
-
-def histogram(lengths: Sequence[int], num_bins: int,
-              smoothing_alpha: float = SMOOTHING_ALPHA) -> TokenLengthHistogram:
-    """Equal-width histogram of token lengths (see :func:`_bins`)."""
-    if len(lengths) == 0:
-        raise EmptyDataset("no token lengths supplied")
-    edges, idx = _bins(lengths, num_bins)
-    counts = np.bincount(idx, minlength=num_bins)
-    return TokenLengthHistogram(tuple(edges.tolist()), tuple(counts.tolist()), smoothing_alpha)
-
-
-def kl_divergence(p: TokenLengthHistogram, q: TokenLengthHistogram) -> float:
-    """KL(p || q) in nats over the shared bins.
-
-    Requires identical bin edges. Where p has mass, q must too: either both
-    histograms are smoothed or q is strictly positive on p's support.
-    """
-    if p.bin_edges != q.bin_edges:
-        raise BinMismatch("histograms use different bin edges")
-    pp = p.probabilities()
-    qq = q.probabilities()
-    mask = pp > 0
-    if np.any(qq[mask] == 0):
-        raise UnsupportedZero("q has zero mass where p > 0 and no smoothing is in effect")
-    return float(np.sum(pp[mask] * np.log(pp[mask] / qq[mask])))
 
 
 def _kl_rows(counts: np.ndarray, full_counts: np.ndarray, alpha: float) -> list[float]:
@@ -257,11 +199,14 @@ def _integer(text: str) -> int:
 
 def read_lengths_file(path: str) -> list[int]:
     """Read newline-delimited positive integer token lengths, each written
-    as ASCII decimal digits."""
+    as ASCII decimal digits. A bad line raises ValueError naming it."""
     lengths = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:  # bytes, so a bad UTF-8 byte is blamed on its own line
         for lineno, line in enumerate(f, start=1):
-            text = line.strip()
+            try:
+                text = line.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             if not text:
                 continue
             try:
@@ -284,29 +229,3 @@ def write_plan_file(plan: SubsetPlan, path: str) -> None:
         f.write(json.dumps(header, separators=(",", ":")) + "\n")
         for i in plan.indices:
             f.write(f"{i}\n")
-
-
-def read_plan_file(path: str) -> SubsetPlan:
-    """Read a plan :func:`write_plan_file` wrote. A malformed line raises
-    :class:`ParseError` naming it."""
-    lineno = 1
-    try:
-        with open(path, "rb") as f:  # bytes, so a bad UTF-8 byte is blamed on its own line
-            header = json.loads(f.readline())
-            if not isinstance(header, dict):
-                raise ValueError(f"plan header must be an object, got {header!r}")
-            for key in ("fraction", "achieved_kl_nats"):
-                if key not in header:
-                    raise ValueError(f"plan header lacks {key!r}")
-                if not isinstance(header[key], (int, float)) or isinstance(header[key], bool):
-                    raise ValueError(f"plan header {key!r} must be a number, got {header[key]!r}")
-            fraction, kl = float(header["fraction"]), float(header["achieved_kl_nats"])
-            indices = []
-            for lineno, line in enumerate(f, start=2):
-                if text := line.decode("utf-8").strip():
-                    indices.append(_integer(text))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-    except (OverflowError, ValueError) as exc:
-        raise ParseError(f"line {lineno}: {exc}") from None
-    return SubsetPlan(indices=tuple(indices), achieved_kl_nats=kl, fraction=fraction)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -535,17 +535,6 @@ PRESETS = {
 
 # -- declarative workload files ----------------------------------------------
 
-def workload_to_dict(spec: WorkloadSpec) -> dict:
-    return {
-        "name": spec.name,
-        "jitter": asdict(spec.jitter),
-        "phases": {
-            kind.value: {"host_ns": script.host_ns, "kernels": list(map(asdict, script.kernels))}
-            for kind, script in spec.scripts.items()
-        },
-    }
-
-
 def workload_from_dict(data: dict) -> WorkloadSpec:
     """Build a workload from its JSON form (schema in docs/). The keys are
     the spec types' fields, and the types check the values: a malformed
@@ -574,9 +563,3 @@ def load_workload(path: str) -> WorkloadSpec:
         except (ValueError, RecursionError) as exc:
             raise InvalidSpec(f"malformed workload file: {exc}") from None
     return workload_from_dict(data)
-
-
-def save_workload(spec: WorkloadSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(workload_to_dict(spec), f, indent=2)
-        f.write("\n")

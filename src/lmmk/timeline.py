@@ -24,25 +24,24 @@ O(log K + kernels in the window) for aggregates. The index is cached on
 the Trace instance; two threads racing on a fresh Trace may both build
 it, and since the builds are equal either one serves.
 
-The result records :class:`IdleReport`, :class:`KernelAggregate`,
-:class:`PhaseUsage` and :class:`LifecycleBreakdown` check nothing, so they
-are named tuples: a window query builds one or more per call, and a named
-tuple costs about a third of a frozen dataclass to make. :class:`Interval`
-stays a frozen dataclass that checks its bounds: integer nanoseconds inside
-int64 (``recorder.check_int64``), end not before start.
+The result records :class:`IdleReport`, :class:`KernelAggregate` and
+:class:`PhaseUsage` check nothing, so they are named tuples: a window query
+builds one or more per call, and a named tuple costs about a third of a
+frozen dataclass to make. :class:`Interval` stays a frozen dataclass that
+checks its bounds: integer nanoseconds inside int64
+(``recorder.check_int64``), end not before start.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import UnalignedClocks
-from .recorder import (INT64_MAX, INT64_MIN, KernelRecord, KernelTable, PhaseKind, Trace,
-                       _RecordTable, check_int64)
+from .recorder import INT64_MAX, INT64_MIN, KernelTable, PhaseKind, Trace, _RecordTable, check_int64
 
 #: Attribution bucket for kernels whose start falls inside no phase window.
 UNATTRIBUTED = "unattributed"
@@ -63,19 +62,6 @@ class Interval:
     @property
     def length_ns(self) -> int:
         return self.end_ns - self.start_ns
-
-
-class LifecycleBreakdown(NamedTuple):
-    """The three stages of one command: host-to-device queuing, scheduling
-    and dispatch inside the device runtime, and device-side execution."""
-
-    queuing_ns: int
-    dispatch_ns: int
-    execution_ns: int
-
-    @property
-    def total_ns(self) -> int:
-        return self.queuing_ns + self.dispatch_ns + self.execution_ns
 
 
 class KernelAggregate(NamedTuple):
@@ -176,22 +162,12 @@ def _window_index(trace: Trace) -> _WindowIndex:
     It is kept in the instance ``__dict__``, as ``functools.cached_property``
     does, which works on the frozen dataclass. It is not a field, so
     equality, repr and the trace writers never see it, and a
-    ``dataclasses.replace`` copy (such as :func:`filter_queue` returns)
-    starts without one.
+    ``dataclasses.replace`` copy starts without one.
     """
     index = trace.__dict__.get("_window_index")
     if index is None:
         index = trace.__dict__["_window_index"] = _WindowIndex(trace.kernels)
     return index
-
-
-def lifecycle(record: KernelRecord) -> LifecycleBreakdown:
-    """Split one kernel record into its three lifecycle stage durations."""
-    return LifecycleBreakdown(
-        queuing_ns=record.t_submit_ns - record.t_queued_ns,
-        dispatch_ns=record.t_start_ns - record.t_submit_ns,
-        execution_ns=record.t_end_ns - record.t_start_ns,
-    )
 
 
 def kernel_span(trace: Trace) -> Optional[Interval]:
@@ -200,15 +176,6 @@ def kernel_span(trace: Trace) -> Optional[Interval]:
     if not len(kernels):
         return None
     return Interval(int(kernels.t_start_ns.min()), int(kernels.t_end_ns.max()))
-
-
-def filter_queue(trace: Trace, queue_id: int) -> Trace:
-    """Trace restricted to one device queue, for per-queue reports.
-
-    idle_gaps on an unfiltered trace treats the device as busy while any
-    queue executes; filter first to analyze a single queue.
-    """
-    return replace(trace, kernels=trace.kernels.take(trace.kernels.queue_id == queue_id))
 
 
 def idle_gaps(trace: Trace, window: Interval) -> IdleReport:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import tempfile
 from pathlib import Path
@@ -77,6 +78,20 @@ def single_kernel_workload(
         scripts=scripts,
         jitter=JitterModel(seed=seed, sigma_rel=sigma_rel),
     )
+
+
+def workload_dict(spec: WorkloadSpec) -> dict:
+    """The JSON form of a workload file (docs/workload_schema.md), which
+    ``sim_engine.workload_from_dict`` reads back."""
+    return {
+        "name": spec.name,
+        "jitter": dataclasses.asdict(spec.jitter),
+        "phases": {
+            kind.value: {"host_ns": script.host_ns,
+                         "kernels": list(map(dataclasses.asdict, script.kernels))}
+            for kind, script in spec.scripts.items()
+        },
+    }
 
 
 def build_trace(kernels=(), phases=(), clock_offset_ns=0, **meta) -> Trace:

@@ -187,14 +187,12 @@ def test_criterion_06_kl_sampler():
     if full.achieved_kl_nats != 0.0:
         failures.append(("full-fraction kl", full.achieved_kl_nats))
     # Swap refinement from a deliberately bad start never increases KL.
-    values = np.asarray(lengths, dtype=float)
-    hist = sampler.histogram(lengths, 30)
-    idx = sampler._bin_indices(values, np.asarray(hist.bin_edges))
+    _, idx = sampler._bins(lengths, 30)
     members = [np.flatnonzero(idx == b) for b in range(30)]
     chosen = np.zeros(len(lengths), dtype=bool)
     chosen[:1000] = True
     history = sampler._greedy_swaps(
-        chosen, members, np.asarray(hist.counts, dtype=float), 0.5,
+        chosen, members, np.bincount(idx, minlength=30).astype(float), 0.5,
         np.random.default_rng(3), 10_000,
     )
     if any(b > a + 1e-15 for a, b in zip(history, history[1:])):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import lmmk
-from conftest import GOLDEN_DIR, build_trace
+from conftest import GOLDEN_DIR, build_trace, workload_dict
 from lmmk import sim_engine, timeline, trace_io
 from lmmk.cli import main
 from lmmk.recorder import PhaseKind
@@ -104,7 +104,7 @@ class TestSimulate:
 
     def test_workload_file(self, tmp_path):
         spec_path = tmp_path / "wl.json"
-        sim_engine.save_workload(sim_engine.preset_gemma_decode(), str(spec_path))
+        spec_path.write_text(json.dumps(workload_dict(sim_engine.preset_gemma_decode())))
         assert run_cli(
             "simulate", "--workload", str(spec_path),
             "--output-tokens", "2", "--out", str(tmp_path / "t.jsonl"),
@@ -123,7 +123,7 @@ class TestSimulate:
     ], ids=["infinite-latency", "numeric-name", "fractional-host-ns", "nan-sigma",
             "timeline-overflow"])
     def test_workload_field_errors_are_usage_errors(self, tmp_path, capsys, edit, message):
-        data = sim_engine.workload_to_dict(sim_engine.preset_gemma_decode())
+        data = workload_dict(sim_engine.preset_gemma_decode())
         edit(data)
         spec_path = tmp_path / "wl.json"
         spec_path.write_text(json.dumps(data))
@@ -466,6 +466,7 @@ def failure_files(tmp_path):
     (tmp_path / "huge.txt").write_text(f"{2**53}\n")
     (tmp_path / "huge-pair.txt").write_text(f"{2**53}\n{2**53 + 1}\n")
     (tmp_path / "past-float.txt").write_text(f"5\n{10**400}\n")
+    (tmp_path / "not-utf-8.txt").write_bytes(b"12\n\xff\n")
     kernel = ("k", 0, 0, 10, 10, 10, 20)
     trace_io.write_jsonl(build_trace([kernel], [(PhaseKind.PREFILL, 0, None, 0, 50)],
                                      clock_offset_ns=None), str(tmp_path / "unaligned.jsonl"))
@@ -536,6 +537,9 @@ FAILURES = {
     "lengths-past-float": (
         ("sample", "--lengths", "{tmp}/past-float.txt", "--fraction", "0.5"), {}, 1,
         "token lengths must fit a float"),
+    "lengths-not-utf-8": (
+        ("sample", "--lengths", "{tmp}/not-utf-8.txt", "--fraction", "0.5"), {}, 1,
+        "line 2: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     "fraction-selects-nothing": (
         ("sample", "--lengths", "{tmp}/two.txt", "--fraction", "0.1"), {}, 2,
         "fraction=0.1 selects no items from 2"),

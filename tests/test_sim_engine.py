@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import single_kernel_workload
+from conftest import single_kernel_workload, workload_dict
 from test_sim_replay import workloads
 from lmmk import sim_engine, timeline, trace_io
 from lmmk.errors import InvalidSpec, LmmkError, UnknownKernel
@@ -229,7 +229,7 @@ class TestWorkloadConfig:
     def test_round_trip(self, tmp_path):
         spec = preset_gemma_decode().with_jitter(seed=9, sigma_rel=0.01)
         path = tmp_path / "workload.json"
-        sim_engine.save_workload(spec, str(path))
+        path.write_text(json.dumps(workload_dict(spec)))
         loaded = sim_engine.load_workload(str(path))
         assert loaded == spec
         trace_a, _ = sim_engine.run(spec, 2, 3)
@@ -237,7 +237,7 @@ class TestWorkloadConfig:
         assert trace_a == trace_b
 
     def test_missing_phase_rejected(self, tmp_path):
-        data = sim_engine.workload_to_dict(preset_gemma_decode())
+        data = workload_dict(preset_gemma_decode())
         del data["phases"]["softmax"]
         import json
 
@@ -247,7 +247,7 @@ class TestWorkloadConfig:
             sim_engine.load_workload(str(path))
 
     def test_malformed_kernel_rejected(self):
-        data = sim_engine.workload_to_dict(preset_gemma_decode())
+        data = workload_dict(preset_gemma_decode())
         del data["phases"]["decode"]["kernels"][0]["base_latency_ns"]
         with pytest.raises(InvalidSpec):
             sim_engine.workload_from_dict(data)
@@ -259,7 +259,7 @@ class TestWorkloadConfig:
         message = f"kernel name must be a non-empty str, got {name!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             KernelSpec(name, base_latency_ns=1)
-        data = sim_engine.workload_to_dict(preset_gemma_decode())
+        data = workload_dict(preset_gemma_decode())
         data["phases"]["decode"]["kernels"][0]["name"] = name
         with pytest.raises(InvalidSpec):
             sim_engine.workload_from_dict(data)
@@ -339,7 +339,7 @@ def test_workload_name_must_be_a_str():
     (lambda d: d.update(scripts={}), "scripts"),
 ], ids=["kernel", "phase", "phase-kind", "jitter", "top-level", "top-level-scripts"])
 def test_unknown_workload_key_is_invalid_spec(edit, key):
-    data = sim_engine.workload_to_dict(preset_gemma_decode())
+    data = workload_dict(preset_gemma_decode())
     edit(data)
     with pytest.raises(InvalidSpec, match=f"^malformed workload config: .*'{key}'$"):
         sim_engine.workload_from_dict(data)
@@ -349,7 +349,7 @@ def test_unknown_workload_key_is_invalid_spec(edit, key):
 @given(workloads())
 def test_workload_dict_round_trips(workload):
     spec, _ = workload
-    assert sim_engine.workload_from_dict(sim_engine.workload_to_dict(spec)) == spec
+    assert sim_engine.workload_from_dict(workload_dict(spec)) == spec
 
 
 class TestRowLimit:
@@ -445,7 +445,7 @@ def workload_dicts(draw):
     deleted or entries added anywhere in it, or any JSON value at all."""
     if draw(st.integers(0, 9)) == 0:
         return draw(json_values)
-    data = sim_engine.workload_to_dict(single_kernel_workload(sigma_rel=0.01))
+    data = workload_dict(single_kernel_workload(sigma_rel=0.01))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_containers(data))))
         node = data

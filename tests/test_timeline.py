@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import build_trace, single_kernel_workload
 from lmmk import sim_engine, timeline
 from lmmk.errors import UnalignedClocks
-from lmmk.recorder import (INT64_MAX, INT64_MIN, PER_TOKEN_KINDS, KernelRecord, KernelTable,
-                           PhaseKind, PhaseTable, Trace, check_int64)
+from lmmk.recorder import (INT64_MAX, INT64_MIN, PER_TOKEN_KINDS, KernelTable, PhaseKind,
+                           PhaseTable, Trace, check_int64)
 from lmmk.sim_engine import JitterModel, KernelSpec, PhaseScript, WorkloadSpec
 from lmmk.timeline import Interval, PhaseUsage, UNATTRIBUTED
 
@@ -197,29 +197,6 @@ class TestAggregateKernels:
 
     def test_empty(self):
         assert timeline.aggregate_kernels(build_trace()) == []
-
-
-class TestLifecycle:
-    def test_example(self):
-        record = KernelRecord("k", 0, 0, 0, 5, 12, 50)
-        breakdown = timeline.lifecycle(record)
-        assert (breakdown.queuing_ns, breakdown.dispatch_ns, breakdown.execution_ns) == (5, 7, 38)
-
-    def test_degenerate(self):
-        record = KernelRecord("k", 0, 0, 42, 42, 42, 42)
-        breakdown = timeline.lifecycle(record)
-        assert (breakdown.queuing_ns, breakdown.dispatch_ns, breakdown.execution_ns) == (0, 0, 0)
-
-    def test_components_sum_to_total(self):
-        rng = np.random.default_rng(23)
-        for _ in range(1000):
-            queued = int(rng.integers(0, 10 ** 6))
-            submit = queued + int(rng.integers(0, 10 ** 4))
-            start = submit + int(rng.integers(0, 10 ** 4))
-            end = start + int(rng.integers(0, 10 ** 6))
-            record = KernelRecord("k", 0, 0, queued, submit, start, end)
-            breakdown = timeline.lifecycle(record)
-            assert breakdown.total_ns == end - queued
 
 
 class TestPhaseAttribution:
@@ -527,8 +504,6 @@ RESULT_RECORDS = [
      "mean_execution_ns=15.0, share_of_busy=0.5)"),
     (PhaseUsage(5, 9, 2), ("device_busy_ns", "phase_wall_ns", "kernel_count"),
      "PhaseUsage(device_busy_ns=5, phase_wall_ns=9, kernel_count=2)"),
-    (timeline.LifecycleBreakdown(1, 2, 3), ("queuing_ns", "dispatch_ns", "execution_ns"),
-     "LifecycleBreakdown(queuing_ns=1, dispatch_ns=2, execution_ns=3)"),
 ]
 
 
@@ -557,6 +532,6 @@ def test_filter_queue_gives_per_queue_idle():
     )
     window = Interval(0, 20)
     assert timeline.idle_gaps(trace, window).idle_ns == 0
-    queue0 = timeline.filter_queue(trace, 0)
+    queue0 = replace(trace, kernels=trace.kernels.take(trace.kernels.queue_id == 0))
     assert [k.name for k in queue0.kernels] == ["a"]
     assert timeline.idle_gaps(queue0, window).idle_ns == 10

