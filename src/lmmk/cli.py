@@ -166,16 +166,9 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
         result = metrics.evaluate_pair(pair)
         print(f"alpha={result.alpha_pct:.2f} eps_star={result.eps_star_us_per_ms:.3f}")
     elif args.metric == "hq":
-        inputs = metrics.HQInputs(
-            task_id="cli",
-            acc_quant=args.acc_q,
-            acc_full=args.acc_f,
-            prefill_quant_ms=args.prefill_q,
-            prefill_full_ms=args.prefill_f,
-            decode_quant_ms=args.decode_q,
-            decode_full_ms=args.decode_f,
-        )
-        print(f"hq={metrics.hq_from_measurements(inputs):.4f}")
+        score = metrics.hq_from_measurements(args.acc_q, args.acc_f, args.prefill_q,
+                                             args.prefill_f, args.decode_q, args.decode_f)
+        print(f"hq={score:.4f}")
     else:
         estimate = metrics.duplication_estimate(args.base, args.dup, args.n)
         print(f"estimate_ms={estimate:.4f}")

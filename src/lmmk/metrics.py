@@ -55,23 +55,6 @@ class AccuracyResult:
 
 
 @dataclass(frozen=True)
-class HQInputs:
-    """Measurements feeding the harmonic quantization score for one task.
-
-    Accuracy values are opaque inputs (whatever the evaluation harness
-    reports); latencies are per-phase runtimes in milliseconds.
-    """
-
-    task_id: str
-    acc_quant: float
-    acc_full: float
-    prefill_quant_ms: float
-    prefill_full_ms: float
-    decode_quant_ms: float
-    decode_full_ms: float
-
-
-@dataclass(frozen=True)
 class ThroughputReport:
     prefill_tokens_per_s: float
     decode_tokens_per_s: float
@@ -101,24 +84,27 @@ def hq(m_a: float, m_prefill: float, m_decode: float) -> float:
     return 3.0 / (1.0 / m_a + 1.0 / m_prefill + 1.0 / m_decode)
 
 
-def hq_from_measurements(inputs: HQInputs) -> float:
-    """Score from raw measurements.
+def hq_from_measurements(
+    acc_quant: float, acc_full: float, prefill_quant_ms: float, prefill_full_ms: float,
+    decode_quant_ms: float, decode_full_ms: float,
+) -> float:
+    """Score from raw measurements for one task.
 
-    The accuracy ratio is quantized over full; the latency ratios are full
-    over quantized so that a speedup from quantization lands above 1.
+    Accuracy values are opaque inputs (whatever the evaluation harness
+    reports); latencies are per-phase runtimes in milliseconds. The accuracy
+    ratio is quantized over full; the latency ratios are full over quantized
+    so that a speedup from quantization lands above 1.
     """
-    for name in ("acc_quant", "acc_full", "prefill_quant_ms", "prefill_full_ms",
-                 "decode_quant_ms", "decode_full_ms"):
-        value = getattr(inputs, name)
+    for name, value in (("acc_quant", acc_quant), ("acc_full", acc_full),
+                        ("prefill_quant_ms", prefill_quant_ms),
+                        ("prefill_full_ms", prefill_full_ms),
+                        ("decode_quant_ms", decode_quant_ms), ("decode_full_ms", decode_full_ms)):
         if not math.isfinite(value):
             raise NonPositiveComponent(f"{name}={value} must be finite")
         if value <= 0 and name in ("acc_full", "prefill_quant_ms", "decode_quant_ms"):
             raise NonPositiveComponent(f"{name}={value} must be > 0")
-    return hq(
-        inputs.acc_quant / inputs.acc_full,
-        inputs.prefill_full_ms / inputs.prefill_quant_ms,
-        inputs.decode_full_ms / inputs.decode_quant_ms,
-    )
+    return hq(acc_quant / acc_full, prefill_full_ms / prefill_quant_ms,
+              decode_full_ms / decode_quant_ms)
 
 
 def duplication_estimate(t_base_phase_ms: float, t_dup_phase_ms: float, n: int) -> float:

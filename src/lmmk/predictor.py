@@ -64,7 +64,6 @@ class StepSeries:
 class LinearModel:
     intercept_ns: float
     slope_ns_per_step: float
-    trained_steps: int
 
     def predict(self, step: int) -> float:
         return self.intercept_ns + self.slope_ns_per_step * step
@@ -156,7 +155,6 @@ def fit(series: StepSeries) -> LinearModel:
     return LinearModel(
         intercept_ns=y_mean - slope * x_mean,
         slope_ns_per_step=slope,
-        trained_steps=n,
     )
 
 

@@ -32,8 +32,7 @@ import struct
 import threading
 import time
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -197,7 +196,8 @@ def _check_kernel(
 _OPEN = -1  # placeholder in the phase end column while a phase is in flight
 _NO_TOKEN = -1  # column encoding of token_index=None
 _ROW_CHUNK = 4096  # rows converted to Python ints, or formatted as text, at a time
-_SEGMENT_ROWS = 2048  # most rows in one record buffer: 112 KiB of kernel rows
+_FIRST_ROWS = 1024  # rows in a table's first record buffer
+_SEGMENT_ROWS = 2048  # rows in each later record buffer: 112 KiB of kernel rows
 
 _KIND_BY_INDEX = tuple(PhaseKind)
 # keyed on member values: PhaseKind's own hash is Python code
@@ -408,8 +408,7 @@ class Trace:
     (host = device + offset); ``None`` means the domains were never
     aligned and cross-domain analyses must refuse to run. It and the
     token counts must pass :func:`check_int64` as nullable, and
-    ``device_label`` must be a str (TypeError). ``created_at`` is
-    incidental wall-clock metadata and excluded from equality.
+    ``device_label`` must be a str (TypeError).
     :mod:`lmmk.timeline` caches a window index in the instance ``__dict__``
     on the first window query; it is not a field, so equality and
     serialization ignore it and ``dataclasses.replace`` starts without it.
@@ -421,7 +420,6 @@ class Trace:
     kernels: KernelTable
     prompt_tokens: Optional[int] = None
     output_tokens: Optional[int] = None
-    created_at: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.device_label, str):
@@ -430,11 +428,11 @@ class Trace:
             check_int64(f"Trace.{name}", getattr(self, name), nullable=True)
         phases, kernels = self.phases, self.kernels
         if not isinstance(phases, (PhaseTable, RecordColumns)):
-            phases = RecordColumns(0)
+            phases = RecordColumns()
             for r in self.phases:
                 phases.add_phase(r.kind, r.turn, r.token_index, r.t_start_ns, r.t_end_ns)
         if not isinstance(kernels, (KernelTable, RecordColumns)):
-            kernels = RecordColumns(0)
+            kernels = RecordColumns()
             for r in self.kernels:
                 kernels.add_kernel(r.name, r.queue_id, r.t_cpu_enqueue_ns, r.t_queued_ns,
                                    r.t_submit_ns, r.t_start_ns, r.t_end_ns)
@@ -487,22 +485,20 @@ class RecordColumns:
     :class:`Trace` fill and hand to a Trace, which copies them. Rows are
     int64 in :class:`PhaseTable`/:class:`KernelTable` column order (5 and 7
     wide), each written into a row buffer by one ``struct.pack_into``.
-    ``capacity`` rows of each table are allocated up front in buffers of at
-    most ``_SEGMENT_ROWS`` rows; a full buffer is kept as a segment and the
-    next one, or a new one of up to ``_SEGMENT_ROWS`` rows, takes over.
-    Nothing is copied to grow, and no row buffer reaches glibc's 128 KiB
-    mmap threshold, which freeing so large a block would raise. Rows
-    appended as columns become one segment, a copy of each column, so the
-    bulk route writes no row and makes no block wider than one column (a
-    wider one, freed, would raise the threshold). Kernel names are
-    interned: the name column holds codes into the distinct names. Appends
-    check nothing; a row with a value outside int64 raises ``struct.error``
-    and leaves no row and no name."""
+    Each table's first row buffer holds 1,024 rows and every later one
+    2,048 (``_SEGMENT_ROWS``): a full buffer is kept as a segment and a new
+    one takes over. Nothing is copied to grow, and no row buffer reaches
+    glibc's 128 KiB mmap threshold, which freeing so large a block would
+    raise. Rows appended as columns become one segment, a copy of each
+    column, so the bulk route writes no row and makes no block wider than
+    one column (a wider one, freed, would raise the threshold). Kernel
+    names are interned: the name column holds codes into the distinct
+    names. Appends check nothing; a row with a value outside int64 raises
+    ``struct.error`` and leaves no row and no name."""
 
-    def __init__(self, capacity: int = 1024) -> None:
-        self._p_spares = _buffers(_PHASE_ROW.size, max(16, capacity))  # next buffer last
-        self._k_spares = _buffers(_KERNEL_ROW.size, max(16, capacity))
-        self._phases, self._kernels = self._p_spares.pop(), self._k_spares.pop()
+    def __init__(self) -> None:
+        self._phases = bytearray(_PHASE_ROW.size * _FIRST_ROWS)
+        self._kernels = bytearray(_KERNEL_ROW.size * _FIRST_ROWS)
         self._p_at = self._k_at = 0  # bytes of each row buffer filled
         self._p_from = self._k_from = 0  # bytes of each row buffer already in a segment
         self._p_segments, self._k_segments = [], []  # earlier rows' columns, oldest first
@@ -515,8 +511,7 @@ class RecordColumns:
         """Append one phase row and return its row index."""
         i, at = self._p_len, self._p_at
         if at == len(self._phases):
-            self._phases = _closed(self._p_segments, self._p_spares, self._phases,
-                                   self._p_from, _PHASE_ROW.size)
+            self._phases = _closed(self._p_segments, self._phases, self._p_from, _PHASE_ROW.size)
             self._p_at = self._p_from = at = 0  # stored now: a refused row leaves no row
         _PHASE_ROW.pack_into(self._phases, at, _INDEX_BY_VALUE[kind._value_], turn,
                              _NO_TOKEN if token_index is None else token_index, start, end)
@@ -530,8 +525,8 @@ class RecordColumns:
         """Append one kernel row."""
         at = self._k_at
         if at == len(self._kernels):
-            self._kernels = _closed(self._k_segments, self._k_spares, self._kernels,
-                                    self._k_from, _KERNEL_ROW.size)
+            self._kernels = _closed(self._k_segments, self._kernels, self._k_from,
+                                    _KERNEL_ROW.size)
             self._k_at = self._k_from = at = 0
         codes = self._name_codes
         code = codes.get(name)
@@ -565,18 +560,11 @@ class RecordColumns:
         return tuple(self._name_codes), kernels
 
 
-def _buffers(row: int, rows: int) -> list[bytearray]:
-    """Zeroed buffers of ``rows`` rows of ``row`` bytes, at most ``_SEGMENT_ROWS`` rows
-    each, the first to fill last."""
-    return [bytearray(row * min(_SEGMENT_ROWS, rows - lo))
-            for lo in reversed(range(0, rows, _SEGMENT_ROWS))]
-
-
-def _closed(segments: list, spares: list, buffer: bytearray, lo: int, row: int) -> bytearray:
+def _closed(segments: list, buffer: bytearray, lo: int, row: int) -> bytearray:
     """Close a full row buffer, whose rows from byte ``lo`` on are in no
     segment yet, into ``segments``; returns the buffer the next rows go to."""
     segments.append(_rows(buffer, lo, len(buffer), row // 8))
-    return spares.pop() if spares else bytearray(min(2 * len(buffer), row * _SEGMENT_ROWS))
+    return bytearray(row * _SEGMENT_ROWS)
 
 
 def _rows(buffer: bytearray, lo: int, hi: int, width: int) -> np.ndarray:
@@ -610,22 +598,16 @@ class TraceSession:
         device_label: str = "",
         clock_offset_ns: Optional[int] = None,
         clock: Callable[[], int] = now,
-        capacity: int = 1024,
     ) -> None:
-        self._rows = RecordColumns(capacity)
+        self._rows = RecordColumns()
         self.device_label = device_label
         self.clock_offset_ns = clock_offset_ns
         self.clock = clock
-        self.created_at = datetime.now(timezone.utc).isoformat()
         self.prompt_tokens: Optional[int] = None
         self.output_tokens: Optional[int] = None
         self._lock = threading.Lock()
         self._sealed_trace: Optional[Trace] = None
         self._open_handle = -1
-
-    @property
-    def sealed(self) -> bool:
-        return self._sealed_trace is not None
 
     # -- phases ---------------------------------------------------------
 
@@ -749,8 +731,7 @@ class TraceSession:
                 raise OpenPhaseRemaining(f"phase handle {self._open_handle} is still open")
             self._sealed_trace = Trace(
                 self.device_label, self.clock_offset_ns, phases=self._rows, kernels=self._rows,
-                prompt_tokens=self.prompt_tokens, output_tokens=self.output_tokens,
-                created_at=self.created_at)
+                prompt_tokens=self.prompt_tokens, output_tokens=self.output_tokens)
             return self._sealed_trace
 
 
@@ -772,7 +753,7 @@ def calibrate_timer(iterations: int = 10_000) -> TimerCalibration:
         if delta > 0 and (resolution is None or delta < resolution):
             resolution = delta
         prev = cur
-    # default capacity: no kernel rows, and the median ignores pairs that open a buffer
+    # records no kernel rows; the median ignores the pairs that open a phase buffer
     scratch = TraceSession(device_label="calibration")
     costs = [0] * iterations
     for i in range(iterations):

@@ -59,6 +59,8 @@ def _bins(lengths: Sequence[int], num_bins: int) -> tuple[np.ndarray, np.ndarray
     if not (values > 0).all():  # a NaN fails too
         raise ValueError("token lengths must be positive")
     lo, hi = float(values.min()), float(values.max())
+    if hi == math.inf:  # positive lengths: one is infinite only if the max is; NaN edges else
+        raise ValueError("token lengths must be finite")
     if hi == lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, num_bins + 1)

@@ -222,9 +222,6 @@ class GroundTruth:
     prompt_tokens: int = 0
     output_tokens: int = 0
 
-    def kernel_mean_ns(self, name: str) -> float:
-        return self.kernel_total_ns[name] / self.kernel_invocations[name]
-
     def kernel_true_mean_ns(self, name: str) -> float:
         return self.kernel_true_total_ns[name] / self.kernel_invocations[name]
 

@@ -147,6 +147,14 @@ def test_a_code_outside_the_range_is_refused_in_an_otherwise_valid_row(code, tok
         check_columns(columns([], 5), [f"k{i}" for i in range(6)], kernels)
 
 
+def _warm_up(session):
+    """Record 1,000 empty phases and kernels at time 0, so that the rows
+    recorded next cross the end of the first 1,024-row buffer."""
+    for _ in range(1_000):
+        session.end_phase(session.begin_phase(KINDS[0], 0))
+        session.record_kernel("a", 0, 0, 0, 0, 0, 0)
+
+
 def _record_calls(session, clock, phase_list, names, kernel_list):
     for kind, turn, token, start, end in phase_list:
         clock.advance_to(start)
@@ -172,16 +180,16 @@ def test_record_columns_appends_what_the_record_calls_append(phase_count, kernel
         stamps = sorted(rnd.randrange(50) for _ in range(4))
         kernel_list.append([rnd.randrange(3), 0, rnd.randrange(50), *stamps])
     clock = VirtualClock()
-    by_call = TraceSession(clock=clock, capacity=16)
-    by_call.record_kernel("a", 0, 0, 0, 0, 0, 0)
+    by_call = TraceSession(clock=clock)
+    _warm_up(by_call)
     _record_calls(by_call, clock, phase_list, names, kernel_list)
     # record_columns interns the names in the order given: give the ones
     # the rows use, in the order the rows first use them
     used = list(dict.fromkeys(names[code] for code, *_ in kernel_list))
     for row in kernel_list:
         row[0] = used.index(names[row[0]])
-    bulk = TraceSession(capacity=16)
-    bulk.record_kernel("a", 0, 0, 0, 0, 0, 0)
+    bulk = TraceSession(clock=VirtualClock())
+    _warm_up(bulk)
     bulk.record_columns(columns(phase_list, 5), used, columns(kernel_list, 7))
     expected, trace = by_call.seal(), bulk.seal()
     assert trace == expected
@@ -212,10 +220,10 @@ def test_record_columns_refuses_a_name_that_is_not_a_str():
 
 
 def test_extend_grows_past_capacity_in_one_call():
-    rows = RecordColumns(capacity=16)
-    kernels = columns([[i % 2, 0, i, i, i, i, i] for i in range(1000)], 7)
+    rows = RecordColumns()
+    kernels = columns([[i % 2, 0, i, i, i, i, i] for i in range(3_000)], 7)
     rows.extend(columns([], 5), ["x", "y"], kernels)
     names, table = rows.kernel_columns()
     assert names == ("x", "y")
-    assert table[5].tolist() == list(range(1000))
-    assert table[0].tolist() == [i % 2 for i in range(1000)]
+    assert table[5].tolist() == list(range(3_000))
+    assert table[0].tolist() == [i % 2 for i in range(3_000)]

@@ -14,7 +14,7 @@ from lmmk.errors import (
     NonPositiveComponent,
     NonPositiveGroundTruth,
 )
-from lmmk.metrics import HQInputs, MetricPair
+from lmmk.metrics import MetricPair
 from lmmk.recorder import PhaseKind
 
 positive_ms = st.floats(min_value=1e-3, max_value=1e5, allow_nan=False, allow_infinity=False)
@@ -109,28 +109,25 @@ class TestHQ:
 
 class TestHQFromMeasurements:
     def test_equal_measurements_score_one(self):
-        inputs = HQInputs("t", 0.8, 0.8, 120.0, 120.0, 40.0, 40.0)
-        assert metrics.hq_from_measurements(inputs) == pytest.approx(1.0)
+        score = metrics.hq_from_measurements(0.8, 0.8, 120.0, 120.0, 40.0, 40.0)
+        assert score == pytest.approx(1.0)
 
     def test_near_zero_accuracy_collapses(self):
         # Accuracy ratio 1e-6 with 2x speedups: the harmonic mean
         # degenerates to ~3 * m_a.
-        inputs = HQInputs("gsm8k", 1e-6 * 0.5, 0.5, 60.0, 120.0, 20.0, 40.0)
-        score = metrics.hq_from_measurements(inputs)
+        score = metrics.hq_from_measurements(1e-6 * 0.5, 0.5, 60.0, 120.0, 20.0, 40.0)
         assert score == pytest.approx(3e-6, rel=0.01)
 
     def test_halved_latencies(self):
-        inputs = HQInputs("t", 0.7, 0.7, 50.0, 100.0, 15.0, 30.0)
-        assert metrics.hq_from_measurements(inputs) == pytest.approx(1.5)
+        assert metrics.hq_from_measurements(0.7, 0.7, 50.0, 100.0, 15.0, 30.0) == pytest.approx(1.5)
 
     def test_latency_ratio_orientation(self):
         # A quantized model that got slower must score below 1.
-        inputs = HQInputs("t", 0.7, 0.7, 200.0, 100.0, 60.0, 30.0)
-        assert metrics.hq_from_measurements(inputs) < 1.0
+        assert metrics.hq_from_measurements(0.7, 0.7, 200.0, 100.0, 60.0, 30.0) < 1.0
 
     def test_zero_latency_rejected(self):
         with pytest.raises(NonPositiveComponent):
-            metrics.hq_from_measurements(HQInputs("t", 0.5, 0.5, 0.0, 1.0, 1.0, 1.0))
+            metrics.hq_from_measurements(0.5, 0.5, 0.0, 1.0, 1.0, 1.0)
 
 
 class TestDuplicationEstimate:
@@ -243,8 +240,8 @@ def _with(values: list, position: int, bad: float) -> list:
 NON_FINITE_CASES = {
     "MetricPair(lm, gt)": (MetricPair, [1.0, 2.0], (ValueError, NonPositiveGroundTruth)),
     "hq": (metrics.hq, [1.0, 2.0, 0.5], (NonPositiveComponent,) * 3),
-    "hq_from_measurements": (lambda *v: metrics.hq_from_measurements(HQInputs("t", *v)),
-                             [0.5, 0.6, 10.0, 12.0, 5.0, 6.0], (NonPositiveComponent,) * 6),
+    "hq_from_measurements": (metrics.hq_from_measurements, [0.5, 0.6, 10.0, 12.0, 5.0, 6.0],
+                             (NonPositiveComponent,) * 6),
     "duplication_estimate": (lambda base, dup: metrics.duplication_estimate(base, dup, 5),
                              [10.0, 15.0], (ValueError, ValueError)),
     "choose_duplication_count": (metrics.choose_duplication_count, [0.5], (ValueError,)),
@@ -262,6 +259,5 @@ def test_non_finite_inputs_are_refused(name, data, bad):
 
 
 def test_ratio_that_overflows_to_inf_is_refused():
-    inputs = HQInputs("t", 0.5, 0.5, 1e-300, 1e300, 1.0, 1.0)
     with pytest.raises(NonPositiveComponent, match="m_prefill=inf must be finite and > 0"):
-        metrics.hq_from_measurements(inputs)
+        metrics.hq_from_measurements(0.5, 0.5, 1e-300, 1e300, 1.0, 1.0)

@@ -114,12 +114,12 @@ class TestFit:
 
 class TestPredictEvaluate:
     def test_affine_prediction(self):
-        model = LinearModel(intercept_ns=100.0, slope_ns_per_step=2.0, trained_steps=10)
+        model = LinearModel(intercept_ns=100.0, slope_ns_per_step=2.0)
         assert predictor.predict_step_latency(model, 0.0, 50) == 200.0
         assert predictor.predict_step_latency(model, 77.0, 0) == 177.0
 
     def test_consecutive_predictions_differ_by_slope(self):
-        model = LinearModel(intercept_ns=40.0, slope_ns_per_step=3.5, trained_steps=5)
+        model = LinearModel(intercept_ns=40.0, slope_ns_per_step=3.5)
         values = [predictor.predict_step_latency(model, 10.0, s) for s in range(20)]
         for a, b in zip(values, values[1:]):
             assert b - a == pytest.approx(3.5, rel=1e-12)
@@ -132,7 +132,7 @@ class TestPredictEvaluate:
 
     def test_constant_prediction_misses_linear_truth(self):
         truth = StepSeries.from_pairs([(i, 100.0 + 10.0 * i) for i in range(20)])
-        flat = LinearModel(intercept_ns=100.0, slope_ns_per_step=0.0, trained_steps=20)
+        flat = LinearModel(intercept_ns=100.0, slope_ns_per_step=0.0)
         scores = predictor.evaluate(flat, truth, constant_floor_ns=0.0)
         assert scores["mape"] > 0.0
         assert scores["max_ape"] >= scores["mape"]

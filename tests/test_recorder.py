@@ -81,8 +81,7 @@ class TestCalibration:
                 made.append(self)
 
         def kernel_bytes(session):
-            rows = session._rows
-            return sum(map(len, [rows._kernels, *rows._k_spares]))
+            return len(session._rows._kernels)
 
         monkeypatch.setattr(recorder, "TraceSession", Spy)
         calibrate_timer(10_000)
@@ -306,7 +305,7 @@ class TestSeal:
             with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
                 session.seal()
             assert type(caught.value) is error
-            assert not session.sealed
+            assert session._sealed_trace is None
 
     def test_a_minus_one_clock_reading_ends_the_phase(self):
         """-1 fills the end column while a phase is open, yet a clock that
@@ -324,19 +323,20 @@ class TestSeal:
         assert next(clock) == 7
 
     def test_grows_past_initial_capacity(self):
-        session = TraceSession(capacity=16)
-        for i in range(100):
+        """Past the first buffer's 1,024 rows, and past the next 2,048 too."""
+        session = TraceSession()
+        for i in range(3_100):
             t = i * 10
             session.record_kernel("k", 0, t, t, t + 1, t + 2, t + 3)
-        for i in range(40):
+        for i in range(1_040):
             handle = session.begin_phase(PhaseKind.DECODE, turn=0, token_index=i)
             session.end_phase(handle)
         trace = session.seal()
-        assert len(trace.kernels) == 100
-        assert len(trace.phases) == 40
+        assert trace.kernels.t_queued_ns.tolist() == [i * 10 for i in range(3_100)]
+        assert trace.phases.token_index.tolist() == list(range(1_040))
 
     def test_concurrent_recording_loses_nothing(self):
-        session = TraceSession(capacity=64)
+        session = TraceSession()
         per_thread = 5_000
 
         def worker(base):
@@ -364,20 +364,21 @@ def test_record_hot_path_retains_no_allocation():
     # burst of record calls must not grow traced memory (transient objects
     # like the returned record are freed immediately; only slot writes
     # remain). Retaining per-record objects would show up as tens of KB.
-    session = TraceSession(capacity=8_192)
+    # 1,025 records open the 2,048-row buffer that the burst then fills.
+    session = TraceSession()
     name = "steady_state_kernel"
-    stamps = [(i * 10, i * 10, i * 10 + 2, i * 10 + 5, i * 10 + 9) for i in range(4_096)]
-    for enq, queued, submit, start, end in stamps[:2_048]:
+    stamps = [(i * 10, i * 10, i * 10 + 2, i * 10 + 5, i * 10 + 9) for i in range(3_072)]
+    for enq, queued, submit, start, end in stamps[:1_025]:
         session.record_kernel(name, 0, enq, queued, submit, start, end)
     gc.collect()
     tracemalloc.start()
     before, _ = tracemalloc.get_traced_memory()
-    for enq, queued, submit, start, end in stamps[2_048:]:
+    for enq, queued, submit, start, end in stamps[1_025:]:
         session.record_kernel(name, 0, enq, queued, submit, start, end)
     after, _ = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert after - before < 8_192, f"hot path retained {after - before} bytes"
-    assert len(session.seal().kernels) == 4_096
+    assert len(session.seal().kernels) == 3_072
 
 
 def test_virtual_clock_session_uses_injected_time():
@@ -472,14 +473,14 @@ def test_a_clock_reading_that_is_not_an_exact_int_is_refused(reading, shown):
 def test_a_refused_reading_at_a_full_buffer_records_nothing():
     """A start the row cannot hold, refused just as the phase buffer fills,
     leaves no row behind in the buffer that takes over."""
-    readings = iter([*range(32), 1.5, 40, 41])
-    session = TraceSession(clock=lambda: next(readings), capacity=16)
-    for token in range(16):
+    readings = iter([*range(2_048), 1.5, 2_048, 2_049])
+    session = TraceSession(clock=lambda: next(readings))
+    for token in range(1_024):
         session.end_phase(session.begin_phase(PhaseKind.DECODE, 0, token))
     with pytest.raises(TypeError, match="^PhaseRecord.t_start_ns must be an int, got 1.5$"):
-        session.begin_phase(PhaseKind.DECODE, 0, 16)
-    session.end_phase(session.begin_phase(PhaseKind.DECODE, 0, 16))
-    assert [p.token_index for p in session.seal().phases] == list(range(17))
+        session.begin_phase(PhaseKind.DECODE, 0, 1_024)
+    session.end_phase(session.begin_phase(PhaseKind.DECODE, 0, 1_024))
+    assert session.seal().phases.token_index.tolist() == list(range(1_025))
 
 
 def test_an_int_past_the_digit_limit_is_named():
@@ -510,12 +511,16 @@ CALLS = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(CALLS, st.integers(1, 40)), max_size=20))
 def test_session_seals_what_trace_of_the_records_holds(calls):
-    """Record calls and column appends that cross several doublings of a
-    16-row buffer seal to the Trace of the records the same calls make; a
-    refused call records nothing."""
+    """Record calls and column appends that cross the end of the first
+    1,024-row buffer seal to the Trace of the records the same calls make;
+    a refused call records nothing."""
     clock = VirtualClock(0)
-    session = TraceSession(device_label="d", clock_offset_ns=0, clock=clock, capacity=16)
-    phases, kernels = [], []
+    session = TraceSession(device_label="d", clock_offset_ns=0, clock=clock)
+    for _ in range(1_016):  # empty phases and kernels at 0, so 8 more rows open a buffer
+        session.end_phase(session.begin_phase(PhaseKind.EMBEDDING, 0))
+        session.record_kernel("a", 0, 0, 0, 0, 0, 0)
+    phases = [PhaseRecord(PhaseKind.EMBEDDING, 0, None, 0, 0)] * 1_016
+    kernels = [KernelRecord("a", 0, 0, 0, 0, 0, 0)] * 1_016
     for call, repeat in calls:
         for _ in range(repeat):
             if call[0] == "phase":
@@ -550,27 +555,26 @@ def test_session_seals_what_trace_of_the_records_holds(calls):
     assert session.seal() == Trace("d", 0, phases, kernels)
 
 
-@pytest.mark.parametrize("capacity", [1, 16, 2_047, 2_048, 2_049, 10_000, 100_000])
-def test_no_row_buffer_exceeds_segment_rows(capacity):
-    """Whatever the capacity, every row buffer holds at most _SEGMENT_ROWS
-    rows (112 KiB of kernel rows), so none reaches glibc's 128 KiB mmap
-    threshold; capacity rows are allocated up front."""
-    rows = RecordColumns(capacity)
-
-    def buffers():
-        return [((rows._phases, *rows._p_spares), rows._p_segments, 5),
-                ((rows._kernels, *rows._k_spares), rows._k_segments, 7)]
-
-    for table, segments, width in buffers():
-        assert sum(len(b) for b in table) == 8 * width * max(16, capacity) and not segments
-    n = 5_000
+@pytest.mark.parametrize("n", [1, 16, 1_024, 1_025, 2_047, 2_048, 2_049, 3_072, 3_073, 5_000,
+                               10_000, 100_000])
+def test_no_row_buffer_exceeds_segment_rows(n):
+    """Whatever the number of rows, a table's first row buffer holds 1,024
+    rows and each later one _SEGMENT_ROWS (112 KiB of kernel rows), so
+    none reaches glibc's 128 KiB mmap threshold; a full buffer is kept
+    whole as a segment, and a buffer opens only for a row it takes."""
+    rows = RecordColumns()
+    assert (len(rows._phases), len(rows._kernels)) == (40_960, 57_344)
     for i in range(n):
         rows.add_kernel("k", 0, i, i, i, i, i)
         rows.add_phase(PhaseKind.DECODE, 0, i, i, i)
-    for table, segments, width in buffers():
-        assert max(len(b) for b in table) <= 8 * width * _SEGMENT_ROWS
-        assert sum(len(s[0]) for s in segments) + len(table[0]) // (8 * width) >= n
-        assert max(len(s[0]) for s in segments) <= _SEGMENT_ROWS
+    assert _SEGMENT_ROWS == 2_048
+    assert (len(rows._phases), len(rows._kernels)) == ((81_920, 114_688) if n > 1_024
+                                                       else (40_960, 57_344))
+    for buffer, segments, width in ((rows._phases, rows._p_segments, 5),
+                                    (rows._kernels, rows._k_segments, 7)):
+        sizes = [len(segment[0]) for segment in segments] + [len(buffer) // (8 * width)]
+        assert sizes == [1_024] + [_SEGMENT_ROWS] * (len(sizes) - 1)
+        assert sum(sizes[:-1]) < n <= sum(sizes)
     rows.extend([np.arange(n, dtype=np.int64)] * 5, ["k"], [np.zeros(n, dtype=np.int64)] * 7)
     phases, (_, kernels) = rows.phase_columns(), rows.kernel_columns()
     assert len(phases[0]) == len(kernels[0]) == 2 * n
@@ -580,15 +584,15 @@ def test_no_row_buffer_exceeds_segment_rows(capacity):
 def test_tables_keep_their_rows_through_later_appends():
     """kernel_columns() may view the row buffers, so appends after it, by column or
     by row, must write past the rows it returned."""
-    rows = RecordColumns(capacity=16)
+    rows = RecordColumns()
     for i in range(3):
         rows.add_kernel("k", 0, i, i, i, i, i)
     _, before = rows.kernel_columns()
     rows.extend([np.zeros(0, dtype=np.int64)] * 5, ["j"], [np.array([0, 0])] + [np.arange(2)] * 6)
-    for i in range(40):
+    for i in range(1_030):  # past the end of the first buffer
         rows.add_kernel("k", 0, 9, 9, 9, 9, 9)
     assert before[5].tolist() == [0, 1, 2]
-    assert rows.kernel_columns()[1][5].tolist() == [0, 1, 2, 0, 1] + [9] * 40
+    assert rows.kernel_columns()[1][5].tolist() == [0, 1, 2, 0, 1] + [9] * 1_030
 
 
 def test_a_row_the_buffer_refuses_leaves_no_name():
@@ -630,7 +634,7 @@ def test_a_record_that_races_seal_is_in_the_trace_or_refused():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            session = TraceSession(capacity=16)
+            session = TraceSession()
             returned, refusals = [0, 0], [[], []]
 
             def record(queue):

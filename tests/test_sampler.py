@@ -71,6 +71,15 @@ class TestHistogram:
             with pytest.raises(ValueError, match="^token lengths must be positive$"):
                 select()
 
+    @pytest.mark.parametrize("lengths", [[float("inf")] * 2, [1.0, float("inf")]],
+                             ids=["all-infinite", "one-infinite"])
+    def test_an_infinite_length_is_refused(self, lengths):
+        """Refused before np.linspace, which would warn on the infinite span."""
+        for select in (lambda: sampler._bins(lengths, 2),
+                       lambda: sampler.sample_subset(lengths, 0.5, num_bins=2)):
+            with pytest.raises(ValueError, match="^token lengths must be finite$"):
+                select()
+
     @pytest.mark.parametrize("edges", [(0.0, float("nan"), 2.0), (float("nan"), 1.0, 2.0),
                                        (0.0, 1.0, float("nan"))])
     def test_nan_edges_are_refused(self, edges):

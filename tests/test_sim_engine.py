@@ -130,7 +130,8 @@ class TestGroundTruthConsistency:
         for agg in timeline.aggregate_kernels(trace):
             assert agg.total_execution_ns == truth.kernel_total_ns[agg.name]
             assert agg.invocation_count == truth.kernel_invocations[agg.name]
-            assert agg.mean_execution_ns == truth.kernel_mean_ns(agg.name)
+            mean = truth.kernel_total_ns[agg.name] / truth.kernel_invocations[agg.name]
+            assert agg.mean_execution_ns == mean
 
     def test_jitter_off_realized_equals_true(self, preset_run_16):
         _, truth = preset_run_16

@@ -90,7 +90,7 @@ def test_seal_matches_sorted_records(calls):
         assert all(type(v) is int for v in dataclasses.astuple(row)[1:])
 
     assert trace.phases == want_phases and trace.kernels == want_kernels
-    assert trace == Trace(trace.device_label, 0, want_phases, want_kernels, created_at="x")
+    assert trace == Trace(trace.device_label, 0, want_phases, want_kernels)
     for i in range(-len(want_kernels), len(want_kernels)):
         assert trace.kernels[i] == want_kernels[i]
     assert trace.kernels[1:-1:2] == want_kernels[1:-1:2]
@@ -262,7 +262,7 @@ def test_overlapping_phases_are_refused_however_the_trace_is_made(tmp_path):
     for _ in range(2):
         with pytest.raises(PhaseOverlap, match=f"^{re.escape(OVERLAP)}$"):
             session.seal()
-        assert not session.sealed
+        assert session._sealed_trace is None
     records = (PhaseRecord(PhaseKind.DECODE, 0, 0, 10, 20),
                PhaseRecord(PhaseKind.DECODE, 0, 1, 15, 30))
     tables = [PhaseTable([2, 2], [0, 0], [0, 1], [10, 15], [20, 30]),
@@ -319,8 +319,7 @@ def keyed_rows(draw, width):
 
 def buffers_of(rows: RecordColumns) -> list[np.ndarray]:
     """Every array a RecordColumns holds rows in: row buffers and segments."""
-    held = [np.frombuffer(b, dtype=np.uint8)
-            for b in (rows._phases, rows._kernels, *rows._p_spares, *rows._k_spares) if len(b)]
+    held = [np.frombuffer(b, dtype=np.uint8) for b in (rows._phases, rows._kernels)]
     return held + [c for segment in (*rows._p_segments, *rows._k_segments) for c in segment]
 
 
@@ -340,7 +339,7 @@ def test_every_trace_owns_stably_sorted_copies_of_its_rows(phase_columns, kernel
     phases, kernels = PhaseTable(*phase_columns), KernelTable(names, *kernel_columns)
     want_phases = phases.take(np.argsort(phases.t_start_ns, kind="stable"))
     want_kernels = kernels.take(np.argsort(kernels.t_queued_ns, kind="stable"))
-    by_row, by_column = RecordColumns(4), RecordColumns(4)
+    by_row, by_column = RecordColumns(), RecordColumns()
     for p in phases:
         by_row.add_phase(p.kind, p.turn, p.token_index, p.t_start_ns, p.t_end_ns)
     for k in kernels:
@@ -361,19 +360,20 @@ def test_every_trace_owns_stably_sorted_copies_of_its_rows(phase_columns, kernel
 
 
 def test_an_in_order_session_seals_without_a_sort():
-    """Rows recorded in order are copied as they are: no argsort runs.
+    """Rows recorded in order, past the first row buffer, are copied as
+    they are: no argsort runs, and no column views a buffer or segment.
     ``test_ties_keep_recording_order_past_the_small_sort_cutoff`` covers
     the rows that must be sorted."""
     session, clock = manual_session()
-    for token in range(64):
+    for token in range(1_100):
         handle = session.begin_phase(PhaseKind.DECODE, 0, token)
         session.record_kernel("k", 0, clock(), clock(), clock(), clock(), clock())
         clock.advance_to(clock() + 5)
         session.end_phase(handle)
     with mock.patch.object(lmmk.recorder.np, "argsort", side_effect=AssertionError):
         trace = session.seal()
-    assert trace.phases.t_start_ns.tolist() == list(range(0, 320, 5))
-    assert trace.kernels.t_queued_ns.tolist() == list(range(0, 320, 5))
+    assert trace.phases.t_start_ns.tolist() == list(range(0, 5_500, 5))
+    assert trace.kernels.t_queued_ns.tolist() == list(range(0, 5_500, 5))
     assert_owned(trace, *buffers_of(session._rows))
 
 
