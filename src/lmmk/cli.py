@@ -92,10 +92,10 @@ def _analysis_sections(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
-    trace = trace_io.read_jsonl(args.trace)
     sections = _analysis_sections(args)
     if args.report == "csv" and len(sections) != 1:
         raise _UsageError("--report csv needs exactly one of --idle/--aggregate/--phases")
+    trace = trace_io.read_jsonl(args.trace)
 
     payload: dict = {}
     gaps = ()

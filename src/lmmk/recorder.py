@@ -18,9 +18,10 @@ and :class:`KernelTable` yield :class:`PhaseRecord` and
 :class:`KernelRecord` rows lazily for callers that want rows; the
 analyses and the trace writers read the columns.
 
-Sessions accept an injectable ``clock`` callable. Real backends use the
-default :data:`now`; the simulated engine injects a virtual clock it
-advances itself, so simulated phase times flow through the same API.
+Sessions accept an injectable ``clock`` callable, read when a phase
+begins and ends. Real backends use the default :data:`now`. The
+simulated engine computes every phase stamp itself and appends its turn
+in the bulk call, so nothing reads its session's clock.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ submit-ready time and D_i the running sum of durations, both from the
 phase start, the queue gives end_i = D_i + max over j <= i of
 (ready_j - D_(j-1)): one ``np.maximum.accumulate`` per block. A phase
 lasts max(host cursor, last end) + host_ns, and phases follow each other
-from the session clock's reading. The rows reach the recorder session in
-one checked bulk append, and the virtual clock ends at the turn's end.
+from 0 ns. The rows reach a session the run makes itself in one checked
+bulk append, so no phase is timed by a clock.
 The engine keeps exact ground truth (realized durations, per-phase busy
 and wall time, per-window idle) so analyses can be verified bit-exactly.
 With jitter disabled a run is a pure function of the workload; with
@@ -44,18 +44,11 @@ MAX_KERNEL_ROWS = 2**24  # a run that would record more is refused before anythi
 
 
 class VirtualClock:
-    """Manually advanced monotonic clock for simulated sessions."""
-
-    def __init__(self, start_ns: int = 0) -> None:
-        self._t = start_ns
+    """The clock of a simulated session. It always reads 0: a run appends its
+    whole turn, stamps included, in one bulk call, so nothing reads it."""
 
     def __call__(self) -> int:
-        return self._t
-
-    def advance_to(self, t_ns: int) -> None:
-        if t_ns < self._t:
-            raise ValueError("virtual clock cannot move backwards")
-        self._t = t_ns
+        return 0
 
 
 @dataclass(frozen=True)
@@ -246,34 +239,24 @@ def validate_workload(spec: WorkloadSpec) -> None:
 
 
 def make_session(device_label: str = "sim-device") -> TraceSession:
-    """Recorder session on a virtual clock with device/host clocks unified
-    (offset 0), ready to be driven by :func:`run`."""
+    """The recorder session each :func:`run` records its turn into: device
+    and host clocks unified (offset 0), on a :class:`VirtualClock`."""
     return TraceSession(device_label=device_label, clock_offset_ns=0, clock=VirtualClock())
 
 
-def run(
-    spec: WorkloadSpec,
-    prompt_tokens: int,
-    output_tokens: int,
-    session: Optional[TraceSession] = None,
-) -> tuple[Trace, GroundTruth]:
-    """Simulate one prompt/response turn and return the sealed trace plus
-    exact ground truth."""
-    return _run(spec, prompt_tokens, output_tokens, session, plan=None)
+def run(spec: WorkloadSpec, prompt_tokens: int, output_tokens: int) -> tuple[Trace, GroundTruth]:
+    """Simulate one prompt/response turn from 0 ns and return the sealed
+    trace plus exact ground truth."""
+    return _run(spec, prompt_tokens, output_tokens, plan=None)
 
 
-def run_with_duplication(
-    spec: WorkloadSpec,
-    plan: DuplicationPlan,
-    prompt_tokens: int,
-    output_tokens: int,
-    session: Optional[TraceSession] = None,
-) -> tuple[Trace, GroundTruth]:
+def run_with_duplication(spec: WorkloadSpec, plan: DuplicationPlan, prompt_tokens: int,
+                         output_tokens: int) -> tuple[Trace, GroundTruth]:
     """Like :func:`run` but every invocation of the plan's kernel is
     followed by n back-to-back duplicates with independent jitter draws."""
     if plan.kernel_name not in spec.kernel_names():
         raise UnknownKernel(f"kernel {plan.kernel_name!r} is not in workload {spec.name!r}")
-    return _run(spec, prompt_tokens, output_tokens, session, plan=plan)
+    return _run(spec, prompt_tokens, output_tokens, plan=plan)
 
 
 def _slots(kernels: tuple, counts: list, copies: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -348,9 +331,9 @@ def _jittered(terms: np.ndarray, exponents: np.ndarray) -> np.ndarray:
 
 
 def _simulate(spec: WorkloadSpec, plan: Optional[DuplicationPlan], prompt_tokens: int,
-              output_tokens: int, t0: int) -> tuple[tuple, list[str], tuple, GroundTruth]:
+              output_tokens: int) -> tuple[tuple, list[str], tuple, GroundTruth]:
     """The columns :meth:`TraceSession.record_columns` takes for a turn
-    that starts at ``t0``, and the turn's ground truth."""
+    that starts at 0 ns, and the turn's ground truth."""
     scripts = [spec.scripts[kind].kernels for kind in PhaseKind]
     copies = {} if plan is None else {plan.kernel_name: plan.n}
     counts = [[ks.invocations_per_phase * (1 + copies.get(ks.name, 0)) for ks in kernels]
@@ -365,7 +348,7 @@ def _simulate(spec: WorkloadSpec, plan: Optional[DuplicationPlan], prompt_tokens
     layouts = [_slots(kernels, n, copies) for kernels, n in zip(scripts, counts)]
     blocks = _terms(spec, scripts, layouts, output_tokens)
     host_ns = [spec.scripts[kind].host_ns for kind in PhaseKind]
-    bound = t0 + sum(float(b.sum(dtype=np.float64)) + h * len(b) for b, h in zip(blocks, host_ns))
+    bound = sum(float(b.sum(dtype=np.float64)) + h * len(b) for b, h in zip(blocks, host_ns))
     if bound >= 2.0**62:  # a sum could pass int64: add as exact Python ints
         blocks = [block.astype(object) for block in blocks]
     names = list(dict.fromkeys(ks.name for kernels in scripts for ks in kernels))
@@ -399,12 +382,12 @@ def _simulate(spec: WorkloadSpec, plan: Optional[DuplicationPlan], prompt_tokens
             true_total = n * (len(pos) * ks.base_latency_ns + ks.per_step_slope_ns * step_sum)
             for by_name, value in zip(totals, (total, true_total, n * len(pos))):
                 by_name[ks.name] = by_name.get(ks.name, 0) + value
-    ends = t0 + np.cumsum(lengths)
+    ends = np.cumsum(lengths)
     if ends[-1] > INT64_MAX:
         raise OverflowError("the last phase ends past int64")
     ends = ends.astype(np.int64)
     starts = ends - lengths.astype(np.int64)
-    kernels[1:] += np.repeat(starts, per_phase)  # now from the session clock's origin
+    kernels[1:] += np.repeat(starts, per_phase)  # now from the turn's start
     phases = (kind_code, np.zeros_like(token), token, starts, ends)
     truth.windows = WindowTable(*phases, busy)
     code, enqueue, submit, start, end = kernels
@@ -413,31 +396,21 @@ def _simulate(spec: WorkloadSpec, plan: Optional[DuplicationPlan], prompt_tokens
     return phases, names, kernels, truth
 
 
-def _run(
-    spec: WorkloadSpec,
-    prompt_tokens: int,
-    output_tokens: int,
-    session: Optional[TraceSession],
-    plan: Optional[DuplicationPlan],
-) -> tuple[Trace, GroundTruth]:
+def _run(spec: WorkloadSpec, prompt_tokens: int, output_tokens: int,
+         plan: Optional[DuplicationPlan]) -> tuple[Trace, GroundTruth]:
     check_int64("field 'prompt_tokens'", prompt_tokens)
     check_int64("field 'output_tokens'", output_tokens)
     if prompt_tokens < 1 or output_tokens < 1:
         raise ValueError("prompt_tokens and output_tokens must be at least 1")
     validate_workload(spec)
-    if session is None:
-        session = make_session(spec.name)
-    if not isinstance(session.clock, VirtualClock):
-        raise TypeError("simulation sessions must use a VirtualClock (see make_session)")
     try:
-        phases, names, kernels, truth = _simulate(spec, plan, prompt_tokens, output_tokens,
-                                                  session.clock())
+        phases, names, kernels, truth = _simulate(spec, plan, prompt_tokens, output_tokens)
     except OverflowError as exc:  # a value past int64, or a factor past the float range
         raise InvalidSpec(
             f"workload {spec.name!r} overflows the simulated nanosecond timeline ({exc})"
         ) from None
+    session = make_session(spec.name)
     session.record_columns(phases, names, kernels)
-    session.clock.advance_to(int(phases[4][-1]))
     del phases, kernels  # the session holds a copy, and sealing makes another
     session.prompt_tokens = prompt_tokens
     session.output_tokens = output_tokens

@@ -8,7 +8,7 @@ import pytest
 
 from lmmk import sim_engine, trace_io
 from lmmk.recorder import PhaseKind, Trace, TraceSession
-from lmmk.sim_engine import JitterModel, KernelSpec, PhaseScript, VirtualClock, WorkloadSpec
+from lmmk.sim_engine import JitterModel, KernelSpec, PhaseScript, WorkloadSpec
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = DATA_DIR / "golden"
@@ -117,11 +117,46 @@ def build_trace(kernels=(), phases=(), clock_offset_ns=0, **meta) -> Trace:
     )
 
 
-def manual_session(start_ns=0, **kwargs) -> tuple[TraceSession, VirtualClock]:
-    """Session on a hand-driven virtual clock for precise phase timing."""
-    clock = VirtualClock(start_ns)
+class ManualClock:
+    """Hand-driven monotonic clock for sessions whose phase times a test
+    sets exactly."""
+
+    def __init__(self, start_ns: int = 0) -> None:
+        self._t = start_ns
+
+    def __call__(self) -> int:
+        return self._t
+
+    def advance_to(self, t_ns: int) -> None:
+        if t_ns < self._t:
+            raise ValueError("clock cannot move backwards")
+        self._t = t_ns
+
+
+def manual_session(start_ns=0, **kwargs) -> tuple[TraceSession, ManualClock]:
+    """Session on a hand-driven clock for precise phase timing."""
+    clock = ManualClock(start_ns)
     session = TraceSession(clock=clock, **kwargs)
     return session, clock
+
+
+def record_made_sessions(monkeypatch) -> list:
+    """Patch ``sim_engine.make_session`` so that each session it makes is
+    also appended to the list returned."""
+    made, make = [], sim_engine.make_session
+
+    def make_session(device_label: str = "sim-device") -> TraceSession:
+        made.append(make(device_label))
+        return made[-1]
+
+    monkeypatch.setattr(sim_engine, "make_session", make_session)
+    return made
+
+
+@pytest.fixture()
+def made_sessions(monkeypatch) -> list:
+    """Each session the simulator makes during the test, in order."""
+    return record_made_sessions(monkeypatch)
 
 
 def golden_trace() -> Trace:

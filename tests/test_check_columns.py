@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ManualClock
 from lmmk.errors import PhaseOverlap, SessionSealed, TimestampOrderViolation
 from lmmk.recorder import (
     INT64_MAX,
@@ -26,7 +27,6 @@ from lmmk.recorder import (
     _check_phase,
     check_columns,
 )
-from lmmk.sim_engine import VirtualClock
 
 KINDS = tuple(PhaseKind)
 
@@ -179,7 +179,7 @@ def test_record_columns_appends_what_the_record_calls_append(phase_count, kernel
     for _ in range(kernel_count):
         stamps = sorted(rnd.randrange(50) for _ in range(4))
         kernel_list.append([rnd.randrange(3), 0, rnd.randrange(50), *stamps])
-    clock = VirtualClock()
+    clock = ManualClock()
     by_call = TraceSession(clock=clock)
     _warm_up(by_call)
     _record_calls(by_call, clock, phase_list, names, kernel_list)
@@ -188,7 +188,7 @@ def test_record_columns_appends_what_the_record_calls_append(phase_count, kernel
     used = list(dict.fromkeys(names[code] for code, *_ in kernel_list))
     for row in kernel_list:
         row[0] = used.index(names[row[0]])
-    bulk = TraceSession(clock=VirtualClock())
+    bulk = TraceSession(clock=ManualClock())
     _warm_up(bulk)
     bulk.record_columns(columns(phase_list, 5), used, columns(kernel_list, 7))
     expected, trace = by_call.seal(), bulk.seal()
@@ -197,7 +197,7 @@ def test_record_columns_appends_what_the_record_calls_append(phase_count, kernel
 
 
 def test_record_columns_raises_before_appending():
-    session = TraceSession(clock=VirtualClock(7))
+    session = TraceSession(clock=ManualClock(7))
     good = columns([[0, 0, -1, 0, 5]], 5), ["k"], columns([[0, 0, 0, 1, 2, 3, 4]], 7)
     with pytest.raises(ValueError, match="kernel name must be non-empty"):
         session.record_columns(good[0], [""], good[2])
@@ -212,7 +212,7 @@ def test_record_columns_raises_before_appending():
 
 
 def test_record_columns_refuses_a_name_that_is_not_a_str():
-    session = TraceSession(clock=VirtualClock(7))
+    session = TraceSession(clock=ManualClock(7))
     kernels = columns([[0, 0, 0, 1, 2, 3, 4], [1, 0, 0, 1, 2, 3, 4]], 7)
     with pytest.raises(TypeError, match="^kernel name must be a str, got 5$"):
         session.record_columns(columns([], 5), ["k", 5], kernels)

@@ -467,6 +467,7 @@ def failure_files(tmp_path):
     (tmp_path / "huge-pair.txt").write_text(f"{2**53}\n{2**53 + 1}\n")
     (tmp_path / "past-float.txt").write_text(f"5\n{10**400}\n")
     (tmp_path / "not-utf-8.txt").write_bytes(b"12\n\xff\n")
+    (tmp_path / "malformed.jsonl").write_text("not a trace\n")
     kernel = ("k", 0, 0, 10, 10, 10, 20)
     trace_io.write_jsonl(build_trace([kernel], [(PhaseKind.PREFILL, 0, None, 0, 50)],
                                      clock_offset_ns=None), str(tmp_path / "unaligned.jsonl"))
@@ -563,6 +564,12 @@ FAILURES = {
         "[Errno 2] No such file or directory: '{tmp}/missing.jsonl'"),
     "csv-two-sections": (
         ("analyze", UNALIGNED, "--idle", "--aggregate", "--report", "csv"), {}, 2,
+        "--report csv needs exactly one of --idle/--aggregate/--phases"),
+    "csv-trace-missing": (
+        ("analyze", "{tmp}/missing.jsonl", "--report", "csv"), {}, 2,
+        "--report csv needs exactly one of --idle/--aggregate/--phases"),
+    "csv-trace-malformed": (
+        ("analyze", "{tmp}/malformed.jsonl", "--idle", "--phases", "--report", "csv"), {}, 2,
         "--report csv needs exactly one of --idle/--aggregate/--phases"),
     "csv-nothing-to-report": (
         ("analyze", "{tmp}/kernel-free.jsonl", "--aggregate", "--report", "csv"), {}, 1,

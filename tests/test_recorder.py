@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import manual_session
-from lmmk import recorder
+from conftest import ManualClock, manual_session
 from lmmk.errors import (
     AlreadyEnded,
     OpenPhaseRemaining,
@@ -35,7 +34,6 @@ from lmmk.recorder import (
     int_rows,
     now,
 )
-from lmmk.sim_engine import VirtualClock
 
 
 class TestNow:
@@ -70,23 +68,6 @@ class TestCalibration:
         assert cal.overhead_ns_median == cal.overhead_ns_median  # not NaN
         assert cal.overhead_ns_median < float("inf")
         assert cal.iterations == 10_000
-
-    def test_allocates_no_more_kernel_rows_than_a_default_session(self, monkeypatch):
-        """It records only phases, so its session's kernel rows stay at the default."""
-        made = []
-
-        class Spy(TraceSession):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                made.append(self)
-
-        def kernel_bytes(session):
-            return len(session._rows._kernels)
-
-        monkeypatch.setattr(recorder, "TraceSession", Spy)
-        calibrate_timer(10_000)
-        assert len(made) == 1
-        assert kernel_bytes(made[0]) <= kernel_bytes(TraceSession())
 
     def test_repeat_runs_agree_within_order_of_magnitude(self):
         # Environment-dependent soft check: medians of two runs on the same
@@ -423,7 +404,7 @@ def test_record_kernel_refuses_what_the_record_refuses(name, values):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([*PhaseKind, "decode", None, 2]), VALUES, VALUES)
 def test_begin_phase_refuses_what_the_record_refuses(kind, turn, token):
-    session = TraceSession(clock=VirtualClock(7))
+    session = TraceSession(clock=ManualClock(7))
     expected = error_of(PhaseRecord, kind, turn, token, 7, 7)
     assert error_of(session.begin_phase, kind, turn, token) == expected
     if expected is None:
@@ -514,7 +495,7 @@ def test_session_seals_what_trace_of_the_records_holds(calls):
     """Record calls and column appends that cross the end of the first
     1,024-row buffer seal to the Trace of the records the same calls make;
     a refused call records nothing."""
-    clock = VirtualClock(0)
+    clock = ManualClock(0)
     session = TraceSession(device_label="d", clock_offset_ns=0, clock=clock)
     for _ in range(1_016):  # empty phases and kernels at 0, so 8 more rows open a buffer
         session.end_phase(session.begin_phase(PhaseKind.EMBEDDING, 0))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import single_kernel_workload, workload_dict
+from conftest import record_made_sessions, single_kernel_workload, workload_dict
 from test_sim_replay import workloads
 from lmmk import sim_engine, timeline, trace_io
 from lmmk.errors import InvalidSpec, LmmkError, UnknownKernel
@@ -266,11 +266,15 @@ class TestWorkloadConfig:
             sim_engine.workload_from_dict(data)
 
 
-def test_session_must_use_virtual_clock():
-    from lmmk.recorder import TraceSession
-
-    with pytest.raises(TypeError):
-        sim_engine.run(single_kernel_workload(), 1, 1, session=TraceSession())
+def test_a_run_records_into_the_session_make_session_makes(made_sessions):
+    """A run looks ``make_session`` up when it runs, so a caller that swaps it
+    (the benchmark's traced runs do) gets the run's rows in its own session."""
+    spec = single_kernel_workload()
+    trace, _ = sim_engine.run_with_duplication(spec, DuplicationPlan("embed", 1), 1, 2)
+    (session,) = made_sessions
+    assert session.device_label == spec.name
+    assert session.seal() is trace
+    assert len(trace.kernels) == 7  # embed twice, prefill, then per token decode and softmax
 
 
 def test_sigma_rel_past_the_digit_limit_is_named():
@@ -359,19 +363,20 @@ class TestRowLimit:
 
     def refused_rows(self, spec, plan, output_tokens):
         """The row count a refused run names; the run allocates next to nothing and
-        leaves its session as it found it."""
-        session = sim_engine.make_session()
-        tracemalloc.start()
-        try:
-            with pytest.raises(InvalidSpec) as caught:
-                sim_engine._run(spec, 1, output_tokens, session, plan)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        records no row."""
+        with pytest.MonkeyPatch.context() as patch:
+            made = record_made_sessions(patch)
+            tracemalloc.start()
+            try:
+                with pytest.raises(InvalidSpec) as caught:
+                    sim_engine._run(spec, 1, output_tokens, plan)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < 2**20
-        assert session.clock() == 0
-        trace = session.seal()
-        assert len(trace.phases) == len(trace.kernels) == 0
+        for session in made:
+            trace = session.seal()
+            assert len(trace.phases) == len(trace.kernels) == 0
         rows, limit = re.fullmatch(r"the run needs (\d+) kernel rows, past the (\d+)-row limit",
                                    str(caught.value)).groups()
         assert int(limit) == sim_engine.MAX_KERNEL_ROWS

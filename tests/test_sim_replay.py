@@ -4,15 +4,15 @@
 ``lmmk.sim_engine`` used to run, kept as an oracle; ``scalar_run`` runs
 it and gathers the ground-truth windows into a ``WindowTable`` at the
 end. Every case asserts that both engines produce equal phase and
-kernel tables (kernel names in the same order), byte-equal ``.gt.json``
-sidecars and the same final virtual clock reading, or raise the same
-error. The sidecar writer is itself checked against ``json.dumps`` of the
-reference dict.
+kernel tables (kernel names in the same order) and byte-equal
+``.gt.json`` sidecars, or raise the same error. The sidecar writer is
+itself checked against ``json.dumps`` of the reference dict.
 """
 
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -20,9 +20,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_ground_truth, sidecar_bytes, single_kernel_workload
+from conftest import ManualClock, reference_ground_truth, sidecar_bytes, single_kernel_workload
 from lmmk import sim_engine
-from lmmk.errors import InvalidSpec, PhaseOverlap, SessionSealed
+from lmmk.errors import InvalidSpec
 from lmmk.recorder import INT64_MAX, PhaseKind, Trace, TraceSession
 from lmmk.sim_engine import (
     QUEUE_ID,
@@ -31,10 +31,8 @@ from lmmk.sim_engine import (
     JitterModel,
     KernelSpec,
     PhaseScript,
-    VirtualClock,
     WindowTable,
     WorkloadSpec,
-    make_session,
     validate_workload,
 )
 
@@ -61,7 +59,7 @@ class _Engine:
     ) -> None:
         self.spec = spec
         self.session = session
-        self.clock: VirtualClock = session.clock  # type: ignore[assignment]
+        self.clock: ManualClock = session.clock  # type: ignore[assignment]
         self.plan = plan
         self.truth = truth
         self.jitter = _Jitter(spec.jitter)
@@ -127,16 +125,12 @@ def scalar_run(
     spec: WorkloadSpec,
     prompt_tokens: int,
     output_tokens: int,
-    session: Optional[TraceSession],
     plan: Optional[DuplicationPlan],
 ) -> tuple[Trace, GroundTruth]:
     if prompt_tokens < 1 or output_tokens < 1:
         raise ValueError("prompt_tokens and output_tokens must be at least 1")
     validate_workload(spec)
-    if session is None:
-        session = make_session(spec.name)
-    if not isinstance(session.clock, VirtualClock):
-        raise TypeError("simulation sessions must use a VirtualClock (see make_session)")
+    session = TraceSession(device_label=spec.name, clock_offset_ns=0, clock=ManualClock())
 
     truth = GroundTruth(prompt_tokens=prompt_tokens, output_tokens=output_tokens)
     engine = _Engine(spec, session, plan, truth)
@@ -166,26 +160,24 @@ def scalar_run(
 # -- comparing the two engines ------------------------------------------------
 
 
-def outcome(engine, spec, plan, prompt_tokens, output_tokens, start_ns):
-    """What one engine leaves behind: the sealed trace, the ground truth
-    sidecar's bytes and the final clock reading, or the error type and
-    message up to its parenthesised detail."""
-    session = TraceSession(device_label=spec.name, clock_offset_ns=0, clock=VirtualClock(start_ns))
+def outcome(engine, spec, plan, prompt_tokens, output_tokens):
+    """What one engine leaves behind: the sealed trace and the ground truth
+    sidecar's bytes, or the error type and message up to its parenthesised
+    detail."""
     try:
-        trace, truth = engine(spec, prompt_tokens, output_tokens, session, plan)
+        trace, truth = engine(spec, prompt_tokens, output_tokens, plan)
     except (InvalidSpec, ValueError) as exc:
         return type(exc), str(exc).split(" (")[0]
-    return trace, sidecar_bytes(truth), session.clock()
+    return trace, sidecar_bytes(truth)
 
 
-def assert_same_replay(spec, plan, prompt_tokens, output_tokens, start_ns=0):
-    array_run = sim_engine._run
-    expected = outcome(scalar_run, spec, plan, prompt_tokens, output_tokens, start_ns)
-    actual = outcome(array_run, spec, plan, prompt_tokens, output_tokens, start_ns)
+def assert_same_replay(spec, plan, prompt_tokens, output_tokens):
+    expected = outcome(scalar_run, spec, plan, prompt_tokens, output_tokens)
+    actual = outcome(sim_engine._run, spec, plan, prompt_tokens, output_tokens)
     if not isinstance(expected[0], Trace):
         assert actual == expected
         return expected
-    (trace, truth_json, clock), (expected_trace, expected_json, expected_clock) = actual, expected
+    (trace, truth_json), (expected_trace, expected_json) = actual, expected
     assert trace.phases == expected_trace.phases
     assert trace.kernels.names == expected_trace.kernels.names
     for column in ("name_code", "queue_id", "t_cpu_enqueue_ns", "t_queued_ns", "t_submit_ns",
@@ -194,7 +186,6 @@ def assert_same_replay(spec, plan, prompt_tokens, output_tokens, start_ns=0):
                               getattr(expected_trace.kernels, column)), column
     assert trace == expected_trace
     assert truth_json == expected_json
-    assert clock == expected_clock
     return actual
 
 
@@ -263,11 +254,11 @@ SHARED = example_workload((KernelSpec("norm", 7_000, 0, 20_000, 2_000),
 # per-name totals past 2**53, where a float64 sum of the durations is off
 HUGE = example_workload((KernelSpec("gemm", 10**17 + 1, 3, 1_000, invocations_per_phase=3),
                          KernelSpec("norm", 10**17 + 3)), sigma_rel=0.02)
-EXAMPLES = [((TRIPLED, DuplicationPlan("gemm", 2)), 1, 3, 0),
-            ((SHARED, None), 1, 3, 0),
-            ((SHARED, DuplicationPlan("norm", 3)), 2, 3, 0),
-            ((HUGE, None), 1, 4, 0),
-            ((HUGE, DuplicationPlan("norm", 2)), 1, 4, 2**62)]  # exact Python ints past 2**62
+EXAMPLES = [((TRIPLED, DuplicationPlan("gemm", 2)), 1, 3),
+            ((SHARED, None), 1, 3),
+            ((SHARED, DuplicationPlan("norm", 3)), 2, 3),
+            ((HUGE, None), 1, 4),
+            ((HUGE, DuplicationPlan("norm", 2)), 1, 8)]  # ends past 2**62: exact Python ints
 
 
 def with_examples(test):
@@ -276,32 +267,35 @@ def with_examples(test):
     return test
 
 
+def ending_at(spec, end_ns):
+    """``spec`` with the host time of its sampling script, the last phase of a
+    turn, set so that a one-token turn ends at ``end_ns``."""
+    trace, _ = sim_engine.run(spec, 1, 1)
+    sampling = spec.scripts[PhaseKind.SAMPLING]
+    host_ns = sampling.host_ns + end_ns - int(trace.phases.t_end_ns[-1])
+    return replace(spec, scripts={**spec.scripts,
+                                  PhaseKind.SAMPLING: replace(sampling, host_ns=host_ns)})
+
+
 @with_examples
 @settings(max_examples=200, deadline=None)
-@given(workloads(), st.integers(1, 4), st.integers(1, 10),
-       st.just(0) | st.integers(1, 10**15))
-def test_array_engine_replays_scalar_engine(workload, prompt_tokens, output_tokens, start_ns):
+@given(workloads(), st.integers(1, 4), st.integers(1, 10))
+def test_array_engine_replays_scalar_engine(workload, prompt_tokens, output_tokens):
     spec, plan = workload
-    assert_same_replay(spec, plan, prompt_tokens, output_tokens, start_ns)
-
-
-# 2**62 and past: the simulator's float bound reaches 2**62, so it adds exact ints
-starts = st.just(0) | st.integers(1, 10**15) | st.integers(2**62, 2**62 + 10**15)
+    assert_same_replay(spec, plan, prompt_tokens, output_tokens)
 
 
 @settings(max_examples=200, deadline=None)
-@given(workloads(), st.integers(1, 4), st.integers(1, 10), starts)
-@example((single_kernel_workload(), None), 1, 2, 0)  # copy-probs windows of length 0
-@example((single_kernel_workload(), None), 1, 3, 2**62)
+@given(workloads(), st.integers(1, 4), st.integers(1, 10))
+@example((single_kernel_workload(), None), 1, 2)  # copy-probs windows of length 0
+@example((ending_at(single_kernel_workload(), INT64_MAX), None), 1, 1)
 @example((sim_engine.preset_gemma_decode().with_jitter(seed=42, sigma_rel=0.02),
-          DuplicationPlan(sim_engine.PAGED_KV_KERNEL, 3)), 8, 3, 0)
+          DuplicationPlan(sim_engine.PAGED_KV_KERNEL, 3)), 8, 3)
 @with_examples
-def test_sidecar_is_compact_dumps_of_the_reference(workload, prompt_tokens, output_tokens,
-                                                   start_ns):
+def test_sidecar_is_compact_dumps_of_the_reference(workload, prompt_tokens, output_tokens):
     spec, plan = workload
-    session = TraceSession(device_label=spec.name, clock_offset_ns=0, clock=VirtualClock(start_ns))
     try:
-        _, truth = sim_engine._run(spec, prompt_tokens, output_tokens, session, plan)
+        _, truth = sim_engine._run(spec, prompt_tokens, output_tokens, plan)
     except InvalidSpec:  # the turn passes int64: no ground truth to write
         return
     reference = reference_ground_truth(truth)
@@ -323,43 +317,26 @@ def test_preset_replays_scalar_engine(tokens, sigma_rel):
     assert_same_replay(spec, DuplicationPlan(sim_engine.PAGED_KV_KERNEL, 50), 8, tokens)
 
 
-# -- errors of the bulk path ---------------------------------------------------
+# -- int64 limits of the bulk path ---------------------------------------------
 
 
-def test_sealed_session_raises_session_sealed():
-    session = make_session()
-    session.seal()
-    with pytest.raises(SessionSealed):
-        sim_engine.run(single_kernel_workload(), 1, 1, session=session)
-
-
-def test_open_phase_raises_phase_overlap():
-    session = make_session()
-    session.begin_phase(PhaseKind.EMBEDDING, 0)
-    with pytest.raises(PhaseOverlap):
-        sim_engine.run(single_kernel_workload(), 1, 1, session=session)
-
-
-def test_session_without_virtual_clock_raises_type_error():
-    with pytest.raises(TypeError):
-        sim_engine.run(single_kernel_workload(), 1, 1, session=TraceSession(clock_offset_ns=0))
-
-
-def _natural_end(spec, output_tokens):
-    trace, _ = sim_engine.run(spec, 1, output_tokens)
-    return int(trace.phases.t_end_ns[-1])
+def test_a_turn_past_2_62_adds_exact_ints_and_ends_inside_int64():
+    """The last example's float bound passes 2**62, so the simulator sums
+    exact Python ints, and its turn still ends inside int64."""
+    trace, _ = assert_same_replay(HUGE, DuplicationPlan("norm", 2), 1, 8)
+    assert 2**62 <= int(trace.phases.t_end_ns[-1]) < INT64_MAX
 
 
 @pytest.mark.parametrize("spec", [single_kernel_workload(), sim_engine.preset_gemma_decode()],
                          ids=["back-to-back", "preset"])
 def test_last_phase_may_end_at_int64_max_and_no_later(spec):
-    start = INT64_MAX - _natural_end(spec, 3)
-    trace, _ = assert_same_replay(spec, None, 1, 3, start)[:2]
+    spec = ending_at(spec, INT64_MAX)
+    trace, _ = assert_same_replay(spec, None, 1, 1)
     assert int(trace.phases.t_end_ns[-1]) == INT64_MAX
-    session = TraceSession(clock_offset_ns=0, clock=VirtualClock(start + 1))
+    past = ending_at(spec, INT64_MAX + 1)
     with pytest.raises(InvalidSpec, match="overflows the simulated nanosecond timeline"):
-        sim_engine.run(spec, 1, 3, session=session)
-    assert assert_same_replay(spec, None, 1, 3, start + 1)[0] is InvalidSpec
+        sim_engine.run(past, 1, 1)
+    assert assert_same_replay(past, None, 1, 1)[0] is InvalidSpec
 
 
 def test_slope_past_int64_with_jitter_replays_scalar_engine():
@@ -379,18 +356,19 @@ def test_factor_past_the_float_range_raises_invalid_spec(sigma_rel):
     assert assert_same_replay(spec, None, 1, 2)[0] is InvalidSpec
 
 
-@pytest.mark.parametrize("start, prompt_tokens, error", [
-    (INT64_MAX - 10, 1, InvalidSpec), (-10, 1, ValueError), (0, 1.5, TypeError),
-    (0, True, TypeError),
-], ids=["overflow", "negative-timestamp", "fractional-prompt-tokens", "bool-prompt-tokens"])
-def test_failed_run_leaves_no_partial_rows(start, prompt_tokens, error):
-    clock = VirtualClock(start)
-    session = TraceSession(clock_offset_ns=0, clock=clock)
+PRESET = sim_engine.preset_gemma_decode()
+PAST_INT64 = ending_at(PRESET, INT64_MAX + 1)  # and two tokens end later still
+
+
+@pytest.mark.parametrize("spec, prompt_tokens, error", [
+    (PAST_INT64, 1, InvalidSpec), (PRESET, 1.5, TypeError), (PRESET, True, TypeError),
+], ids=["overflow", "fractional-prompt-tokens", "bool-prompt-tokens"])
+def test_failed_run_leaves_no_partial_rows(made_sessions, spec, prompt_tokens, error):
     with pytest.raises(error):
-        sim_engine.run(sim_engine.preset_gemma_decode(), prompt_tokens, 2, session=session)
-    assert clock() == start
-    trace = session.seal()
-    assert len(trace.phases) == 0 and len(trace.kernels) == 0
+        sim_engine.run(spec, prompt_tokens, 2)
+    for session in made_sessions:
+        trace = session.seal()
+        assert len(trace.phases) == 0 and len(trace.kernels) == 0
 
 
 @pytest.mark.parametrize("kernel, seed", [
@@ -412,7 +390,7 @@ def test_an_exponent_past_log_dbl_max_raises_the_scalar_engines_error(seed):
     errors = []
     for engine in (scalar_run, sim_engine._run):
         with pytest.raises(InvalidSpec) as caught:
-            engine(spec, 1, 2, make_session(spec.name), None)
+            engine(spec, 1, 2, None)
         errors.append(str(caught.value))
     assert errors[0] == errors[1]
     assert errors[0].endswith("(math range error)")
