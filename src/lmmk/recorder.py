@@ -437,13 +437,13 @@ class Trace:
             for r in self.kernels:
                 kernels.add_kernel(r.name, r.queue_id, r.t_cpu_enqueue_ns, r.t_queued_ns,
                                    r.t_submit_ns, r.t_start_ns, r.t_end_ns)
-        phases = (_joined([phases._arrays()]) if isinstance(phases, PhaseTable)
-                  else phases.phase_columns())
-        names, kernels = ((kernels.names, _joined([kernels._arrays()]))
-                          if isinstance(kernels, KernelTable) else kernels.kernel_columns())
+        p_table, k_table = isinstance(phases, PhaseTable), isinstance(kernels, KernelTable)
+        phases = phases._arrays() if p_table else phases.phase_columns()
+        names, kernels = ((kernels.names, kernels._arrays()) if k_table
+                          else kernels.kernel_columns())
         check_columns(phases, names, kernels)
-        phases = PhaseTable(*_in_order(phases, 3))  # by t_start_ns
-        kernels = KernelTable(names, *_in_order(kernels, 3))  # by t_queued_ns
+        phases = PhaseTable(*_in_order(phases, 3, p_table))  # by t_start_ns
+        kernels = KernelTable(names, *_in_order(kernels, 3, k_table))  # by t_queued_ns
         overlaps = np.flatnonzero(phases.t_start_ns[1:] < phases.t_end_ns[:-1])
         if len(overlaps):
             a, b = phases[overlaps[0]:overlaps[0] + 2]
@@ -455,12 +455,13 @@ class Trace:
         object.__setattr__(self, "kernels", kernels)
 
 
-def _in_order(columns: Columns, key: int) -> Columns:
+def _in_order(columns: Columns, key: int, copy: bool) -> Columns:
     """The columns, their rows ordered by column ``key`` with ties in the
-    order given: as they are if in order, else gathered by a stable argsort."""
+    order given: if in order, as they are (copied if ``copy``), else
+    gathered by a stable argsort."""
     t = columns[key]
     if (t[1:] >= t[:-1]).all():
-        return columns
+        return [c.copy() for c in columns] if copy else columns
     order = np.argsort(t, kind="stable")
     return [c[order] for c in columns]
 

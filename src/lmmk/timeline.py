@@ -75,14 +75,15 @@ class KernelAggregate(NamedTuple):
 class GapTable(_RecordTable):
     """Idle gaps as columns ``start_ns`` and ``end_ns``: views of one int64
     array, ``bounds``, that alternates the gaps' starts and ends and that
-    the table freezes in place. Rows are :class:`Interval`, so a table
+    the table freezes in place (an ndarray is taken as it is, so it must be
+    int64 and the caller's own). Rows are :class:`Interval`, so a table
     equals a tuple of the same intervals."""
 
     __slots__ = ("bounds",)
     _columns = ("start_ns", "end_ns")
 
     def __init__(self, bounds) -> None:
-        self.bounds = np.asarray(bounds, dtype=np.int64)
+        self.bounds = bounds if type(bounds) is np.ndarray else np.array(bounds, dtype=np.int64)
         self.bounds.setflags(write=False)
 
     start_ns = property(lambda self: self.bounds[::2])

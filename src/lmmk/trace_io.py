@@ -31,16 +31,25 @@ agrees with: each line builds the :class:`~lmmk.recorder.PhaseRecord` or
 the header builds a Trace of no rows. After refused blocks in a row, the
 bulk route is tried at doubling intervals. Both routes fill the columns
 the recorder fills and hand them to a Trace, which orders them.
+
+:func:`write_jsonl` also writes a column cache, ``path + ".cols"``: the
+columns, the names and a SHA-256 over the JSONL and the cache before it
+(docs/trace_format.md). Past the header, :func:`read_jsonl` hands a Trace
+the cached columns as tables, checked like any others, if that digest
+matches, and parses otherwise. Deleting the cache changes no result.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import itertools
 import json
 import operator
+import os
 import re
+import struct
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -50,8 +59,10 @@ from .recorder import (
     INT64_MAX,
     INT64_MIN,
     KernelRecord,
+    KernelTable,
     PhaseKind,
     PhaseRecord,
+    PhaseTable,
     RecordColumns,
     Trace,
     _INDEX_BY_VALUE,
@@ -123,13 +134,15 @@ def _columns(trace: Trace) -> tuple[list, np.ndarray, list]:
 _PHASE_LINE = b'{"ev":"phase","kind":"%s","turn":%s,"token":%s,"t_start_ns":%s,"t_end_ns":%s}\n'
 _KERNEL_LINE = (b'{"ev":"kernel","name":%s,"queue":%s,"t_cpu_enqueue_ns":%s,"t_queued_ns":%s,'
                 b'"t_submit_ns":%s,"t_start_ns":%s,"t_end_ns":%s}\n')
+# The column cache's head (magic ending in its version, phase rows, kernel rows); digest size.
+_COLS_HEAD, _COLS_MAGIC, _DIGEST_BYTES = struct.Struct("<8s2q"), b"lmmkcol1", 32
 
 
 def write_jsonl(trace: Trace, path: str) -> None:
     """Write a sealed trace: one header line, then one line per record
-    (phases first, then kernels, each in trace order). The Trace checked
-    every value when it was made, and every header written reads back.
-    """
+    (phases first, then kernels, each in trace order), then its column
+    cache ``path + ".cols"``. The Trace checked every value when it was
+    made, and every header written reads back."""
     phases, names, kernels = _columns(trace)
     header: dict = {
         "ev": "session",
@@ -141,12 +154,22 @@ def write_jsonl(trace: Trace, path: str) -> None:
         header["prompt_tokens"] = trace.prompt_tokens
     if trace.output_tokens is not None:
         header["output_tokens"] = trace.output_tokens
+    digest = hashlib.sha256()
+    lines = itertools.chain(
+        [json.dumps(header, separators=(",", ":")).encode() + b"\n"],
+        _text(_PHASE_LINE, phases, lambda kind, *ints: (_KINDS[kind], *map(_digits, ints))),
+        _text(_KERNEL_LINE, kernels, lambda code, *ints: (names[code], *map(_digits, ints))))
     with open(path, "wb") as f:
-        f.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
-        f.writelines(_text(_PHASE_LINE, phases,
-                           lambda kind, *ints: (_KINDS[kind], *map(_digits, ints))))
-        f.writelines(_text(_KERNEL_LINE, kernels,
-                           lambda code, *ints: (names[code], *map(_digits, ints))))
+        for chunk in lines:
+            digest.update(chunk)
+            f.write(chunk)
+    with open(path + ".cols", "wb") as f:  # the digest last: a cut-short cache never matches
+        for part in [_COLS_HEAD.pack(_COLS_MAGIC, len(phases[0]), len(kernels[0])),
+                     *(np.ascontiguousarray(c, "<i8") for c in [*phases, *kernels]),
+                     json.dumps(trace.kernels.names).encode()]:
+            digest.update(part)
+            f.write(part)
+        f.write(digest.digest())
 
 
 def _window_fields(kind, turn, token, start, end, busy) -> list:
@@ -316,12 +339,46 @@ def _bulk_rows(columns: RecordColumns, block: bytes, lines: int) -> bool:
     return True
 
 
+def _cached_tables(f, path: str) -> Optional[tuple[PhaseTable, KernelTable]]:
+    """The tables in ``path + ".cols"`` if its digest is that of the bytes of
+    ``f`` (hashed from the start, then left where it was) and the cache's
+    own bytes before the digest; else None. The names are put in the order
+    the rows first use them, as the parse interns them, and unused ones dropped."""
+    try:
+        with open(path + ".cols", "rb") as c:
+            head = c.read(_COLS_HEAD.size)
+            magic, p, k = _COLS_HEAD.unpack(head)
+            if magic != _COLS_MAGIC or min(p, k) < 0 or 40*p + 56*k > os.fstat(c.fileno()).st_size:
+                return None
+            # a read per column: freeing one block of the whole cache raises glibc's mmap threshold
+            parts = [head, *(c.read(8 * n) for n in [p] * 5 + [k] * 7), c.read()]
+        at, digest = f.tell(), hashlib.sha256()
+        f.seek(0)
+        while block := f.read(_BLOCK_BYTES):
+            digest.update(block)
+        f.seek(at)
+        for part in [*parts[:-1], memoryview(parts[-1])[:-_DIGEST_BYTES]]:
+            digest.update(part)
+        if digest.digest() != parts[-1][-_DIGEST_BYTES:]:
+            return None
+        names = json.loads(parts[-1][:-_DIGEST_BYTES])
+        code, *kernels = (np.frombuffer(part, "<i8") for part in parts[6:-1])
+        used, first, code = np.unique(code, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        return (PhaseTable(*(np.frombuffer(part, "<i8") for part in parts[1:6])),
+                KernelTable([names[i] for i in used[order].tolist()], np.argsort(order)[code],
+                            *kernels))
+    except (OSError, LookupError, TypeError, ValueError, struct.error):
+        return None
+
+
 def read_jsonl(path: str) -> Trace:
     """Parse a trace file, validating every record invariant, and return the
     sealed (sorted, immutable) trace. Blank lines are skipped; the first
     non-blank line must be the session header. Errors name the offending
     line, except the Trace's :class:`PhaseOverlap`, raised as a ParseError
-    with its text. Integers must fit in int64."""
+    with its text. Integers must fit in int64. Past the header, a column
+    cache whose digest matches stands in for the parse."""
     columns = RecordColumns()
     header: Optional[dict] = None
     lineno = 0
@@ -337,7 +394,8 @@ def read_jsonl(path: str) -> Trace:
                 obj = _load_object(raw)
                 header = None if obj is None else _header_fields(obj)
             header_line = lineno
-            while block := f.read(_BLOCK_BYTES):  # at EOF already if no header was found
+            tables = header and _cached_tables(f, path)
+            while not tables and (block := f.read(_BLOCK_BYTES)):  # at EOF if no header
                 block += f.readline()
                 lines = block.count(b"\n")
                 if skip:
@@ -365,7 +423,8 @@ def read_jsonl(path: str) -> Trace:
         raise ParseError("line 1: file is empty; expected a session header")
 
     try:
-        return Trace(phases=columns, kernels=columns, **header)
+        phases, kernels = tables or (columns, columns)
+        return Trace(phases=phases, kernels=kernels, **header)
     except PhaseOverlap as exc:
         raise ParseError(str(exc)) from None
 

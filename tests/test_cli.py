@@ -447,6 +447,35 @@ class TestExportAndCalibrate:
         assert run_cli("calibrate", "--iterations", "10") == 2
 
 
+def test_pipeline_output_does_not_depend_on_the_column_cache(tmp_path, capsys):
+    """simulate -> analyze -> predict -> export, with the benchmark's
+    arguments at 64 tokens: the commands print, write and exit the same
+    whether they read the trace through its column cache or parse it."""
+    runs = []
+    for parse in (False, True):
+        work = tmp_path / ("parsed" if parse else "cached")
+        work.mkdir()
+        trace = str(work / "trace.jsonl")
+        outcome = []
+        for argv in (
+            ["simulate", "--workload", "preset:gemma2-decode", "--prompt-tokens", "8",
+             "--output-tokens", "64", "--seed", "42", "--jitter", "0.02", "--out", trace],
+            ["analyze", trace, "--out", str(work / "analysis.json")],
+            ["predict", trace, "--kernel", "batch_decode_paged_kv", "--train-steps", "16"],
+            ["export", trace, "--out", str(work / "trace.chrome.json")],
+        ):
+            code = run_cli(*argv)
+            outcome.append((code, capsys.readouterr().out.replace(str(work), "WORK")))
+            if parse and argv[0] == "simulate":
+                os.remove(trace + ".cols")
+        files = {p.name: p.read_bytes() for p in work.iterdir() if p.suffix != ".cols"}
+        runs.append((outcome, files))
+    assert (tmp_path / "cached" / "trace.jsonl.cols").exists()
+    assert sorted(runs[0][1]) == ["analysis.json", "trace.chrome.json", "trace.jsonl",
+                                  "trace.jsonl.gt.json"]
+    assert runs[0] == runs[1]
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

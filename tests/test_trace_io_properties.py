@@ -6,11 +6,14 @@ and reads any other block line by line through ``json.loads``. These tests
 hold them to the dict-and-encoder code they replaced (kept below as the
 reference), to an exact-decimal reference for viewer timestamps past 2**51
 ns, to the ``json.loads`` route, and to the rule that any input ends in a
-valid Trace or an ``LmmkError``.
+valid Trace or an ``LmmkError``; and the column cache to the parse it
+stands in for.
 """
 
 import json
+import os
 import re
+import threading
 import tracemalloc
 from dataclasses import astuple
 from decimal import Decimal
@@ -23,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_trace, reference_ground_truth, sidecar_bytes
+from conftest import build_trace, golden_trace, reference_ground_truth, sidecar_bytes
 from lmmk import sim_engine, trace_io
 from lmmk.cli import main
 from lmmk.errors import LmmkError, ParseError, TimestampOrderViolation
@@ -347,7 +350,7 @@ def test_writers_reject_non_int_fields(tmp_path, writer, bad, field):
             turn, token = (bad, 0) if field == "turn" else (0, bad)
             trace = build_trace(phases=[(PhaseKind.DECODE, turn, token, 0, 3)])
         writer(trace, str(tmp_path / "out"))
-    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out").exists() and not (tmp_path / "out.cols").exists()
 
 
 def table_trace(phases=(), kernels=(), names=("k",), **header):
@@ -374,7 +377,7 @@ def test_writers_check_columns_before_opening(tmp_path, writer, rows, error, mes
     writer ever opens a file for them."""
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         writer(table_trace(**rows), str(tmp_path / "out"))
-    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out").exists() and not (tmp_path / "out.cols").exists()
 
 
 @pytest.mark.parametrize("writer", [trace_io.write_jsonl, trace_io.export_chrome_trace])
@@ -849,6 +852,7 @@ def test_bulk_route_takes_every_canonical_block(tmp_path, preset_run_16, block_b
     trace, _ = preset_run_16
     path = tmp_path / "sim.jsonl"
     trace_io.write_jsonl(trace, str(path))
+    (tmp_path / "sim.jsonl.cols").unlink()  # the parse is the subject, not the cache
     loaded, taken = read_spying_on_bulk(path, block_bytes)
     assert loaded == trace and loaded.kernels.names == trace.kernels.names
     assert len(taken) > 1 and all(taken)
@@ -862,6 +866,7 @@ def test_bulk_route_backs_off_from_refused_blocks(tmp_path, preset_run_16):
     trace, _ = preset_run_16
     path = tmp_path / "sim.jsonl"
     trace_io.write_jsonl(trace, str(path))
+    (tmp_path / "sim.jsonl.cols").unlink()  # the parse is the subject, not the cache
     lines = path.read_bytes().split(b"\n")
     blocks = len(lines) - 1  # one line per block at 1 byte
     path.write_bytes(b"\r\n".join(lines))
@@ -912,6 +917,7 @@ def test_reader_memory_is_bounded_by_columns_and_blocks(tmp_path):
     trace, _ = sim_engine.run(sim_engine.preset_gemma_decode(), 8, 1024)
     path = tmp_path / "long.jsonl"
     trace_io.write_jsonl(trace, str(path))
+    (tmp_path / "long.jsonl.cols").unlink()  # the parse is the subject, not the cache
     assert path.stat().st_size >= 32 * trace_io._BLOCK_BYTES
     tracemalloc.start()
     try:
@@ -922,6 +928,179 @@ def test_reader_memory_is_bounded_by_columns_and_blocks(tmp_path):
     assert loaded == trace
     column_bytes = 8 * (5 * len(loaded.phases) + 7 * len(loaded.kernels))
     assert peak < 4 * column_bytes + 8 * trace_io._BLOCK_BYTES
+
+
+# -- the column cache -----------------------------------------------------------
+
+def cache_of(path):
+    return path.with_name(path.name + ".cols")
+
+
+def read_from_cache(path):
+    """The trace and names read from ``path`` with both parse routes
+    refused, so that only the column cache can give them."""
+    with mock.patch.object(trace_io, "_bulk_rows", side_effect=AssertionError), \
+            mock.patch.object(trace_io, "_append_record", side_effect=AssertionError):
+        trace = trace_io.read_jsonl(str(path))
+    return trace, trace.kernels.names
+
+
+def parsed(path):
+    """read_with_names of ``path`` with its column cache deleted."""
+    cache_of(path).unlink(missing_ok=True)
+    return read_with_names(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(traces())
+def test_a_cached_read_equals_the_parse(scratch, trace):
+    """The same trace, header fields and kernel name order, read through
+    the cache that write_jsonl left or parsed once the cache is deleted."""
+    path = scratch / "cached.jsonl"
+    trace_io.write_jsonl(trace, str(path))
+    cached = read_from_cache(path)
+    assert cached == parsed(path)
+    assert cached[0] == trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_records(), st.randoms(use_true_random=False))
+def test_a_cached_read_of_shuffled_tables_equals_the_parse(scratch, drawn, rnd):
+    """A Trace made from tables with its names in any order and one unused
+    reads back from the cache with the parse's names: in the order the rows
+    first use them, the unused one dropped."""
+    header, phases, kernels = drawn
+    names = [*dict.fromkeys(k.name for k in kernels), "unused"]
+    rnd.shuffle(names)
+    trace = table_trace(
+        [(list(PhaseKind).index(p.kind), p.turn, -1 if p.token_index is None else p.token_index,
+          p.t_start_ns, p.t_end_ns) for p in phases],
+        [(names.index(k.name), *astuple(k)[1:]) for k in kernels], names, **header)
+    path = scratch / "cached-tables.jsonl"
+    trace_io.write_jsonl(trace, str(path))
+    cached = read_from_cache(path)
+    assert cached == parsed(path)
+    assert cached[0] == trace
+    assert cached[1] == tuple(dict.fromkeys(k.name for k in trace.kernels))
+
+
+def damage_trace():
+    return table_trace([(0, 0, -1, 0, 5), (2, 0, 0, 5, 9)],
+                       [(2, 0, 1, 1, 2, 3, 4), (0, 1, 0, 2, 2, 5, 5), (2, 0, 3, 6, 7, 7, 8)],
+                       ["b", "unused", "aé"], prompt_tokens=3)
+
+
+def test_a_cut_or_flipped_cache_reads_as_the_parse(tmp_path):
+    """Every truncation of a cache and every single flipped bit in it is
+    refused: the read gives what the parse gives."""
+    path = tmp_path / "t.jsonl"
+    trace_io.write_jsonl(damage_trace(), str(path))
+    good = cache_of(path).read_bytes()
+    want = parsed(path)
+    for n in range(len(good)):
+        cache_of(path).write_bytes(good[:n])
+        assert read_with_names(path) == want, n
+    for i in range(len(good)):
+        for bit in range(8):
+            damaged = bytearray(good)
+            damaged[i] ^= 1 << bit
+            cache_of(path).write_bytes(damaged)
+            assert read_with_names(path) == want, (i, bit)
+
+
+def test_a_foreign_cache_reads_as_the_parse(tmp_path):
+    """A cache written for another trace is refused."""
+    path, other = tmp_path / "t.jsonl", tmp_path / "other.jsonl"
+    trace_io.write_jsonl(damage_trace(), str(path))
+    trace_io.write_jsonl(golden_trace(), str(other))
+    want = parsed(path)
+    cache_of(path).write_bytes(cache_of(other).read_bytes())
+    assert read_with_names(path) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(traces(), edits)
+def test_a_trace_edited_after_writing_reads_as_the_parse(scratch, trace, changes):
+    """A JSONL edited after write_jsonl wrote it and its cache reads as the
+    edited file parses: the same trace and names, or the same error."""
+    path = scratch / "edited-cached.jsonl"
+    trace_io.write_jsonl(trace, str(path))
+    data = bytearray(path.read_bytes())
+    for at, cut, insert in changes:
+        at %= len(data) + 1
+        data[at:at + cut] = insert
+    path.write_bytes(bytes(data))
+    assert read_with_names(path) == parsed(path)
+
+
+def test_a_read_writes_nothing(tmp_path):
+    """With a valid cache, a stale one or none, a read leaves the directory
+    as it was: the same files with the same modification times."""
+    path = tmp_path / "t.jsonl"
+    trace_io.write_jsonl(damage_trace(), str(path))
+
+    def listing():
+        return {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()}
+
+    for make_state in (lambda: None,
+                       lambda: path.write_bytes(path.read_bytes() + b"\n"),
+                       lambda: cache_of(path).unlink()):
+        make_state()
+        before = listing()
+        trace_io.read_jsonl(str(path))
+        assert listing() == before
+
+
+def test_without_a_cache_the_file_is_opened_once_and_never_hashed(tmp_path):
+    """With no cache a read costs one failed open more than the parse alone."""
+    path = tmp_path / "t.jsonl"
+    trace_io.write_jsonl(damage_trace(), str(path))
+    cache_of(path).unlink()
+    opened = []
+    real_open = open
+
+    def spy(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    with mock.patch("builtins.open", spy), \
+            mock.patch.object(trace_io.hashlib, "sha256", side_effect=AssertionError):
+        assert trace_io.read_jsonl(str(path)) == damage_trace()
+    assert opened == [str(path), str(path) + ".cols"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_fifo_reads_with_a_cache_beside_it(tmp_path):
+    """A trace read from a pipe cannot be hashed from its start: the cache
+    beside it is refused and the pipe is parsed."""
+    written, path = tmp_path / "t.jsonl", tmp_path / "pipe.jsonl"
+    trace_io.write_jsonl(damage_trace(), str(written))
+    os.mkfifo(path)
+    cache_of(path).write_bytes(cache_of(written).read_bytes())
+    feeder = threading.Thread(target=path.write_bytes, args=(written.read_bytes(),), daemon=True)
+    feeder.start()
+    try:
+        assert trace_io.read_jsonl(str(path)) == damage_trace()
+    finally:
+        feeder.join(10)
+
+
+def test_cached_read_memory_is_bounded_by_columns(tmp_path):
+    """A cached read's peak is the cache's bytes, the Trace's own copy of
+    the columns and the temporaries of the checks and of the name order:
+    under three times the columns, however long the file it skips."""
+    trace, _ = sim_engine.run(sim_engine.preset_gemma_decode(), 8, 1024)
+    path = tmp_path / "long.jsonl"
+    trace_io.write_jsonl(trace, str(path))
+    tracemalloc.start()
+    try:
+        loaded, _ = read_from_cache(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == trace
+    column_bytes = 8 * (5 * len(loaded.phases) + 7 * len(loaded.kernels))
+    assert peak < 3 * column_bytes + 2 * trace_io._BLOCK_BYTES
 
 
 # -- the ground-truth sidecar ---------------------------------------------------
