@@ -7,7 +7,9 @@ declares in ``usage_errors`` exits 2, and every other
 :class:`~lmmk.errors.LmmkError`, ``OSError`` or ``ValueError`` exits 1.
 Either way stderr gets the one line ``lmmk: error: <message>``. All
 diagnostics go to stderr; machine-readable output goes to stdout or the
---out path. Every command is a thin wrapper over library calls, and the
+--out path, which is checked before any work: a directory, or a path in
+a missing directory, fails at once with the error ``open`` would give.
+Every command is a thin wrapper over library calls, and the
 deterministic ones (simulate with a fixed seed, sample, metrics) produce
 byte-identical outputs across runs. LMMK_SEED in the environment
 overrides --seed when set.
@@ -51,6 +53,13 @@ def _seed(flag: Optional[int]) -> Optional[int]:
         return sampler._integer(text)
     except ValueError:
         raise _UsageError(f"LMMK_SEED must be an integer, got {text!r}") from None
+
+
+def _check_out(path: str) -> None:
+    """Raise what ``open(path, "w")`` raises for a directory or a path in no
+    directory: that open fails without making or truncating a file."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        open(path, "w").close()
 
 
 def _resolve_workload(ref: str) -> sim_engine.WorkloadSpec:
@@ -301,6 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         args.func(args)
     except (LmmkError, OSError, ValueError) as exc:
         print(f"lmmk: error: {exc}", file=sys.stderr)

@@ -12,7 +12,10 @@ parse gets it back only below 2**51 ns.
 
 Both writers format a trace's int64 columns a chunk of rows at a time, as
 one uint8 matrix of a template's constant bytes, right-aligned digit
-blocks and name lookups, written with its 0 padding dropped. They check
+blocks and name lookups, written with its 0 padding dropped. Digits come
+four at a time (:func:`_digits`): one division by 10000 and one ``take``
+from a uint32 table of "0000" to "9999" per group; a name, kind or
+microsecond fraction is one ``take`` from a fixed-width table. They check
 nothing: a :class:`~lmmk.recorder.Trace` checked and ordered its rows,
 and refused overlapping phases, when it was made. So no value can make a
 writer fail after it has opened its file, and a written trace reads back
@@ -42,6 +45,7 @@ matches, and parses otherwise. Deleting the cache changes no result.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -76,38 +80,57 @@ FILE_VERSION = 1
 
 
 def _table(texts: Sequence[bytes]) -> np.ndarray:
-    """(texts, longest) uint8 matrix, each text padded with 0 on the right."""
-    table = np.array(texts, dtype=bytes)
-    return table.view(np.uint8).reshape(len(table), table.itemsize)
+    """(texts, 1) fixed-width bytes, each text padded with 0 on the right."""
+    return np.array(texts, dtype=bytes).reshape(-1, 1)
+
+
+def _take(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """(rows, width) uint8: the entries of an (entries, 1) fixed-width table at ``codes``."""
+    return table.take(codes, 0).view(np.uint8)
+
+
+@functools.cache
+def _groups() -> np.ndarray:
+    """"0000" to "9999" as uint32, with leading zeros as 0 bytes, then in full.
+    Built on first use, in place: freeing 128 KiB or more raises glibc's mmap threshold."""
+    table = np.empty((2, 10, 10, 10, 10, 4), np.uint8)
+    for j in range(4):  # byte j is the digit that axis j + 1 counts
+        table[..., j] = np.arange(48, 58, dtype=np.uint8).reshape(10, *[1] * (3 - j))
+    table = table.reshape(20000, 4)
+    table[:1000, 0] = table[:100, 1] = table[:10, 2] = table[:1, 3] = 0
+    return table.view(np.uint32).ravel()
 
 
 def _digits(values: np.ndarray) -> np.ndarray:
     """(rows, width) uint8: each value in ASCII decimal, right-aligned with
-    0 in its leading positions; a negative value (a null token) as null."""
-    v = np.maximum(values, 0).astype(np.uint64)
-    null = values < 0
-    width = max(len(str(v.max(initial=0))), 4 if null.any() else 1)
-    q, out = v, np.empty((len(v), width), np.uint8)
-    for j in range(width - 1, -1, -1):
-        q, out[:, j] = np.divmod(q, 10)
-    out += 48
-    out[:, :-1] *= v[:, None] >= 10 ** np.arange(width - 1, 0, -1, dtype=np.uint64)
-    if width >= 4:
-        out[null, -4:] = _table([b"null"])
+    0 in its leading positions; a negative value (a null token) as null.
+    Each group of four digits is one ``take`` from :func:`_groups`: from
+    its second half if digits come before the group, else from its first."""
+    q = np.maximum(values, 0).astype(np.uint64)
+    out = np.empty((len(q), -(-len(str(q.max(initial=0))) // 4)), np.uint32)
+    for j in range(out.shape[1] - 1, -1, -1):
+        d = q // 10000
+        out[:, j] = _groups().take(q - d * 10000 + (d != 0) * np.uint64(10000))
+        q = d
+    out[values < 0, -1] = np.frombuffer(b"null", np.uint32)
+    out = out.view(np.uint8)
+    out[values == 0, -1] = 48  # every group of 0 is blank
     return out
 
 
 _KINDS = _table([kind.value.encode() for kind in PhaseKind])  # by PhaseTable.kind_code
-# The decimals of r / 1000 for each r < 1000, trailing zeros dropped ("0" for r = 0).
-_FRACTION = np.indices((10, 10, 10), np.uint8).reshape(3, 1000).T + 48
-_FRACTION[::10, 2] = 0
-_FRACTION[::100, 1] = 0
+# The decimals of r / 1000 for each r < 1000, trailing zeros dropped ("0" for
+# r = 0), padded with 0 to 4 bytes: one uint32 each.
+_FRACTION = np.zeros((1000, 4), np.uint8)
+_FRACTION.T[:3] = np.indices((10, 10, 10), np.uint8).reshape(3, 1000) + 48
+_FRACTION[::10, 2] = _FRACTION[::100, 1] = 0
+_FRACTION = _FRACTION.view(np.uint32)
 
 
 def _micros(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two blocks of the exact decimal ns / 1000, for a ``%s.%s`` pair."""
-    whole, fraction = np.divmod(ns, 1000)
-    return _digits(whole), _FRACTION[fraction]
+    whole = ns // 1000
+    return _digits(whole), _take(_FRACTION, ns - whole * 1000)
 
 
 def _text(template: bytes, columns: Sequence[np.ndarray],
@@ -157,8 +180,8 @@ def write_jsonl(trace: Trace, path: str) -> None:
     digest = hashlib.sha256()
     lines = itertools.chain(
         [json.dumps(header, separators=(",", ":")).encode() + b"\n"],
-        _text(_PHASE_LINE, phases, lambda kind, *ints: (_KINDS[kind], *map(_digits, ints))),
-        _text(_KERNEL_LINE, kernels, lambda code, *ints: (names[code], *map(_digits, ints))))
+        _text(_PHASE_LINE, phases, lambda kind, *ints: (_take(_KINDS, kind), *map(_digits, ints))),
+        _text(_KERNEL_LINE, kernels, lambda code, *ints: (_take(names, code), *map(_digits, ints))))
     with open(path, "wb") as f:
         for chunk in lines:
             digest.update(chunk)
@@ -178,8 +201,8 @@ def _window_fields(kind, turn, token, start, end, busy) -> list:
     # exact int division, as PhaseWindowTruth.idle_fraction; 0.0 for an empty window
     fraction = map(operator.truediv, np.where(wall > 0, idle, 0).tolist(),
                    np.maximum(wall, 1).tolist())
-    return [_KINDS[kind], *map(_digits, (turn, token, start, end, busy, idle)),
-            _table(list(map(repr, fraction)))]
+    return [_take(_KINDS, kind), *map(_digits, (turn, token, start, end, busy, idle)),
+            _table(list(map(repr, fraction))).view(np.uint8)]
 
 
 def write_ground_truth(truth: GroundTruth, path: str) -> None:
@@ -444,12 +467,13 @@ def export_chrome_trace(trace: Trace, path: str) -> None:
         b',{"name":"%s","cat":"phase","ph":"X","ts":%s.%s,"dur":%s.%s,"pid":1,"tid":0,'
         b'"args":{"turn":%s,"token":%s}}', phases,
         lambda kind, turn, token, start, end: (
-            _KINDS[kind], *_micros(start), *_micros(end - start), _digits(turn), _digits(token)))
+            _take(_KINDS, kind), *_micros(start), *_micros(end - start),
+            _digits(turn), _digits(token)))
     kernel_events = _text(
         b',{"name":%s,"cat":"kernel","ph":"X","ts":%s.%s,"dur":%s.%s,"pid":1,"tid":%s,'
         b'"args":{"queuing_us":%s.%s,"dispatch_us":%s.%s}}', kernels,
         lambda code, queue, _, queued, submit, start, end: (
-            names[code], *_micros(start), *_micros(end - start),
+            _take(names, code), *_micros(start), *_micros(end - start),
             _digits(queue.astype(np.uint64) + 1), *_micros(submit - queued),
             *_micros(start - submit)))
     events = itertools.chain(phase_events, kernel_events)

@@ -631,3 +631,48 @@ def test_failure_exit_code_and_stderr(failure_files, capsys, monkeypatch, argv, 
     assert captured.out == ""
     assert captured.err == f"lmmk: error: {message.format(tmp=tmp)}\n"
     assert not list(failure_files.glob("t.jsonl*"))  # a failed simulate writes no file
+
+
+BAD_OUT = {"directory": "dir", "missing-directory": "missing/out", "file-as-directory":
+           "two.txt/out"}
+OUT_COMMANDS = {
+    "simulate": (*SIMULATE, "--out", "{out}"),
+    "analyze": ("analyze", "{tmp}/kernel-free.jsonl", "--out", "{out}"),
+    "export": ("export", "{tmp}/kernel-free.jsonl", "--out", "{out}"),
+    "sample": ("sample", "--lengths", "{tmp}/two.txt", "--fraction", "0.5", "--out", "{out}"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_OUT.values(), ids=BAD_OUT.keys())
+@pytest.mark.parametrize("argv", OUT_COMMANDS.values(), ids=OUT_COMMANDS.keys())
+def test_bad_out_fails_before_any_work(failure_files, capsys, monkeypatch, argv, bad):
+    """A bad --out exits 1 with the error open() gives, before the command
+    simulates or reads anything."""
+    def never(*_args, **_kwargs):
+        raise AssertionError("the command did work before checking --out")
+    for module, name in [(sim_engine, "run"), (trace_io, "read_jsonl"),
+                         (lmmk.sampler, "read_lengths_file")]:
+        monkeypatch.setattr(module, name, never)
+    tmp, out = str(failure_files), str(failure_files / bad)
+    with pytest.raises(OSError) as opened:
+        open(out, "w")
+    assert run_cli(*(arg.format(tmp=tmp, out=out) for arg in argv)) == 1
+    assert capsys.readouterr().err == f"lmmk: error: {opened.value}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "{tmp}/malformed.jsonl", "--out", "{out}"),
+    ("analyze", "{tmp}/kernel-free.jsonl", "--aggregate", "--report", "csv", "--out", "{out}"),
+    ("export", "{tmp}/malformed.jsonl", "--out", "{out}"),
+    ("simulate", "--workload", "{tmp}/missing.json", "--out", "{out}"),
+    ("sample", "--lengths", "{tmp}/empty.txt", "--fraction", "0.5", "--out", "{out}"),
+], ids=["analyze-malformed", "analyze-nothing-to-report", "export-malformed",
+        "simulate-missing-workload", "sample-empty"])
+@pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+def test_failed_command_leaves_out_as_it_was(failure_files, argv, exists):
+    tmp, out = str(failure_files), failure_files / "out.txt"
+    if exists:
+        out.write_text("earlier output\n")
+    assert run_cli(*(arg.format(tmp=tmp, out=out) for arg in argv)) != 0
+    assert {p.name: p.read_text() for p in failure_files.glob("out.txt*")} == (
+        {"out.txt": "earlier output\n"} if exists else {})

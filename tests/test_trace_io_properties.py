@@ -142,9 +142,15 @@ names = st.one_of(st.sampled_from(SPECIAL_NAMES), st.text(min_size=1, max_size=1
 big = st.integers(0, 2**62)
 
 
+# Every decimal-width boundary of an int64, and both its ends.
+DECIMAL_EDGES = sorted({0, 2**63 - 1, *(10**k - 1 for k in range(19)), *(10**k for k in range(19))})
+
+
 def up_to(top):
-    """Non-negative ints up to ``top``, often at its two ends."""
-    return st.one_of(st.integers(0, top), st.sampled_from([0, 1, top - 1, top]))
+    """Non-negative ints up to ``top``, often at its two ends or where the
+    decimal digits of a value grow by one."""
+    return st.one_of(st.integers(0, top), st.sampled_from(
+        [0, 1, top - 1, top, *(edge for edge in DECIMAL_EDGES if edge <= top)]))
 
 
 @st.composite
@@ -311,6 +317,62 @@ def test_export_edge_rows(tmp_path):
         '{"name":"k","cat":"kernel","ph":"X","ts":1.01,"dur":9223372036854774.797,"pid":1,'
         '"tid":9223372036854775808,"args":{"queuing_us":0.001,"dispatch_us":1.009}}]}\n'
     )
+
+
+def decimal_edge_trace():
+    """A trace of 2 * _ROW_CHUNK + 3 phases and kernels whose three chunks
+    have different digit widths: turns, queues, enqueue times and the
+    durations cycle through DECIMAL_EDGES below 10**7, then all of them,
+    then 0, 9, 10; phase starts have 8, 18, then 19 digits. Tokens cycle
+    through all of DECIMAL_EDGES in every chunk, between null tokens, and
+    one kernel runs on queue 2**63 - 1."""
+    chunk = trace_io._ROW_CHUNK
+    pools = [[v for v in DECIMAL_EDGES if v < 10**7], DECIMAL_EDGES, [0, 9, 10]]
+    spacing, offset = [10**4, 10**14, 10**18], [0, 10**8, 10**18]
+    kinds, phases, kernels, windows = list(PhaseKind), [], [], []
+    for i in range(2 * chunk + 3):
+        c, j = min(i // chunk, 2), i - min(i // chunk, 2) * chunk
+        pool = pools[c]
+        v, w = pool[i % len(pool)], pool[(i + 1) % len(pool)]
+        kind = kinds[i % len(kinds)] if c < 2 else [PhaseKind.PREFILL, PhaseKind.DECODE][j % 2]
+        token = DECIMAL_EDGES[i % len(DECIMAL_EDGES)] if c < 2 else INT64_TOP
+        token = token if kind in PER_TOKEN_KINDS else None
+        start = offset[c] + j * spacing[c]
+        end = start + v % spacing[c]
+        phases.append((kind, w, token, start, end))
+        windows.append((kinds.index(kind), w, -1 if token is None else token, start, end,
+                        min(w, end - start)))
+        durations = [v if i % 3 == r else 0 for r in range(3)]
+        queued = min(w, INT64_TOP - v)
+        submit = queued + durations[0]
+        kernels.append((["k", 'q"uote', "\u00fc-kernel"][i % 3],
+                        INT64_TOP if i == 2 * chunk + 1 else v, w, queued, submit,
+                        submit + durations[1], submit + durations[1] + durations[2]))
+    truth = sim_engine.GroundTruth(
+        kernel_total_ns={"k": INT64_TOP}, kernel_invocations={"k": 0},
+        phase_busy_ns={PhaseKind.DECODE: 10**18}, phase_wall_ns={PhaseKind.PREFILL: 9},
+        windows=sim_engine.WindowTable(*np.array(windows, dtype=np.int64).T),
+        prompt_tokens=INT64_TOP, output_tokens=0)
+    return build_trace(kernels, phases), truth
+
+
+def test_writers_match_reference_bytes_at_every_decimal_edge(tmp_path):
+    trace, truth = decimal_edge_trace()
+    tokens = [p.token_index for p in trace.phases]
+    for lo in range(0, len(tokens), trace_io._ROW_CHUNK):
+        chunk = tokens[lo:lo + trace_io._ROW_CHUNK]
+        assert None in chunk and INT64_TOP in chunk
+    assert {p.turn for p in trace.phases} | {k.queue_id for k in trace.kernels} >= set(
+        DECIMAL_EDGES)
+    for write, reference, name in [
+        (trace_io.write_jsonl, reference_write_jsonl, "t.jsonl"),
+        (trace_io.export_chrome_trace, exact_reference_export_chrome_trace, "t.json"),
+    ]:
+        write(trace, str(tmp_path / name))
+        reference(trace, str(tmp_path / ("ref-" + name)))
+        assert (tmp_path / name).read_bytes() == (tmp_path / ("ref-" + name)).read_bytes()
+    expected = json.dumps(reference_ground_truth(truth), separators=(",", ":")) + "\n"
+    assert sidecar_bytes(truth) == expected.encode()
 
 
 below_2_51 = st.integers(0, 2**51 - 1)
