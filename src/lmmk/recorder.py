@@ -10,12 +10,12 @@ path builds no object and retains no allocation once warmed up. A
 backend that computes whole columns, as the simulated engine does,
 appends them in one checked bulk call. :meth:`TraceSession.seal` hands
 the rows, in recording order, to an immutable :class:`Trace` without
-building a record. However it is made, a Trace checks every row, copies
-the rows into columns of its own, sorted stably only if out of order
-(phases by start, kernels by queued time, ties in recording order, across
-threads too), and refuses overlapping phases. Its :class:`PhaseTable`
-and :class:`KernelTable` yield :class:`PhaseRecord` and
-:class:`KernelRecord` rows lazily for callers that want rows; the
+building a record. A Trace is made from tables or a :class:`RecordColumns`
+only; it checks every row, copies the rows into columns of its own, sorted
+stably only if out of order (phases by start, kernels by queued time, ties
+in recording order, across threads too), and refuses overlapping phases.
+Its :class:`PhaseTable` and :class:`KernelTable` yield :class:`PhaseRecord`
+and :class:`KernelRecord` rows lazily for callers that want rows; the
 analyses and the trace writers read the columns.
 
 Sessions accept an injectable ``clock`` callable, read when a phase
@@ -251,27 +251,37 @@ def int_rows(*columns: np.ndarray) -> Iterator[tuple]:
 
 
 class _RecordTable(Sequence):
-    """Read-only records held as equal-length int64 columns.
+    """Read-only records held as equal-length int64 columns, each given as
+    :meth:`_int64_column` takes it.
 
     Rows are built on demand, with exact ``int`` and ``str`` values, when
     the table is iterated or indexed; an index builds its one row and no
-    table, and ``len`` is O(1). A table equals another table with the same
-    rows and a tuple of the same records. A row skips its record class's
-    checks: a Trace checks every row of its tables when it is made.
-    """
+    table, and ``len`` is O(1). A table equals only a table of its class
+    with the same rows. A row skips its record class's checks: a Trace
+    checks every row of its tables when it is made."""
 
     __slots__ = ()
     _columns: tuple[str, ...] = ()
 
     def __init__(self, *columns) -> None:
-        # a view, so freezing a column leaves the caller's own array writeable
-        columns = [np.asarray(values, dtype=np.int64).view() for values in columns]
+        columns = [self._int64_column(name, values)
+                   for name, values in zip(self._columns, columns, strict=True)]
         if len({len(column) for column in columns}) > 1:
             raise ValueError(f"{type(self).__name__} columns differ in length: "
                              f"{[len(column) for column in columns]}")
-        for name, column in zip(self._columns, columns, strict=True):
+        for name, column in zip(self._columns, columns):
             column.setflags(write=False)
             setattr(self, name, column)
+
+    def _int64_column(self, name: str, values) -> np.ndarray:
+        """Column ``name``: an int64 view of a signed-integer ndarray (not a
+        copy, if int64) or of any other iterable (an ndarray as its
+        ``tolist()``) whose every value passes :func:`check_int64`."""
+        if not (isinstance(values, np.ndarray) and values.dtype.kind == "i"):
+            values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+            for value in values:
+                check_int64(f"{type(self).__name__}.{name}", value)
+        return np.asarray(values, dtype=np.int64).view()
 
     def _arrays(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in self._columns]
@@ -280,9 +290,7 @@ class _RecordTable(Sequence):
         return len(getattr(self, self._columns[0]))
 
     def __iter__(self) -> Iterator:
-        row = self._row
-        for values in int_rows(*self._arrays()):
-            yield row(values)
+        return map(self._row, int_rows(*self._arrays()))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -302,8 +310,6 @@ class _RecordTable(Sequence):
         return all(np.array_equal(a, b) for a, b in zip(self._arrays(), other._arrays()))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, tuple):
-            return len(other) == len(self) and tuple(self) == other
         if type(other) is type(self):
             return len(other) == len(self) and self._same_rows(other)
         return NotImplemented
@@ -393,12 +399,10 @@ class Trace:
     ``phases`` and ``kernels`` are read-only column tables: int64 columns
     that the analyses and writers read directly, and that yield
     :class:`PhaseRecord`/:class:`KernelRecord` rows lazily to callers that
-    iterate or index them; a table equals a tuple of the same records.
-    The constructor, and so ``dataclasses.replace``, also takes iterables
-    of records or a :class:`RecordColumns`, for either side or both.
-    However the rows come (from :meth:`TraceSession.seal`,
-    :func:`~lmmk.trace_io.read_jsonl`, tables or records), the constructor
-    raises what :func:`check_columns` raises for them in the order given,
+    iterate or index them. The constructor, and so ``dataclasses.replace``,
+    takes on each side a table of that side or a :class:`RecordColumns`,
+    and raises TypeError for anything else. Then, however the rows come,
+    it raises what :func:`check_columns` raises for them in the order given,
     copies them into columns of its own, sorted stably only if out of
     order (phases by t_start_ns, kernels by t_queued_ns, ties in the order
     given), and raises :class:`PhaseOverlap` for the first two phases, in
@@ -428,15 +432,10 @@ class Trace:
         for name in ("clock_offset_ns", "prompt_tokens", "output_tokens"):
             check_int64(f"Trace.{name}", getattr(self, name), nullable=True)
         phases, kernels = self.phases, self.kernels
-        if not isinstance(phases, (PhaseTable, RecordColumns)):
-            phases = RecordColumns()
-            for r in self.phases:
-                phases.add_phase(r.kind, r.turn, r.token_index, r.t_start_ns, r.t_end_ns)
-        if not isinstance(kernels, (KernelTable, RecordColumns)):
-            kernels = RecordColumns()
-            for r in self.kernels:
-                kernels.add_kernel(r.name, r.queue_id, r.t_cpu_enqueue_ns, r.t_queued_ns,
-                                   r.t_submit_ns, r.t_start_ns, r.t_end_ns)
+        for side, table in (("phases", PhaseTable), ("kernels", KernelTable)):
+            if not isinstance(rows := getattr(self, side), (table, RecordColumns)):
+                raise TypeError(f"Trace.{side} must be a {table.__name__} or RecordColumns, "
+                                f"got {type(rows).__name__}")
         p_table, k_table = isinstance(phases, PhaseTable), isinstance(kernels, KernelTable)
         phases = phases._arrays() if p_table else phases.phase_columns()
         names, kernels = ((kernels.names, kernels._arrays()) if k_table
@@ -483,8 +482,8 @@ class TimerCalibration:
 
 class RecordColumns:
     """Growable phase and kernel rows in recording order, which
-    :class:`TraceSession`, :func:`lmmk.trace_io.read_jsonl` and
-    :class:`Trace` fill and hand to a Trace, which copies them. Rows are
+    :class:`TraceSession` and :func:`lmmk.trace_io.read_jsonl` fill and
+    hand to a Trace, which copies them. Rows are
     int64 in :class:`PhaseTable`/:class:`KernelTable` column order (5 and 7
     wide), each written into a row buffer by one ``struct.pack_into``.
     Each table's first row buffer holds 1,024 rows and every later one

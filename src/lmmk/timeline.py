@@ -76,14 +76,14 @@ class GapTable(_RecordTable):
     """Idle gaps as columns ``start_ns`` and ``end_ns``: views of one int64
     array, ``bounds``, that alternates the gaps' starts and ends and that
     the table freezes in place (an ndarray is taken as it is, so it must be
-    int64 and the caller's own). Rows are :class:`Interval`, so a table
-    equals a tuple of the same intervals."""
+    int64 and the caller's own; any other iterable must hold exact ints
+    within int64). Rows are :class:`Interval`."""
 
     __slots__ = ("bounds",)
     _columns = ("start_ns", "end_ns")
 
     def __init__(self, bounds) -> None:
-        self.bounds = bounds if type(bounds) is np.ndarray else np.array(bounds, dtype=np.int64)
+        self.bounds = bounds if type(bounds) is np.ndarray else self._int64_column("bounds", bounds)
         self.bounds.setflags(write=False)
 
     start_ns = property(lambda self: self.bounds[::2])

@@ -39,7 +39,7 @@ the recorder fills and hand them to a Trace, which orders them.
 columns, the names and a SHA-256 over the JSONL and the cache before it
 (docs/trace_format.md). Past the header, :func:`read_jsonl` hands a Trace
 the cached columns as tables, checked like any others, if that digest
-matches, and parses otherwise. Deleting the cache changes no result.
+matches, and parses otherwise. Deleting a written cache changes no result.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import LmmkError, ParseError, PhaseOverlap, UnknownVersion
+from .errors import LmmkError, ParseError, UnknownVersion
 from .recorder import (
     INT64_MAX,
     INT64_MIN,
@@ -316,7 +316,7 @@ def _header_fields(obj: Mapping) -> dict:
         "prompt_tokens": obj.get("prompt_tokens"),
         "output_tokens": obj.get("output_tokens"),
     }
-    Trace(phases=(), kernels=(), **fields)
+    Trace(phases=PhaseTable(*[()] * 5), kernels=KernelTable((), *[()] * 7), **fields)
     return fields
 
 
@@ -399,9 +399,9 @@ def read_jsonl(path: str) -> Trace:
     """Parse a trace file, validating every record invariant, and return the
     sealed (sorted, immutable) trace. Blank lines are skipped; the first
     non-blank line must be the session header. Errors name the offending
-    line, except the Trace's :class:`PhaseOverlap`, raised as a ParseError
-    with its text. Integers must fit in int64. Past the header, a column
-    cache whose digest matches stands in for the parse."""
+    line, except the Trace's for its rows: a ParseError with its text, and
+    the cache's path first if a column cache whose digest matches stood in
+    for the parse past the header. Integers must fit in int64."""
     columns = RecordColumns()
     header: Optional[dict] = None
     lineno = 0
@@ -445,11 +445,11 @@ def read_jsonl(path: str) -> Trace:
     if header is None:
         raise ParseError("line 1: file is empty; expected a session header")
 
+    phases, kernels = tables or (columns, columns)
     try:
-        phases, kernels = tables or (columns, columns)
         return Trace(phases=phases, kernels=kernels, **header)
-    except PhaseOverlap as exc:
-        raise ParseError(str(exc)) from None
+    except (LmmkError, TypeError, ValueError) as exc:  # parsed rows can only overlap
+        raise ParseError(f"{path}.cols: {exc}" if tables else str(exc)) from None
 
 
 def export_chrome_trace(trace: Trace, path: str) -> None:

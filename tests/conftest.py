@@ -7,7 +7,14 @@ from pathlib import Path
 import pytest
 
 from lmmk import sim_engine, trace_io
-from lmmk.recorder import PhaseKind, Trace, TraceSession
+from lmmk.recorder import (
+    KernelRecord,
+    PhaseKind,
+    PhaseRecord,
+    RecordColumns,
+    Trace,
+    TraceSession,
+)
 from lmmk.sim_engine import JitterModel, KernelSpec, PhaseScript, WorkloadSpec
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -95,26 +102,34 @@ def workload_dict(spec: WorkloadSpec) -> dict:
 
 
 def build_trace(kernels=(), phases=(), clock_offset_ns=0, **meta) -> Trace:
-    """Assemble an immutable trace directly from record tuples.
+    """Assemble an immutable trace directly from record tuples, each
+    checked by its record class, through one RecordColumns on both sides.
 
     kernels: iterables of (name, queue, enqueue, queued, submit, start, end)
     phases: iterables of (kind, turn, token, start, end)
     """
-    from lmmk.recorder import KernelRecord, PhaseRecord
-
-    ks = tuple(
-        sorted((KernelRecord(*k) for k in kernels), key=lambda r: r.t_queued_ns)
-    )
-    ps = tuple(
-        sorted((PhaseRecord(*p) for p in phases), key=lambda r: r.t_start_ns)
-    )
+    columns = record_columns(phases, kernels)
     return Trace(
         device_label=meta.pop("device_label", "test"),
         clock_offset_ns=clock_offset_ns,
-        phases=ps,
-        kernels=ks,
+        phases=columns,
+        kernels=columns,
         **meta,
     )
+
+
+def record_columns(phases=(), kernels=()) -> RecordColumns:
+    """A RecordColumns of phase and kernel records, or tuples of their
+    fields, in the order given; each row is checked by its record class."""
+    columns = RecordColumns()
+    for p in phases:
+        r = p if isinstance(p, PhaseRecord) else PhaseRecord(*p)
+        columns.add_phase(r.kind, r.turn, r.token_index, r.t_start_ns, r.t_end_ns)
+    for k in kernels:
+        r = k if isinstance(k, KernelRecord) else KernelRecord(*k)
+        columns.add_kernel(r.name, r.queue_id, r.t_cpu_enqueue_ns, r.t_queued_ns,
+                           r.t_submit_ns, r.t_start_ns, r.t_end_ns)
+    return columns
 
 
 class ManualClock:

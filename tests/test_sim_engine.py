@@ -110,12 +110,12 @@ class TestGroundTruthConsistency:
         rows = tuple(sim_engine.PhaseWindowTruth(p.kind, p.turn, p.token_index, p.t_start_ns,
                                                  p.t_end_ns, busy)
                      for p, busy in zip(trace.phases, windows.busy_ns.tolist()))
-        assert windows == rows
+        assert tuple(windows) == rows
         assert windows[0].token_index is None and windows[2].token_index == 0
         for column in windows._arrays():
             assert column.dtype == np.int64 and not column.flags.writeable
         assert truth.decode_windows() == [w for w in rows if w.kind is PhaseKind.DECODE]
-        assert sim_engine.GroundTruth().windows == ()
+        assert tuple(sim_engine.GroundTruth().windows) == ()
 
     def test_phase_busy_matches_attribution(self, preset_run_16):
         trace, truth = preset_run_16

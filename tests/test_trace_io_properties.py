@@ -10,6 +10,7 @@ valid Trace or an ``LmmkError``; and the column cache to the parse it
 stands in for.
 """
 
+import hashlib
 import json
 import os
 import re
@@ -26,7 +27,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_trace, golden_trace, reference_ground_truth, sidecar_bytes
+from conftest import (
+    build_trace,
+    golden_trace,
+    record_columns,
+    reference_ground_truth,
+    sidecar_bytes,
+)
 from lmmk import sim_engine, trace_io
 from lmmk.cli import main
 from lmmk.errors import LmmkError, ParseError, TimestampOrderViolation
@@ -184,11 +191,15 @@ def kernel_records(draw, top=2**62):
 @st.composite
 def traces(draw, top=2**62):
     """Traces whose record values lie in [0, top]."""
+    device_label = draw(st.text(max_size=8))
+    clock_offset_ns = draw(st.one_of(st.none(), st.integers(-2**62, 2**62)))
+    rows = record_columns(draw(phase_records(top)),
+                          draw(st.lists(kernel_records(top), max_size=6)))
     return Trace(
-        device_label=draw(st.text(max_size=8)),
-        clock_offset_ns=draw(st.one_of(st.none(), st.integers(-2**62, 2**62))),
-        phases=tuple(draw(phase_records(top))),
-        kernels=tuple(draw(st.lists(kernel_records(top), max_size=6))),
+        device_label=device_label,
+        clock_offset_ns=clock_offset_ns,
+        phases=rows,
+        kernels=rows,
         prompt_tokens=draw(st.one_of(st.none(), st.integers(0, 2**62))),
         output_tokens=draw(st.one_of(st.none(), st.integers(0, 2**62))),
     )
@@ -387,8 +398,8 @@ def test_export_gives_back_every_nanosecond_below_2_51(scratch, phase_spans, ker
     ts or dur is the exact nanosecond for every ts and dur below 2**51."""
     phases = [PhaseRecord(PhaseKind.PREFILL, 0, None, ts, ts + dur) for ts, dur in phase_spans]
     kernels = [KernelRecord("k", 0, 0, ts, ts, ts, ts + dur) for ts, dur in kernel_spans]
-    trace_io.export_chrome_trace(Trace("x", 0, tuple(phases), tuple(kernels)),
-                                 str(scratch / "ns.json"))
+    rows = record_columns(phases, kernels)
+    trace_io.export_chrome_trace(Trace("x", 0, rows, rows), str(scratch / "ns.json"))
     with open(scratch / "ns.json", encoding="utf-8") as f:
         events = json.load(f)["traceEvents"]
     assert [(round(e["ts"] * 1000), round(e["dur"] * 1000)) for e in events] == (
@@ -489,14 +500,17 @@ def shuffled_records(draw):
 @settings(max_examples=200, deadline=None)
 @given(shuffled_records())
 def test_trace_from_shuffled_records_is_sorted_and_reads_back_equal(scratch, drawn):
-    """A Trace built from records orders them as seal and read_jsonl do
-    (stable, by start and by queued time), so its file reads back equal."""
+    """A Trace built from a RecordColumns of records orders them as seal
+    and read_jsonl do (stable, by start and by queued time), so its file
+    reads back equal."""
     header, phases, kernels = drawn
-    trace = Trace(phases=tuple(phases), kernels=tuple(kernels), **header)
+    rows = record_columns(phases, kernels)
+    trace = Trace(phases=rows, kernels=rows, **header)
     want_phases = tuple(sorted(phases, key=lambda r: r.t_start_ns))
     want_kernels = tuple(sorted(kernels, key=lambda r: r.t_queued_ns))
-    assert trace.phases == want_phases and trace.kernels == want_kernels
-    assert trace == Trace(phases=want_phases, kernels=want_kernels, **header)
+    assert tuple(trace.phases) == want_phases and tuple(trace.kernels) == want_kernels
+    in_order = record_columns(want_phases, want_kernels)
+    assert trace == Trace(phases=in_order, kernels=in_order, **header)
     path = str(scratch / "shuffled.jsonl")
     trace_io.write_jsonl(trace, path)
     assert trace_io.read_jsonl(path) == trace
@@ -506,8 +520,8 @@ def test_trace_from_shuffled_records_is_sorted_and_reads_back_equal(scratch, dra
 @given(shuffled_records(), st.randoms(use_true_random=False))
 def test_trace_from_shuffled_tables_reads_back_equal(scratch, drawn, rnd):
     """A Trace made straight from tables of shuffled rows, with the names
-    in any order and one unused, equals the Trace made from the records,
-    and its file reads back equal."""
+    in any order and one unused, equals the Trace made from a RecordColumns
+    of the records, and its file reads back equal."""
     header, phases, kernels = drawn
     names = [*dict.fromkeys(k.name for k in kernels), "unused"]
     rnd.shuffle(names)
@@ -515,7 +529,8 @@ def test_trace_from_shuffled_tables_reads_back_equal(scratch, drawn, rnd):
         [(list(PhaseKind).index(p.kind), p.turn, -1 if p.token_index is None else p.token_index,
           p.t_start_ns, p.t_end_ns) for p in phases],
         [(names.index(k.name), *astuple(k)[1:]) for k in kernels], names, **header)
-    assert trace == Trace(phases=tuple(phases), kernels=tuple(kernels), **header)
+    rows = record_columns(phases, kernels)
+    assert trace == Trace(phases=rows, kernels=rows, **header)
     path = str(scratch / "tables.jsonl")
     trace_io.write_jsonl(trace, path)
     assert trace_io.read_jsonl(path) == trace
@@ -623,7 +638,8 @@ def test_int64_extremes_round_trip(tmp_path):
 def test_fast_path_takes_every_line_the_writer_emits_for_plain_names(scratch, kernels, phases):
     """The bulk route takes the writer's record lines, as columns holding
     the records, unless a kernel name needs escaping; then it refuses them."""
-    trace = Trace("x", 0, tuple(phases), tuple(kernels))
+    rows = record_columns(phases, kernels)
+    trace = Trace("x", 0, rows, rows)
     trace_io.write_jsonl(trace, str(scratch / "w.jsonl"))
     block = (scratch / "w.jsonl").read_bytes().split(b"\n", 1)[1]
     columns = RecordColumns()
@@ -632,7 +648,7 @@ def test_fast_path_takes_every_line_the_writer_emits_for_plain_names(scratch, ke
     if taken:
         names, kernel_columns = columns.kernel_columns()
         tables = PhaseTable(*columns.phase_columns()), KernelTable(names, *kernel_columns)
-        assert tables == (  # in the file's order, the Trace's
+        assert tuple(map(tuple, tables)) == (  # in the file's order, the Trace's
             tuple(sorted(phases, key=lambda p: p.t_start_ns)),
             tuple(sorted(kernels, key=lambda k: k.t_queued_ns)),
         )
@@ -1078,6 +1094,54 @@ def test_a_foreign_cache_reads_as_the_parse(tmp_path):
     want = parsed(path)
     cache_of(path).write_bytes(cache_of(other).read_bytes())
     assert read_with_names(path) == want
+
+
+def forge(path, edit):
+    """Rewrite ``path``'s column cache as ``edit(columns, names)`` leaves its
+    int64 columns (one array of phase columns, one of kernel columns) and
+    its list of names, with the digest that matches the edited bytes."""
+    cache = cache_of(path).read_bytes()[:-trace_io._DIGEST_BYTES]
+    _, p, k = trace_io._COLS_HEAD.unpack_from(cache)
+    at = trace_io._COLS_HEAD.size
+    columns = np.frombuffer(cache, "<i8", 5 * p + 7 * k, at).copy()
+    names = json.loads(cache[at + columns.nbytes:])
+    edit(columns[:5 * p].reshape(5, p), columns[5 * p:].reshape(7, k), names)
+    cache = cache[:at] + columns.tobytes() + json.dumps(names).encode()
+    digest = hashlib.sha256(path.read_bytes() + cache).digest()
+    cache_of(path).write_bytes(cache + digest)
+
+
+# damage_trace's rows in trace order: phases [0, 5] then [5, 9]; kernels
+# named by codes 2, 0, 2 into ["b", "unused", "aé"].
+FORGED = {
+    "name-not-a-str": (lambda p, k, names: names.__setitem__(0, 7),
+                       "kernel name must be a str, got 7"),
+    "kind-code-99": (lambda p, k, names: p[0].__setitem__(1, 99),
+                     "phase kind code 99 is not in range(6)"),
+    "end-before-start": (lambda p, k, names: k[6].__setitem__(0, 2),
+                         "t_end_ns < t_start_ns"),
+    "overlap": (lambda p, k, names: p[4].__setitem__(0, 7),
+                "phase records overlap: embedding [0, 7] and decode [5, 9]"),
+}
+
+
+@pytest.mark.parametrize("case", FORGED)
+def test_a_forged_cache_with_bad_rows_is_a_parse_error_naming_it(tmp_path, capsys, case):
+    """A cache whose digest matches but whose rows a Trace refuses is a
+    ParseError naming the cache, through the library and the CLI (exit 1,
+    one error line); the JSONL beside it parses."""
+    edit, message = FORGED[case]
+    path = tmp_path / "t.jsonl"
+    trace_io.write_jsonl(damage_trace(), str(path))
+    forge(path, edit)
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}.cols: {message}')}$"):
+        trace_io.read_jsonl(str(path))
+    capsys.readouterr()
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"lmmk: error: {path}.cols: {message}\n"
+    cache_of(path).unlink()
+    assert trace_io.read_jsonl(str(path)) == damage_trace()
 
 
 @settings(max_examples=100, deadline=None)

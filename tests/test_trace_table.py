@@ -4,7 +4,8 @@ A Trace copies its rows into columns of its own, sorting them stably only
 when they are out of order; the oracle below is the
 ``sorted(records, key=...)`` it replaced, over records built from the
 same calls. Tables must yield exactly those rows, with exact ``int`` and
-``str`` values, and compare equal to tables converted from them.
+``str`` values. A Trace is made from tables or a RecordColumns only; its
+tables compare equal only to tables.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_trace, manual_session
+from conftest import build_trace, manual_session, record_columns
 import lmmk.recorder
 from lmmk import trace_io
 from lmmk.errors import ParseError, PhaseOverlap
@@ -30,6 +31,7 @@ from lmmk.recorder import (
     RecordColumns,
     Trace,
     TraceSession,
+    check_int64,
 )
 from lmmk.sim_engine import WindowTable
 from lmmk.timeline import GapTable
@@ -89,11 +91,11 @@ def test_seal_matches_sorted_records(calls):
         assert isinstance(row, KernelRecord) and type(row.name) is str
         assert all(type(v) is int for v in dataclasses.astuple(row)[1:])
 
-    assert trace.phases == want_phases and trace.kernels == want_kernels
-    assert trace == Trace(trace.device_label, 0, want_phases, want_kernels)
+    rows = record_columns(want_phases, want_kernels)
+    assert trace == Trace(trace.device_label, 0, rows, rows)
     for i in range(-len(want_kernels), len(want_kernels)):
         assert trace.kernels[i] == want_kernels[i]
-    assert trace.kernels[1:-1:2] == want_kernels[1:-1:2]
+    assert tuple(trace.kernels[1:-1:2]) == want_kernels[1:-1:2]
 
 
 def test_ties_keep_recording_order_past_the_small_sort_cutoff():
@@ -135,6 +137,8 @@ def test_tables_leave_the_callers_arrays_writeable():
     table = PhaseTable(*columns)
     assert all(column.flags.writeable for column in columns)
     assert not any(column.flags.writeable for column in table._arrays())
+    # an int64 array is viewed, not copied
+    assert all(np.shares_memory(a, b) for a, b in zip(columns, table._arrays()))
 
 
 def test_index_out_of_range():
@@ -145,21 +149,13 @@ def test_index_out_of_range():
         trace.kernels[-2]
 
 
-def test_replace_converts_record_tuples():
-    trace = build_trace(kernels=[("a", 0, 0, 1, 2, 3, 4), ("b", 1, 0, 2, 2, 3, 4)])
-    kept = (trace.kernels[1],)
-    copy = dataclasses.replace(trace, kernels=kept)
-    assert isinstance(copy.kernels, KernelTable)
-    assert copy.kernels == kept and copy.kernels.names == ("b",)
-
-
 def test_tables_compare_rows_by_name_not_by_code():
     rows = (KernelRecord("x", 0, 0, 0, 0, 0, 0), KernelRecord("y", 0, 0, 1, 1, 1, 1))
-    a = Trace("x", 0, (), rows).kernels
+    a = build_trace(kernels=[dataclasses.astuple(r) for r in rows]).kernels
     times = ([0, 1],) * 4
     b = KernelTable(("y", "x", "unused"), [1, 0], [0, 0], [0, 0], *times)
     assert a.names != b.names
-    assert a == b and b == rows
+    assert a == b and tuple(b) == rows
     assert a != KernelTable(("y", "x"), [0, 1], [0, 0], [0, 0], *times)
 
 
@@ -175,25 +171,44 @@ def test_kernel_table_refuses_a_repeated_name():
         Trace("x", 0, PhaseTable(*[[]] * 5), KernelTable(([1], [1]), [0], *[[0]] * 6))
 
 
-@pytest.mark.parametrize("phases, kernels, error, message", [
-    ((), KernelTable(([1],), [0], *[[0]] * 6), TypeError, "kernel name must be a str, got [1]"),
-    (PhaseTable([9], [0], [-1], [0], [5]), (), ValueError, "phase kind code 9 is not in range(6)"),
-], ids=["kernel-table", "phase-table"])
-def test_a_table_beside_records_is_checked_as_a_table(phases, kernels, error, message):
-    """Only the side given as records is converted; the table side reaches
-    ``check_columns`` as it is."""
-    with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        Trace("x", 0, phases, kernels)
+NO_PHASES, NO_KERNELS = PhaseTable(*[[]] * 5), KernelTable((), *[[]] * 7)
+
+
+@pytest.mark.parametrize("side, rows, message", [
+    ("phases", (PhaseRecord(PhaseKind.PREFILL, 0, None, 0, 1),),
+     "Trace.phases must be a PhaseTable or RecordColumns, got tuple"),
+    ("phases", [], "Trace.phases must be a PhaseTable or RecordColumns, got list"),
+    ("phases", NO_KERNELS, "Trace.phases must be a PhaseTable or RecordColumns, got KernelTable"),
+    ("kernels", (), "Trace.kernels must be a KernelTable or RecordColumns, got tuple"),
+    ("kernels", None, "Trace.kernels must be a KernelTable or RecordColumns, got NoneType"),
+    ("kernels", NO_PHASES, "Trace.kernels must be a KernelTable or RecordColumns, got PhaseTable"),
+], ids=["records", "list", "kernel-table", "empty-tuple", "none", "phase-table"])
+def test_trace_takes_only_tables_or_record_columns(side, rows, message):
+    """Built directly or by ``dataclasses.replace``, each side is a table
+    of that side or a RecordColumns; anything else is a TypeError naming
+    the side and the type it got."""
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        Trace("x", 0, **{"phases": NO_PHASES, "kernels": NO_KERNELS, side: rows})
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(build_trace(), **{side: rows})
 
 
 def test_conversion_rejects_values_outside_int64():
-    message = f"KernelRecord.t_end_ns out of int64 range, got {2**63}"
+    message = f"KernelTable.t_end_ns out of int64 range, got {2**63}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        Trace("x", 0, (), (KernelRecord("k", 0, 0, 0, 0, 0, 2**63),))
+        KernelTable(("k",), *[[0]] * 6, [2**63])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        KernelTable(("k",), *[[0]] * 6, np.array([2**63], dtype=np.uint64))
+    with pytest.raises(ValueError, match=r"^PhaseTable\.token_index out of int64 range"):
+        PhaseTable([2], [0], [2**63], [0], [1])
     with pytest.raises(ValueError, match=r"^PhaseRecord\.token_index out of int64 range"):
-        Trace("x", 0, (PhaseRecord(PhaseKind.DECODE, 0, 2**63, 0, 1),), ())
-    edge = Trace("x", 0, (), (KernelRecord("k", 0, 0, 0, 0, 0, 2**63 - 1),))
-    assert edge.kernels[0].t_end_ns == 2**63 - 1
+        record_columns(phases=[(PhaseKind.DECODE, 0, 2**63, 0, 1)])
+    top = [[0]] * 6 + [[2**63 - 1]]
+    unsigned = [np.array(c, np.uint64) for c in top]
+    for kernels in (KernelTable(("k",), *top), KernelTable(("k",), *unsigned),
+                    record_columns(kernels=[("k", 0, 0, 0, 0, 0, 2**63 - 1)])):
+        edge = Trace("x", 0, NO_PHASES, kernels)
+        assert edge.kernels[0].t_end_ns == 2**63 - 1
 
 
 @pytest.mark.parametrize("field", ["clock_offset_ns", "prompt_tokens", "output_tokens"])
@@ -206,8 +221,8 @@ def test_trace_refuses_header_fields_when_built(field, bad):
         error, message = TypeError, f"Trace.{field} must be an int or None, got {bad!r}"
     header = {"clock_offset_ns": 0, field: bad}
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        Trace("x", phases=(), kernels=(), **header)
-    edge = Trace("x", phases=(), kernels=(), **{**header, field: -(2**63)})
+        Trace("x", phases=NO_PHASES, kernels=NO_KERNELS, **header)
+    edge = Trace("x", phases=NO_PHASES, kernels=NO_KERNELS, **{**header, field: -(2**63)})
     assert getattr(edge, field) == -(2**63)
 
 
@@ -216,7 +231,7 @@ def test_trace_refuses_a_non_str_device_label(label):
     """Its reader would refuse the file it writes."""
     message = f"Trace.device_label must be a str, got {label!r}"
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
-        Trace(label, 0, (), ())
+        Trace(label, 0, NO_PHASES, NO_KERNELS)
 
 
 PHASE = PhaseRecord(PhaseKind.DECODE, 0, 0, 0, 1)
@@ -248,13 +263,12 @@ def test_records_refuse_non_int64_fields_when_built(record, field, bad):
 
 
 OVERLAP = "phase records overlap: decode [10, 20] and decode [15, 30]"
-NO_KERNELS = KernelTable((), *[[]] * 7)
 
 
 def test_overlapping_phases_are_refused_however_the_trace_is_made(tmp_path):
-    """A session whose clock runs backwards between phases, records in
-    either order and tables in either order all give the reader's error,
-    and the reader still raises it as a ParseError."""
+    """A session whose clock runs backwards between phases, a RecordColumns
+    of records in either order and tables in either order all give the
+    reader's error, and the reader still raises it as a ParseError."""
     clock = iter([10, 20, 15, 30])
     session = TraceSession(clock=lambda: next(clock))
     for token in (0, 1):
@@ -268,7 +282,7 @@ def test_overlapping_phases_are_refused_however_the_trace_is_made(tmp_path):
     tables = [PhaseTable([2, 2], [0, 0], [0, 1], [10, 15], [20, 30]),
               PhaseTable([2, 2], [0, 0], [1, 0], [15, 10], [30, 20])]
     fine = build_trace()
-    for phases in (records, records[::-1], *tables):
+    for phases in (record_columns(records), record_columns(records[::-1]), *tables):
         with pytest.raises(PhaseOverlap, match=f"^{re.escape(OVERLAP)}$"):
             Trace("x", 0, phases, NO_KERNELS)
         with pytest.raises(PhaseOverlap, match=f"^{re.escape(OVERLAP)}$"):
@@ -426,5 +440,122 @@ def test_an_index_reads_the_row_that_iteration_yields(table, data):
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
     kept = table.take(mask)
     assert type(kept) is type(table)
-    assert kept == tuple(row for row, keep in zip(rows, mask) if keep)
-    assert table[::2] == rows[::2]
+    assert tuple(kept) == tuple(row for row, keep in zip(rows, mask) if keep)
+    assert tuple(table[::2]) == rows[::2]
+
+
+# Integer columns that a row shows as they are, with the table that holds them.
+ROW_COLUMNS = [(PhaseTable, "turn"), (PhaseTable, "t_start_ns"), (KernelTable, "queue_id"),
+               (KernelTable, "t_end_ns"), (WindowTable, "busy_ns")]
+
+
+def table_with(table, column, values, n):
+    """A table of ``n`` rows: ``values`` in ``column``, a valid code or -1 in every other."""
+    given = [values if name == column else [-1 if name == "token_index" else 0] * n
+             for name in table._columns]
+    return table(*[("k",)] * (table is KernelTable), *given)
+
+
+anything = st.one_of(
+    st.integers(-(2**63), 2**63 - 1), st.integers(-(2**65), 2**65),
+    st.sampled_from([-(2**63), 2**63 - 1, 2**63, -(2**63) - 1, 2**64]),
+    st.booleans(), st.floats(allow_nan=False), st.integers(-5, 5).map(np.int64),
+    st.integers(0, 5).map(np.uint64), st.just("7"), st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ROW_COLUMNS), st.lists(anything, max_size=6),
+       st.sampled_from([list, tuple, iter, lambda values: np.array(values, dtype=object)]))
+def test_a_table_refuses_exactly_what_check_int64_refuses(where, values, container):
+    """A column given as an iterable (an object array too) raises what
+    ``check_int64`` raises for its first value that is not an exact int
+    within int64, labelled ``Table.column``; otherwise each row holds the
+    int it was given."""
+    table, column = where
+    refused = None
+    for value in values:
+        try:
+            check_int64(f"{table.__name__}.{column}", value)
+        except (TypeError, ValueError) as exc:
+            refused = exc
+            break
+    if refused is not None:
+        with pytest.raises(type(refused), match=f"^{re.escape(str(refused))}$"):
+            table_with(table, column, container(values), len(values))
+        return
+    got = [getattr(row, column) for row in table_with(table, column, container(values),
+                                                      len(values))]
+    assert got == values and all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: PhaseTable([1], [True], [-1], [1.9], [np.float64(2.7)]), TypeError,
+     "PhaseTable.turn must be an int, got True"),
+    (lambda: PhaseTable([1], [0], [-1], [1.9], [2]), TypeError,
+     "PhaseTable.t_start_ns must be an int, got 1.9"),
+    (lambda: KernelTable(("k",), *[[0]] * 6, [3.99]), TypeError,
+     "KernelTable.t_end_ns must be an int, got 3.99"),
+    (lambda: KernelTable(("k",), *[[0]] * 6, ["7"]), TypeError,
+     "KernelTable.t_end_ns must be an int, got '7'"),
+    (lambda: KernelTable(("k",), *[[0]] * 6, [2**63]), ValueError,
+     f"KernelTable.t_end_ns out of int64 range, got {2**63}"),
+    (lambda: WindowTable(*[[0]] * 5, np.array([2**63], np.uint64)), ValueError,
+     f"WindowTable.busy_ns out of int64 range, got {2**63}"),
+    (lambda: PhaseTable(*[[0]] * 4, np.array([2.0])), TypeError,
+     "PhaseTable.t_end_ns must be an int, got 2.0"),
+    (lambda: PhaseTable(*[[0]] * 4, np.array([True])), TypeError,
+     "PhaseTable.t_end_ns must be an int, got True"),
+    (lambda: PhaseTable(*[[0]] * 4, np.array([1, 1.5], object)), TypeError,
+     "PhaseTable.t_end_ns must be an int, got 1.5"),
+    (lambda: GapTable([0, 1.5]), TypeError, "GapTable.bounds must be an int, got 1.5"),
+], ids=["bool-first", "float", "float-end", "str", "past-int64", "uint64-past-int64",
+        "float-array", "bool-array", "object-array", "gap-float"])
+def test_tables_refuse_what_records_refuse(make, error, message):
+    """A table casts no value: a bool, a float, a str or a numpy scalar in a
+    list, a value of a float, bool or object array that is not an exact int,
+    and a value past int64 (unsigned too) are refused, never changed or
+    wrapped."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64, ">i8", object])
+def test_integer_arrays_of_any_width_give_their_values(dtype):
+    """An integer array, or an object array of exact ints, up to int64's top."""
+    top = 2**63 - 1 if dtype in (np.uint64, ">i8", object) else np.iinfo(dtype).max
+    table = KernelTable(("k",), *[[0, 0]] * 6, np.array([0, top], dtype))
+    assert table.t_end_ns.dtype == np.int64 and table.t_end_ns.tolist() == [0, int(top)]
+
+
+def equal_and_unequal(table):
+    """Two tables of ``table``'s class with the same rows, built apart (a
+    KernelTable's names in another order), and a third that differs from
+    the first in one value."""
+    if table is PhaseTable:
+        columns = [[0, 2], [0, 0], [-1, 0], [0, 5], [5, 9]]
+        return (PhaseTable(*columns), PhaseTable(*map(np.array, columns)),
+                PhaseTable(*columns[:4], [5, 10]))
+    if table is KernelTable:
+        times = [[0, 1]] * 6
+        return (KernelTable(("a", "b"), [0, 1], *times),
+                KernelTable(("b", "unused", "a"), [2, 0], *times),
+                KernelTable(("a", "b"), [0, 1], *times[:5], [0, 2]))
+    if table is WindowTable:
+        columns = [[2, 3], [0, 0], [0, 0], [0, 5], [5, 9], [1, 4]]
+        return (WindowTable(*columns), WindowTable(*map(np.array, columns)),
+                WindowTable(*columns[:5], [1, 3]))
+    return GapTable([0, 5, 9, 12]), GapTable(np.array([0, 5, 9, 12])), GapTable([0, 5, 9, 13])
+
+
+@pytest.mark.parametrize("table", [PhaseTable, KernelTable, WindowTable, GapTable],
+                         ids=lambda table: table.__name__)
+def test_tables_equal_and_hash_as_tables_only(table):
+    """A table equals, and hashes as, a table of its class with the same
+    rows, however its columns or names are laid out; it never equals its
+    rows as a tuple or a list, and one changed value makes it unequal."""
+    a, b, c = equal_and_unequal(table)
+    assert a == b and b == a and hash(a) == hash(b)
+    assert a != c and c != a
+    for rows in (tuple(a), list(a), tuple(b)):
+        assert a != rows and rows != a

@@ -2,6 +2,8 @@
 
 The reference functions below are the full-scan implementations that the
 index replaced: they clip or filter every kernel of the trace per window.
+Their gaps are a GapTable of the intervals they find, as tables equal
+only tables.
 """
 
 import dataclasses
@@ -11,15 +13,16 @@ import threading
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_trace
+from conftest import build_trace, record_columns
 from lmmk import timeline, trace_io
-from lmmk.timeline import Interval, IdleReport
+from lmmk.timeline import GapTable, Interval, IdleReport
 
 
 def scan_idle_gaps(trace, window):
     length = window.length_ns
     if length == 0:
-        return IdleReport(window=window, busy_ns=0, idle_ns=0, idle_fraction=0.0, gaps=())
+        return IdleReport(window=window, busy_ns=0, idle_ns=0, idle_fraction=0.0,
+                          gaps=GapTable([]))
     clipped = []
     for k in trace.kernels:
         s = max(k.t_start_ns, window.start_ns)
@@ -41,13 +44,15 @@ def scan_idle_gaps(trace, window):
         gaps.append(Interval(cursor, window.end_ns))
     idle = length - busy
     return IdleReport(window=window, busy_ns=busy, idle_ns=idle,
-                      idle_fraction=idle / length, gaps=tuple(gaps))
+                      idle_fraction=idle / length,
+                      gaps=GapTable([t for g in gaps for t in (g.start_ns, g.end_ns)]))
 
 
 def scan_aggregate_kernels(trace, window):
     included = [k for k in trace.kernels
                 if window.start_ns <= k.t_start_ns < window.end_ns]
-    return timeline.aggregate_kernels(dataclasses.replace(trace, kernels=tuple(included)))
+    return timeline.aggregate_kernels(
+        dataclasses.replace(trace, kernels=record_columns(kernels=included)))
 
 
 @st.composite
